@@ -278,7 +278,7 @@ def main(argv=None) -> int:
             ValueError) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
         return 2
-    except (NonConvergence, InternalMismatch) as e:
+    except (NonConvergence, InternalMismatch, OverflowError) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
         return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -408,24 +408,82 @@ def all_roots(p, tol: Tolerance = DEFAULT_TOL) -> list:
     return out
 
 
+def _hessenberg(A: SquareMatrix) -> list:
+    """Upper Hessenberg form of ``A`` by elimination similarities.
+
+    For each column, a pivot is brought to the subdiagonal by a row and
+    column swap; then every row operation R_i -= u R_m below it is paired
+    with the inverse column operation C_m += u C_i, so the result is
+    similar to ``A``.  Exact entries run on Fractions and take the first
+    nonzero pivot; float entries take the largest one (partial pivoting).
+    A column that is already zero below the subdiagonal is skipped.
+    """
+    exact = A.is_exact
+    convert = Fraction if exact else float
+    H = [[convert(v) for v in r] for r in A.rows]
+    n = len(H)
+    for m in range(1, n - 1):
+        col = m - 1
+        if exact:
+            piv = next((i for i in range(m, n) if H[i][col]), m)
+        else:
+            piv = max(range(m, n), key=lambda i: abs(H[i][col]))
+        if not H[piv][col]:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        row_m = H[m]
+        pivot = row_m[col]
+        for i in range(m + 1, n):
+            row_i = H[i]
+            if not row_i[col]:
+                continue
+            u = row_i[col] / pivot
+            row_i[col] = convert(0)
+            for j in range(m, n):
+                if row_m[j]:
+                    row_i[j] -= u * row_m[j]
+            for row in H:
+                if row[i]:
+                    row[m] += u * row[i]
+    return H
+
+
 def char_poly(A: SquareMatrix):
     """Characteristic polynomial det(tI - A), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion; exact when the entries are rational.
+    ``A`` is reduced to upper Hessenberg form H by similarity
+    (:func:`_hessenberg`), then chi is read off H with the recurrence
+
+        p_0 = 1,
+        p_m = (t - h_mm) p_{m-1}
+              - sum_{i<m} h_{m,m-1} ... h_{m-i+1,m-i} h_{m-i,m} p_{m-i-1},
+
+    with chi = p_n (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.2.9): O(n^3) operations in all.  Exact on rational
+    entries, where every coefficient below the leading 1 is a Fraction;
+    float entries give float coefficients.
     """
     from .unipoly import UniPoly
 
-    n = A.n
-    if n == 0:
-        return UniPoly((1,))
-    ident = SquareMatrix.identity(n)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    M = A
-    c = exact_div(-M.trace(), 1)
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        M = A @ M.add(ident.scale(c))
-        c = exact_div(-M.trace(), k)
-        coeffs[n - k] = c
-    return UniPoly(tuple(coeffs))
+    H = _hessenberg(A)
+    p = [[1]]
+    for k in range(len(H)):
+        prev = p[k]
+        h = H[k][k]
+        cur = [0] + prev
+        for j, c in enumerate(prev):
+            cur[j] -= h * c
+        prod = 1
+        for i in range(1, k + 1):
+            prod *= H[k - i + 1][k - i]
+            if not prod:
+                break
+            coef = prod * H[k - i][k]
+            if coef:
+                for j, c in enumerate(p[k - i]):
+                    cur[j] -= coef * c
+        p.append(cur)
+    return UniPoly(tuple(p[-1]))

@@ -94,7 +94,10 @@ class InequalityLedger:
         if self.min_margin is None or margin < self.min_margin:
             self.min_margin = margin
             self.binding = witness
-        sign = classify_sign(slack, self.tol, scale=float(scale))
+        # an exact slack is compared with 0 directly; only a float slack
+        # needs the (float) scale of its tolerance band
+        sign = (classify_sign(slack) if is_exact(slack)
+                else classify_sign(slack, self.tol, scale=float(scale)))
         violated = sign is Sign.NEG or (strict and sign is Sign.ZERO)
         if violated and self.violation is None:
             self.violation = (witness, margin)

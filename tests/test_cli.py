@@ -58,6 +58,16 @@ class TestUnipolyCommand:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize("coeffs", [[1e300, 1e300, 1],
+                                        [1, 1e200, 1e200, 1]])
+    def test_float_overflow_is_numeric_failure(self, coeffs):
+        # exact coefficients this large overflow the float root oracle
+        # (first) and the float minor margins (second)
+        proc = run_cli(["unipoly"], {"coeffs": coeffs})
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error" in json.loads(proc.stderr.splitlines()[-1])
+
 
 class TestFormCommand:
     def test_elementary_symmetric_all_pass(self):
@@ -97,6 +107,14 @@ class TestMatrixCommand:
         rep = run_json(["matrix"], {"rows": [[-1, 0], [0, -2]]})
         assert rep["lti_report"]["conclusion"] == "stable"
         assert rep["lti_report"]["clc_d_le_4"]["status"] == "holds"
+
+    def test_huge_exact_entries_decide_exactly(self):
+        # exact slacks near 1e600 are compared with 0, never cast to float
+        rep = run_json(["matrix"], {"rows": [[1e300, 1e300], [1e300, 1e300]]})
+        rh = rep["lti_report"]["routh_hurwitz"]
+        assert rh["status"] == "fails"
+        assert rh["witness"] == ["coefficient", 0]
+        assert rep["lti_report"]["conclusion"] == "unstable"
 
     def test_cone_route_irreducible_permutation(self, tmp_path):
         cone_file = tmp_path / "cone.json"

@@ -12,6 +12,7 @@ from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
                       root_oracle_verdict, routh_hurwitz_stable,
                       stability_report)
 from conestab.hurwitz import _alpha_bracket
+from conestab.verdict import InequalityLedger
 
 from conftest import poly_from_roots
 
@@ -73,6 +74,22 @@ class TestRouthHurwitz:
         assert routh_hurwitz_stable(exact).status == "fails"
         floaty = UniPoly((1.0, 2.0, 3.0, 6.0))
         assert routh_hurwitz_stable(floaty).status == "unknown"
+
+
+class TestInequalityLedger:
+    def test_exact_slack_beyond_float_range(self):
+        # an exact slack is signed exactly; its scale is never cast to float
+        led = InequalityLedger()
+        assert led.require(10**400, 10**400 - 1, witness="a")
+        assert not led.require(Fraction(-(10**400), 3), witness="b")
+        v = led.verdict()
+        assert v.status == "fails" and v.witness == "b"
+        assert v.margin == -1
+
+    def test_exact_zero_slack_is_strict_violation(self):
+        led = InequalityLedger(strict=True)
+        assert not led.require(10**400, 10**400)
+        assert led.verdict().margin == 0
 
 
 class TestLienardChipart:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conestab import (SquareMatrix, Tolerance, UniPoly, ZeroPolynomial,
@@ -134,6 +134,60 @@ class TestAllRoots:
                     1.0, abs(p.coeff(k)))
 
 
+def cofactor_char_poly(A: SquareMatrix) -> UniPoly:
+    """det(tI - A) by exact polynomial cofactor expansion; the independent
+    characteristic-polynomial oracle."""
+    n = A.n
+    entries = [[UniPoly((-A[i, j], 1)) if i == j else UniPoly((-A[i, j],))
+                for j in range(n)] for i in range(n)]
+
+    def poly_det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        total = UniPoly(())
+        for j, head in enumerate(rows[0]):
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            term = head * poly_det(minor)
+            total = total + (term if j % 2 == 0 else term.scale(-1))
+        return total
+
+    return poly_det(entries)
+
+
+EXACT_SCALARS = st.one_of(st.integers(-6, 6),
+                          st.fractions(-6, 6, max_denominator=4))
+SPARSE_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def exact_matrices(draw, max_n):
+    """Exact square matrices, dense or sparse.  Some are block upper
+    triangular, so a column is already zero below the subdiagonal when the
+    Hessenberg reduction reaches it; others have a zero subdiagonal pivot
+    over a nonzero entry below it in the first column, forcing a swap."""
+    n = draw(st.integers(1, max_n))
+    scalars = draw(st.sampled_from([EXACT_SCALARS, SPARSE_SCALARS]))
+    rows = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "zero_column", "swap"]))
+    if n >= 3 and shape == "zero_column":
+        k = draw(st.integers(1, n - 2))
+        for i in range(k, n):
+            rows[i][:k] = [0] * k
+    elif n >= 3 and shape == "swap":
+        rows[1][0] = 0
+        rows[n - 1][0] = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    return SquareMatrix.from_rows(rows)
+
+
+def cayley_hamilton_residual(A: SquareMatrix, chi: UniPoly) -> SquareMatrix:
+    """chi(A) by Horner's rule in exact matrix arithmetic."""
+    ident = SquareMatrix.identity(A.n)
+    acc = ident.scale(0)
+    for c in reversed(chi.coeffs):
+        acc = (acc @ A).add(ident.scale(c))
+    return acc
+
+
 class TestCharPoly:
     def test_diagonal(self):
         A = SquareMatrix.from_rows([[-1, 0], [0, -2]])
@@ -144,24 +198,47 @@ class TestCharPoly:
         C = SquareMatrix.from_rows([[0, -2], [1, -3]])
         assert char_poly(C).coeffs == (2, 3, 1)
 
+    def test_empty_matrix_is_one(self):
+        assert char_poly(SquareMatrix.from_rows([])).coeffs == (1,)
+
+    def test_exact_coefficients_are_fractions_below_monic_one(self):
+        chi = char_poly(SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [2, 0, 0]]))
+        assert chi.coeffs == (-2, 0, 0, 1)
+        assert all(type(c) is Fraction for c in chi.coeffs[:-1])
+        assert type(chi.coeffs[-1]) is int
+
     def test_matches_symbolic_cofactor_oracle(self, rng):
         for _ in range(10):
             A = rand_int_matrix(rng, 4, -5, 5)
-            # det(tI - A) expanded with exact polynomial cofactor expansion
-            entries = [[UniPoly((-A[i, j], 1)) if i == j else UniPoly((-A[i, j],))
-                        for j in range(4)] for i in range(4)]
+            assert char_poly(A).coeffs == cofactor_char_poly(A).coeffs
 
-            def poly_det(rows):
-                if len(rows) == 1:
-                    return rows[0][0]
-                total = UniPoly(())
-                for j, head in enumerate(rows[0]):
-                    minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-                    term = head * poly_det(minor)
-                    total = total + (term if j % 2 == 0 else term.scale(-1))
-                return total
+    @given(exact_matrices(5))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_cofactor_oracle(self, A):
+        assert char_poly(A).coeffs == cofactor_char_poly(A).coeffs
 
-            assert char_poly(A).coeffs == poly_det(entries).coeffs
+    @given(exact_matrices(10))
+    @settings(max_examples=40, deadline=None)
+    def test_property_cayley_hamilton(self, A):
+        chi = char_poly(A)
+        assert chi.degree == A.n and chi.leading == 1
+        residual = cayley_hamilton_residual(A, chi)
+        assert all(v == 0 for r in residual.rows for v in r)
+
+    @given(exact_matrices(10))
+    @settings(max_examples=100, deadline=None)
+    def test_property_float_mode_matches_exact(self, A):
+        exact = char_poly(A).coeffs
+        floats = char_poly(SquareMatrix.from_rows(
+            [[float(v) for v in r] for r in A.rows])).coeffs
+        assert all(isinstance(c, float) for c in floats[:-1])
+        n = A.n
+        # every |eigenvalue| is at most the largest absolute row sum, so
+        # |coefficient of t^j| is at most C(n, n-j) * rho^(n-j)
+        rho = max(sum(abs(v) for v in r) for r in A.rows)
+        for j, (e, f) in enumerate(zip(exact, floats)):
+            scale = math.comb(n, n - j) * float(rho) ** (n - j)
+            assert abs(f - float(e)) <= 1e-9 * scale
 
     def test_small_at_float_eigenvalues(self, rng):
         for _ in range(10):

@@ -9,8 +9,8 @@ from .cones import (Cone, ConeMatrixReport, PerronReport, contains,
                     dual_contained_in, dual_contains, extreme_rays,
                     interior_contains, matrix_k_copositive_refute,
                     matrix_k_irreducible, matrix_k_nonnegative,
-                    matrix_k_positive, perron_frobenius_check, sample_cone,
-                    sample_interior)
+                    matrix_k_positive, perron_frobenius_check, perron_report,
+                    sample_cone, sample_interior)
 from .errors import (ConestabError, DegreeMismatch, DimensionMismatch,
                      Inapplicable, InternalMismatch, NonConvergence,
                      NotInterior, ParseError, Unsupported, WrongDegree,
@@ -40,7 +40,7 @@ __all__ = [
     "dual_contained_in", "dual_contains", "extreme_rays", "interior_contains",
     "matrix_k_copositive_refute", "matrix_k_irreducible",
     "matrix_k_nonnegative", "matrix_k_positive", "perron_frobenius_check",
-    "sample_cone", "sample_interior",
+    "perron_report", "sample_cone", "sample_interior",
     "ConestabError", "DegreeMismatch", "DimensionMismatch", "Inapplicable",
     "InternalMismatch", "NonConvergence", "NotInterior", "ParseError",
     "Unsupported", "WrongDegree", "ZeroPolynomial",

@@ -121,6 +121,10 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
                                for k, v in chains.families.items()}}
     except Inapplicable as e:
         newton = {"status": "inapplicable", "witness": jsonable(e.witness)}
+    try:
+        roots = [jsonable(r) for r in all_roots(p, cfg.tol)]
+    except NonConvergence:
+        roots = None  # the root_oracle entry says why
     return {
         "input": jsonable(p),
         "config": cfg.echo(),
@@ -144,7 +148,7 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
         },
         "minors": [jsonable(m) for m in report.minors],
         "minor_margins": report.minor_margins,
-        "roots": [jsonable(r) for r in all_roots(p, cfg.tol)],
+        "roots": roots,
         "consistent": report.consistent,
     }
 

@@ -479,6 +479,14 @@ def matrix_k_irreducible(A: SquareMatrix, K: Cone,
     Raises Inapplicable when A is not (verifiably) K-nonnegative.
     """
     kn = matrix_k_nonnegative(A, K, tol, trials=trials, seed=seed)
+    return _k_irreducible_given(A, K, kn, tol, trials, seed)
+
+
+def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
+                         tol: Tolerance = DEFAULT_TOL, trials: int = 200,
+                         seed=0) -> Verdict:
+    """``matrix_k_irreducible`` for a caller that already holds ``kn``,
+    the K-nonnegativity verdict of A under the same tol, trials and seed."""
     if not kn.is_holds:
         raise Inapplicable("matrix is not K-nonnegative", witness=kn)
     B = matrix_power(SquareMatrix.identity(A.n).add(A), A.n - 1)
@@ -560,19 +568,29 @@ def _orientation(K: Cone, u, tol: Tolerance):
 
 def perron_frobenius_check(A: SquareMatrix, K: Cone,
                            tol: Tolerance = DEFAULT_TOL) -> ConeMatrixReport:
-    """Cone-nonnegativity/irreducibility verdicts plus spectral-radius
-    diagnostics: is rho a simple positive eigenvalue whose (sign-normalized)
-    eigenvector lies in the interior of K, and is it the only eigenvector
-    of a real eigenvalue lying in K?"""
+    """Cone-nonnegativity/positivity/irreducibility verdicts plus the
+    spectral-radius diagnostics of ``perron_report``."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     kn = matrix_k_nonnegative(A, K, tol)
     kp = matrix_k_positive(A, K, tol)
     try:
-        ki = matrix_k_irreducible(A, K, tol)
+        ki = _k_irreducible_given(A, K, kn, tol)
     except Inapplicable as e:
         ki = Verdict(UNKNOWN, witness=e.witness,
                      note="irreducibility inapplicable: not K-nonnegative")
+    return ConeMatrixReport(k_nonnegative=kn, k_positive=kp,
+                            k_irreducible=ki, perron=perron_report(A, K, tol))
+
+
+def perron_report(A: SquareMatrix, K: Cone,
+                  tol: Tolerance = DEFAULT_TOL) -> PerronReport:
+    """Spectral-radius diagnostics alone, with no cone-matrix verdict: is
+    rho a simple positive eigenvalue whose (sign-normalized) eigenvector
+    lies in the interior of K, and is it the only eigenvector of a real
+    eigenvalue lying in K?"""
+    if A.n != K.n:
+        raise DimensionMismatch("matrix/cone dimension mismatch")
     try:
         vals, vecs = np.linalg.eig(A.to_numpy())
     except np.linalg.LinAlgError as e:
@@ -614,7 +632,7 @@ def perron_frobenius_check(A: SquareMatrix, K: Cone,
         wr = tuple(float(x.real) for x in w)
         if contains(K, wr, tol) or contains(K, tuple(-x for x in wr), tol):
             other = True
-    perron = PerronReport(
+    return PerronReport(
         rho=rho,
         rho_positive=rho > thr,
         rho_is_eigenvalue=rho_is_eigenvalue,
@@ -624,8 +642,6 @@ def perron_frobenius_check(A: SquareMatrix, K: Cone,
         eigenvector_interior=interior,
         other_semipositive_eigenvector=other,
     )
-    return ConeMatrixReport(k_nonnegative=kn, k_positive=kp,
-                            k_irreducible=ki, perron=perron)
 
 
 def cone_from_json(obj, exact: bool = True) -> Cone:

@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cones import (SECOND_ORDER, Cone, extreme_ray_reps, interior_contains,
-                    matrix_k_irreducible, matrix_k_nonnegative,
-                    perron_frobenius_check, sample_cone, sample_interior)
+# perron_frobenius_check is unused here but stays bound: perfbench/tracing.py
+# wraps it by this module's name.
+from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
+                    extreme_ray_reps, interior_contains, matrix_k_irreducible,
+                    matrix_k_nonnegative, perron_frobenius_check, perron_report,
+                    sample_cone, sample_interior)
 from .errors import (DimensionMismatch, Inapplicable, InternalMismatch,
                      ParseError)
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, all_exact,
@@ -283,17 +286,17 @@ def quadratic_lorentzian_check(Q: SquareMatrix, K: Cone,
         pairing = led.verdict()
     details["pairing"] = pairing
     if K.is_self_dual:
-        details["k_nonnegative"] = matrix_k_nonnegative(Q, K, tol,
-                                                        trials=trials, seed=seed)
+        kn = matrix_k_nonnegative(Q, K, tol, trials=trials, seed=seed)
+        details["k_nonnegative"] = kn
         singular = band > 0
         details["singular"] = singular
         if singular:
-            details["dichotomy"] = details["k_nonnegative"]
+            details["dichotomy"] = kn
             details["dichotomy_branch"] = "singular-nonnegative"
         else:
             try:
-                details["dichotomy"] = matrix_k_irreducible(
-                    Q, K, tol, trials=trials, seed=seed)
+                details["dichotomy"] = _k_irreducible_given(
+                    Q, K, kn, tol, trials=trials, seed=seed)
             except Inapplicable as e:
                 details["dichotomy"] = Verdict(FAILS, witness=e.witness,
                                                note="not K-nonnegative")
@@ -438,7 +441,8 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     eigenvalue; on self-dual cones it must additionally be either
     nonsingular and K-irreducible (then its spectral radius is a simple
     positive eigenvalue with an interior eigenvector) or singular and
-    K-nonnegative."""
+    K-nonnegative.  The Perron property is read from ``perron_report``
+    alone, as irreducibility is already decided for that Hessian."""
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.d < 2:
@@ -492,7 +496,7 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
             if sub.is_unknown:
                 unknowns += 1
                 continue
-            perron = perron_frobenius_check(H, K, tol).perron
+            perron = perron_report(H, K, tol)
             if not (perron.rho_positive and perron.simple
                     and perron.eigenvector_interior):
                 return FormReport(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergence, WrongDegree, ZeroPolynomial
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, all_roots,
-                       exact_div, leading_minors)
+                       exact_div, is_exact, leading_minors)
 from .sequences import quintic_cross_inequality
 from .unipoly import UniPoly, hb_parts
 from .verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger, Verdict,
@@ -49,22 +49,46 @@ def _positive_leading(p: UniPoly) -> UniPoly:
     return p.scale(-1) if lead < 0 else p
 
 
-def _minor_scales(H: SquareMatrix) -> list:
-    """Hadamard bounds of the leading blocks; |Delta_k| never exceeds them,
-    so Delta_k / scale_k is a margin in [-1, 1]."""
+_BOUND_MAX_EXP = 1000
+
+
+def _scaled_minors(H: SquareMatrix, minors) -> list:
+    """(Delta_k, scale_k) pairs, scale_k the Hadamard bound of the k-th
+    leading block (at least 1), so Delta_k / scale_k is a margin in
+    [-1, 1].  With an exact Delta_k, a bound past 2^_BOUND_MAX_EXP divides
+    both members by one power of two, so neither the bound nor
+    float(Delta_k) overflows; a float Delta_k keeps the plain bound, which
+    is inf past the float range, so its comparison stays indeterminate.
+
+    Each row is scaled by a power of two before its norms are taken, and
+    the product of norms is kept as a float significand and an integer
+    exponent; power-of-two scaling is exact, so every bound that fits in a
+    float is the plain product of the row norms bit for bit.
+    """
     A = H.to_numpy()
-    scales = []
+    _, row_exp = np.frexp(np.max(np.abs(A), axis=1))
+    A = np.ldexp(A, -row_exp[:, None])
+    row_exp = row_exp.tolist()
+    out = []
     for k in range(1, H.n + 1):
-        prod = 1.0
+        frac, exp = 1.0, 0
         for i in range(k):
-            prod *= float(np.linalg.norm(A[i, :k]))
-        scales.append(max(prod, 1.0))
-    return scales
+            frac, e = math.frexp(frac * float(np.linalg.norm(A[i, :k])))
+            exp += e + row_exp[i]
+        m = minors[k - 1]
+        shift = max(0, exp - _BOUND_MAX_EXP) if frac and is_exact(m) else 0
+        if shift:
+            m = Fraction(m) / 2 ** shift
+        exp -= shift
+        bound = math.inf if frac and exp > 1024 else math.ldexp(frac, exp)
+        out.append((m, max(bound, 1.0)))
+    return out
 
 
 def _minor_data(p: UniPoly):
     H = hurwitz_matrix(p)
-    return H, leading_minors(H), _minor_scales(H)
+    minors = leading_minors(H)
+    return minors, _scaled_minors(H, minors)
 
 
 def _require_positive_coeffs(led: InequalityLedger, p: UniPoly) -> bool:
@@ -82,10 +106,10 @@ def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL,
     led = InequalityLedger(tol)
     if not _require_positive_coeffs(led, p):
         return led.verdict()
-    _, minors, scales = minor_data if minor_data is not None else _minor_data(p)
-    for k in range(p.degree - 1):
-        if not led.require(minors[k], 0, witness=("minor", k + 1),
-                           strict=True, scale=scales[k]):
+    _, scaled = minor_data if minor_data is not None else _minor_data(p)
+    for k, (minor, scale) in enumerate(scaled[:p.degree - 1]):
+        if not led.require(minor, 0, witness=("minor", k + 1),
+                           strict=True, scale=scale):
             break
     return led.verdict()
 
@@ -116,11 +140,12 @@ def lienard_chipart_stable(p: UniPoly, variant: int = 1,
         led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
     if led.has_violation:
         return led.verdict()
-    _, minors, scales = minor_data if minor_data is not None else _minor_data(p)
+    _, scaled = minor_data if minor_data is not None else _minor_data(p)
     start = 1 if variant in (1, 3) else 2
     for k in range(start, d + 1, 2):
-        if not led.require(minors[k - 1], 0, witness=("minor", k),
-                           strict=True, scale=scales[k - 1]):
+        minor, scale = scaled[k - 1]
+        if not led.require(minor, 0, witness=("minor", k),
+                           strict=True, scale=scale):
             break
     return led.verdict()
 
@@ -253,11 +278,15 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
 
 
 def root_oracle_verdict(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Ground truth: all companion-matrix roots in the open left half-plane."""
+    """Ground truth: all companion-matrix roots in the open left half-plane;
+    unknown when the computed roots fail their residual check."""
     p = _positive_leading(p)
     if p.degree < 1:
         raise ZeroPolynomial("stability needs degree >= 1")
-    roots = all_roots(p.coeffs, tol)
+    try:
+        roots = all_roots(p.coeffs, tol)
+    except NonConvergence as e:
+        return Verdict(UNKNOWN, note=f"root solver did not converge: {e}")
     worst = max(roots, key=lambda r: r.real)
     scale = max(1.0, max(abs(r) for r in roots))
     thr = tol.threshold(scale)
@@ -398,8 +427,8 @@ class StabilityReport:
 def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityReport:
     p_norm = _positive_leading(p)
     md = _minor_data(p_norm)
-    _, minors, scales = md
-    margins = [float(m) / s for m, s in zip(minors, scales)]
+    minors, scaled = md
+    margins = [float(m) / s for m, s in scaled]
     rh = routh_hurwitz_stable(p_norm, tol, minor_data=md)
     lc = {v: lienard_chipart_stable(p_norm, v, tol, minor_data=md)
           for v in (1, 2, 3, 4)}

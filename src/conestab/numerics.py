@@ -395,17 +395,37 @@ def all_roots(p, tol: Tolerance = DEFAULT_TOL) -> list:
         raise NonConvergence(f"companion eigensolver failed: {e}") from e
     out = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
     eps = np.finfo(float).eps
+    c_exp = math.frexp(max(abs(c) for c in monic))[1]
     for r in out:
-        scale = sum(abs(c) * abs(r) ** i for i, c in enumerate(monic))
+        # p(r), its scale and its bound are below (d+1) max|c| max(1, |r|)^d;
+        # where that may near the float range, all three are divided by
+        # 2^(k d) >= max(1, |r|)^d, a power of two, so the scaling is exact
+        k = max(0, math.frexp(abs(r))[1])
+        if k * d + c_exp < 1000:
+            z, cs, k = r, monic, 0
+        else:
+            z = complex(math.ldexp(r.real, -k), math.ldexp(r.imag, -k))
+            cs = [math.ldexp(c, -k * (d - i)) for i, c in enumerate(monic)]
+        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
         acc = 0.0 + 0.0j
-        for c in reversed(monic):
-            acc = acc * r + c
+        for c in reversed(cs):
+            acc = acc * z + c
         residual = abs(acc)
-        bound = max(tol.threshold(scale), 1e4 * d * eps * scale)
+        bound = max(tol.abs * math.ldexp(1.0, -k * d) + tol.rel * scale,
+                    1e4 * d * eps * scale)
         if residual > bound:
             raise NonConvergence(
-                f"root residual {residual:.3e} exceeds bound {bound:.3e}")
+                f"root residual {_unscaled(residual, k * d):.3e} exceeds "
+                f"bound {_unscaled(bound, k * d):.3e}")
     return out
+
+
+def _unscaled(x: float, e: int) -> float:
+    """x * 2^e, or inf past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _hessenberg(A: SquareMatrix) -> list:

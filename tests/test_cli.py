@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conestab import cli
+
 CLI = [sys.executable, "-m", "conestab.cli"]
 
 UNSTABLE_QUINTIC = {"coeffs": [5, 14, 12.5, 7.2, 3, 1]}
@@ -60,13 +62,32 @@ class TestUnipolyCommand:
 
     @pytest.mark.parametrize("coeffs", [[1e300, 1e300, 1],
                                         [1, 1e200, 1e200, 1]])
-    def test_float_overflow_is_numeric_failure(self, coeffs):
-        # exact coefficients this large overflow the float root oracle
-        # (first) and the float minor margins (second)
+    def test_huge_coefficients_keep_exact_verdicts(self, coeffs):
+        # exact minors past the float range still give float margins; the
+        # companion roots of these fail their residual check, so the root
+        # oracle is unknown and no roots are listed
         proc = run_cli(["unipoly"], {"coeffs": coeffs})
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "error" in json.loads(proc.stderr.splitlines()[-1])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        assert rep["deciders"]["routh_hurwitz"]["status"] == "holds"
+        assert all(abs(m) <= 1 for m in rep["minor_margins"])
+        oracle = rep["deciders"]["root_oracle"]
+        assert oracle["status"] == "unknown"
+        assert oracle["note"].startswith("root solver did not converge")
+        assert rep["roots"] is None
+
+    def test_overflow_is_numeric_failure(self, monkeypatch, tmp_path, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "stability_report", overflow)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(STABLE_QUINTIC))
+        assert cli.main(["unipoly", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "int too large to convert to float"}
 
 
 class TestFormCommand:

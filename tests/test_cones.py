@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       Unsupported, contains, dual_contained_in, dual_contains,
                       extreme_rays, interior_contains,
                       matrix_k_copositive_refute, matrix_k_irreducible,
                       matrix_k_nonnegative, matrix_k_positive,
-                      perron_frobenius_check, sample_cone, sample_interior)
+                      perron_frobenius_check, perron_report, sample_cone,
+                      sample_interior)
 from conestab.cones import cone_from_json, cone_to_json, extreme_ray_reps
 
 
@@ -327,6 +330,26 @@ class TestPerronFrobenius:
             assert rep.perron.eigenvector_interior
             checked += 1
         assert checked == 500
+
+    @given(st.sampled_from(["orthant", "polyhedral", "second_order"]),
+           st.integers(2, 4).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-3, 4), min_size=n, max_size=n),
+               min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_perron_report_is_the_full_checks_perron(self, kind, rows):
+        n = len(rows)
+        if kind == "polyhedral":
+            # the orthant with one redundant generator
+            gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            K = Cone.polyhedral(gens + [tuple(int(j < 2) for j in range(n))])
+        else:
+            K = getattr(Cone, kind)(n)
+        A = SquareMatrix.from_rows(rows)
+        assert perron_report(A, K) == perron_frobenius_check(A, K).perron
+
+    def test_perron_report_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            perron_report(SquareMatrix.identity(2), Cone.orthant(3))
 
     def test_uniqueness_scan_flags_other_cone_eigenvector(self):
         # reducible diag(2, 1): both eigenvectors e1, e2 lie in the orthant

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conestab import cones, forms
 from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       clc_necessary_check, hessian_signature_check,
                       hurwitz_over_cone_check, is_log_concave,
@@ -286,6 +287,54 @@ class TestHessianSignatureCheck:
         rep = hessian_signature_check(f, Cone.orthant(2), trials=10, seed=7)
         assert rep.verdict.status == "fails"
         assert rep.verdict.witness["positive_count"] == 2
+
+
+def count_cone_matrix_checks(monkeypatch) -> dict:
+    """Count calls of matrix_k_nonnegative / matrix_k_positive through every
+    module that binds them."""
+    calls = {}
+    for name in ("matrix_k_nonnegative", "matrix_k_positive"):
+        calls[name] = 0
+        original = getattr(cones, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (cones, forms):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestConeMatrixVerdictsComputedOnce:
+    def test_hessian_check_one_verdict_of_each_per_trial(self, monkeypatch):
+        # -x1^2 - x2^2 - x3^2 + x4^2: a constant nonsingular Hessian
+        f = MultiForm(4, 2, {(2, 0, 0, 0): -1, (0, 2, 0, 0): -1,
+                             (0, 0, 2, 0): -1, (0, 0, 0, 2): 1})
+        calls = count_cone_matrix_checks(monkeypatch)
+        trials = 3
+        rep = hessian_signature_check(f, Cone.second_order(4), trials=trials,
+                                      seed=5)
+        assert rep.verdict.status == "holds-sampled"
+        assert rep.details["tallies"]["nonsingular_irreducible"] == trials
+        assert calls == {"matrix_k_nonnegative": trials,
+                         "matrix_k_positive": trials}
+
+    @pytest.mark.parametrize("Q, K", [
+        (SquareMatrix.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                 [0, 0, -1, 0], [0, 0, 0, 1]]),
+         Cone.second_order(4)),
+        (SquareMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+         Cone.orthant(3)),
+    ])
+    def test_quadratic_dichotomy_reuses_k_nonnegativity(self, monkeypatch,
+                                                         Q, K):
+        calls = count_cone_matrix_checks(monkeypatch)
+        rep = quadratic_lorentzian_check(Q, K, trials=20, seed=3)
+        assert rep.details["dichotomy_branch"] == "nonsingular-irreducible"
+        assert rep.details["dichotomy"].is_holds
+        assert calls == {"matrix_k_nonnegative": 1, "matrix_k_positive": 1}
 
 
 class TestHurwitzOverCone:

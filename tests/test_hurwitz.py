@@ -2,13 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
                       alpha_criterion, clc_d_le_4_criterion,
                       degree_reduction_stable, degree_reduction_step,
                       hermite_biehler_stable, hurwitz_matrix,
-                      lienard_chipart_stable, quintic_criterion,
+                      leading_minors, lienard_chipart_stable,
+                      quintic_criterion,
                       root_oracle_verdict, routh_hurwitz_stable,
                       stability_report)
 from conestab.hurwitz import _alpha_bracket
@@ -304,6 +308,36 @@ class TestStabilityReport:
     def test_minors_match_module_values(self):
         rep = stability_report(UniPoly((1, 2, 3, 4)))
         assert rep.minors == [2, 2, 8]
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=2, max_size=11)
+           .filter(lambda c: c[-1] > 0))
+    @settings(max_examples=150, deadline=None)
+    def test_margins_are_the_plain_float_ratio(self, coeffs):
+        # the reference: float Hadamard bounds and float(minor) / bound, which
+        # cannot overflow at these sizes
+        p = UniPoly(tuple(coeffs))
+        H = hurwitz_matrix(p)
+        minors = leading_minors(H)
+        A = H.to_numpy()
+        plain = []
+        for k in range(1, H.n + 1):
+            prod = 1.0
+            for i in range(k):
+                prod *= float(np.linalg.norm(A[i, :k]))
+            plain.append(float(minors[k - 1]) / max(prod, 1.0))
+        assert stability_report(p).minor_margins == plain
+
+    @pytest.mark.parametrize("coeffs", [(1, 10 ** 200, 10 ** 200, 1),
+                                        (10 ** 300, 10 ** 300, 1),
+                                        (3, 10 ** 250, 7, 10 ** 280, 5)])
+    def test_huge_exact_minors_keep_exact_verdicts(self, coeffs):
+        p = UniPoly(coeffs)
+        rep = stability_report(p)
+        assert all(abs(m) <= 1 + 1e-12 for m in rep.minor_margins)
+        assert rep.routh_hurwitz.status in ("holds", "fails")
+        for v in rep.lienard_chipart.values():
+            assert v.status == rep.routh_hurwitz.status
+        assert rep.routh_hurwitz.status == degree_reduction_stable(p).status
 
 
 class TestProductClosure:

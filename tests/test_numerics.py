@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conestab import (SquareMatrix, Tolerance, UniPoly, ZeroPolynomial,
-                      all_roots, char_poly, determinant, hurwitz_matrix,
-                      leading_minors, sym_eigs)
+from conestab import (NonConvergence, SquareMatrix, Tolerance, UniPoly,
+                      ZeroPolynomial, all_roots, char_poly, determinant,
+                      hurwitz_matrix, leading_minors, sym_eigs)
 from conestab.numerics import Sign, classify_sign, scalar_from_json
 
 from conftest import cofactor_det, rand_fraction_matrix, rand_int_matrix
@@ -121,6 +121,46 @@ class TestAllRoots:
 
     def test_constant_has_empty_multiset(self):
         assert all_roots(UniPoly((7,))) == []
+
+    def test_huge_root_residual_does_not_overflow(self):
+        # x^2 + 1e300 x: |r|^2 alone is past the float range
+        assert all_roots((0.0, 1e300, 1.0)) == [complex(-1e300), 0j]
+
+    def test_inaccurate_roots_fail_the_residual_check(self):
+        # the companion eigensolver returns 0 for the root near -1, where
+        # p = 1e300 + 1e300 x + x^2 is 1e300
+        with pytest.raises(NonConvergence, match="root residual 1.000e"):
+            all_roots((1e300, 1e300, 1.0))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=9)
+           .filter(lambda c: abs(c[-1]) >= 1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_residual_check_agrees_with_the_plain_one(self, coeffs):
+        # the unscaled check, which cannot overflow at these sizes
+        lead = coeffs[-1]
+        monic = [c / lead for c in coeffs]
+        d = len(monic) - 1
+        eps = np.finfo(float).eps
+        C = np.zeros((d, d))
+        for i in range(1, d):
+            C[i, i - 1] = 1.0
+        for i in range(d):
+            C[i, d - 1] = -monic[i]
+        plain_ok = True
+        for r in np.linalg.eigvals(C):
+            r = complex(r)
+            scale = sum(abs(c) * abs(r) ** i for i, c in enumerate(monic))
+            acc = 0j
+            for c in reversed(monic):
+                acc = acc * r + c
+            plain_ok &= abs(acc) <= max(Tolerance().threshold(scale),
+                                        1e4 * d * eps * scale)
+        try:
+            all_roots(coeffs)
+            ok = True
+        except NonConvergence:
+            ok = False
+        assert ok == plain_ok
 
     def test_reexpansion_matches_monic_input(self, rng):
         for _ in range(30):

@@ -24,9 +24,10 @@ from .forms import (clc_necessary_check, form_from_json,
                     lorentzian_sample_check, restrict_line)
 from .hurwitz import stability_report
 from .lti import lti_report
-from .numerics import SquareMatrix, Tolerance, all_roots, scalar_from_json
+from .numerics import (SquareMatrix, Tolerance, all_roots, scalar_from_json,
+                       scalar_to_json)
 from .sequences import is_univariate_clc, newton_chain_report
-from .unipoly import UniPoly, unipoly_from_json
+from .unipoly import UniPoly, unipoly_from_json, unipoly_to_json
 from .verdict import FAILS, Verdict
 
 
@@ -62,12 +63,10 @@ class RunConfig:
 
 def jsonable(obj):
     """Recursively convert reports/verdicts/scalars into JSON-fit values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+        return scalar_to_json(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Verdict):
@@ -80,7 +79,7 @@ def jsonable(obj):
             out["note"] = obj.note
         return out
     if isinstance(obj, UniPoly):
-        return {"coeffs": [jsonable(c) for c in obj.coeffs]}
+        return unipoly_to_json(obj)
     if isinstance(obj, SquareMatrix):
         return {"n": obj.n, "rows": [[jsonable(v) for v in r] for r in obj.rows]}
     if dataclasses.is_dataclass(obj):

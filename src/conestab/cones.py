@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
-from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, all_exact,
-                       classify_sign, matrix_power, scalar_from_json)
+from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
+                       all_exact, classify_sign, matrix_power,
+                       scalar_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
@@ -31,10 +32,6 @@ POLYHEDRAL = "polyhedral"
 SECOND_ORDER = "second_order"
 
 _FACET_ENUM_MAX_DIM = 6
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _unit(v) -> tuple:
@@ -52,51 +49,41 @@ def _primitive(v):
     return tuple(i // g for i in ints)
 
 
-def _exact_rank(vectors, n) -> int:
+def _rref(vectors, n):
+    """Reduced row echelon form of rational vectors in R^n, exactly.
+
+    Returns ``(rows, pivots)``: the nonzero reduced rows, each with a 1 in
+    its pivot column and 0 in every other pivot column, and their pivot
+    columns in increasing order; the rank is ``len(pivots)``.
+    """
     rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < n:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pr[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        pr = rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [a - row[col] * b for a, b in zip(row, pr)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
 def _nullspace_1d(vectors, n):
     """The (unique up to scale) vector orthogonal to n-1 independent
     rational vectors, or None if they are dependent."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pr[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        pivots.append(col)
-        rank += 1
-    if rank != n - 1:
+    rows, pivots = _rref(vectors, n)
+    if len(pivots) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
-    sol = [Fraction(0)] * n
-    sol[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        sol[col] = -rows[r][free] / rows[r][col]
+    sol = [0] * n
+    sol[free] = 1
+    for row, col in zip(rows, pivots):
+        sol[col] = -row[free]
     return _primitive(sol)
 
 
@@ -131,7 +118,7 @@ class Cone:
             raise DimensionMismatch("generators of mixed dimension")
         exact = all(all_exact(g) for g in gens)
         if exact:
-            if _exact_rank(gens, n) != n:
+            if len(_rref(gens, n)[1]) != n:
                 raise ValueError("generators do not span R^n (cone not solid)")
         else:
             if np.linalg.matrix_rank(np.array(gens, dtype=float)) != n:
@@ -151,8 +138,9 @@ class Cone:
                     if classify_sign(_dot(h, g), DEFAULT_TOL,
                                      scale=_float_norm(h) * _float_norm(g)) is Sign.NEG:
                         raise ValueError("facet normals inconsistent with generators")
-        pointed_rank = (_exact_rank(facets, n) if all(all_exact(h) for h in facets)
-                        else np.linalg.matrix_rank(np.array(facets, dtype=float)))
+        pointed_rank = (
+            len(_rref(facets, n)[1]) if all(all_exact(h) for h in facets)
+            else np.linalg.matrix_rank(np.array(facets, dtype=float)))
         if pointed_rank != n:
             raise ValueError("cone is not pointed (facet normals do not span)")
         return cls(POLYHEDRAL, n, generators=gens, facet_normals=facets)
@@ -289,7 +277,7 @@ def extreme_ray_reps(K: Cone) -> list:
     for g in K.generators:
         if exact:
             active = [h for h in K.facet_normals if _dot(h, g) == 0]
-            if active and _exact_rank(active, K.n) == K.n - 1:
+            if active and len(_rref(active, K.n)[1]) == K.n - 1:
                 reps.setdefault(_primitive(g), None)
         else:
             thr = DEFAULT_TOL.threshold(_float_norm(g))

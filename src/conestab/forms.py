@@ -24,16 +24,12 @@ from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
                     sample_cone, sample_interior)
 from .errors import (DimensionMismatch, Inapplicable, InternalMismatch,
                      ParseError)
-from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, all_exact,
-                       exact_div, scalar_from_json, scalar_to_json, sym_eigs)
+from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _dot, all_exact,
+                       exact_div, scalar_from_json, sym_eigs)
 from .sequences import is_log_concave
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -602,9 +598,3 @@ def form_from_json(obj, exact: bool = True) -> MultiForm:
         return MultiForm(n, d, terms)
     except (ValueError, DimensionMismatch) as e:
         raise ParseError(str(e)) from e
-
-
-def form_to_json(f: MultiForm) -> dict:
-    return {"n": f.n, "d": f.d,
-            "terms": [{"exp": list(exp), "coef": scalar_to_json(c)}
-                      for exp, c in sorted(f.terms.items())]}

@@ -65,10 +65,16 @@ def _scaled_minors(H: SquareMatrix, minors) -> list:
     exponent; power-of-two scaling is exact, so every bound that fits in a
     float is the plain product of the row norms bit for bit.
     """
-    A = H.to_numpy()
+    # an exact row past 2^_BOUND_MAX_EXP is divided by a power of two read
+    # from bit lengths before it is converted, so no entry overflows
+    pre = [max(0, max((abs(v.numerator).bit_length() - v.denominator.bit_length()
+                       for v in r if is_exact(v)), default=0) - _BOUND_MAX_EXP)
+           for r in H.rows]
+    A = np.array([[float(Fraction(v) / 2 ** s) if s else float(v) for v in r]
+                  for r, s in zip(H.rows, pre)])
     _, row_exp = np.frexp(np.max(np.abs(A), axis=1))
     A = np.ldexp(A, -row_exp[:, None])
-    row_exp = row_exp.tolist()
+    row_exp = [int(e) + s for e, s in zip(row_exp, pre)]
     out = []
     for k in range(1, H.n + 1):
         frac, exp = 1.0, 0

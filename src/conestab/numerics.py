@@ -22,6 +22,10 @@ from .errors import DimensionMismatch, NonConvergence, ParseError, ZeroPolynomia
 Scalar = Union[int, Fraction, float]
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def is_exact(x) -> bool:
     """True for values carrying exact rational arithmetic (int / Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -183,16 +187,14 @@ class SquareMatrix:
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if other.n != self.n:
             raise DimensionMismatch("size mismatch in matmul")
-        n = self.n
         bt = other.transpose().rows
-        return SquareMatrix(tuple(
-            tuple(sum(ra[k] * bc[k] for k in range(n)) for bc in bt)
-            for ra in self.rows))
+        return SquareMatrix(tuple(tuple(_dot(ra, bc) for bc in bt)
+                                  for ra in self.rows))
 
     def mul_vec(self, v) -> tuple:
         if len(v) != self.n:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(r[k] * v[k] for k in range(self.n)) for r in self.rows)
+        return tuple(_dot(r, v) for r in self.rows)
 
     def symmetrized(self) -> "SquareMatrix":
         n = self.n
@@ -220,37 +222,45 @@ def matrix_power(M: SquareMatrix, k: int) -> SquareMatrix:
     return out
 
 
-def _det_exact(rows):
-    """Fraction-free (Bareiss) elimination with row pivoting; exact."""
+def _bareiss(rows, pivoting: bool):
+    """One fraction-free (Bareiss) elimination sweep over exact entries.
+
+    Returns ``(sign, pivots)``: after step k the k-th pivot is the k-th
+    leading principal minor of the row-permuted matrix (Sylvester's
+    identity), and ``sign`` is the parity of the row swaps.  The sweep
+    stops at the first zero pivot; with ``pivoting`` a zero pivot is first
+    swapped for a nonzero entry below it, so a zero pivot then means a
+    singular matrix.  Int entries stay ints (every division is exact); any
+    other exact entries run on Fractions.
+    """
     a = [list(r) for r in rows]
     n = len(a)
-    if n == 0:
-        return 1
     use_int = all(isinstance(v, int) for row in a for v in row)
     if not use_int:
         a = [[Fraction(v) for v in row] for row in a]
     sign = 1
+    pivots = []
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    for k in range(n):
+        if pivoting and a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k] != 0), k)
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
         pkk = a[k][k]
+        pivots.append(pkk)
+        if pkk == 0:
+            break
+        rowk = a[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             rowi = a[i]
-            rowk = a[k]
+            aik = rowi[k]
             for j in range(k + 1, n):
                 num = pkk * rowi[j] - aik * rowk[j]
                 rowi[j] = num // prev if use_int else num / prev
             rowi[k] = 0
         prev = pkk
-    return sign * a[n - 1][n - 1]
+    return sign, pivots
 
 
 def determinant(M: SquareMatrix):
@@ -258,113 +268,45 @@ def determinant(M: SquareMatrix):
 
     The empty (0 x 0) matrix has determinant 1.
     """
-    if M.n == 0:
-        return 1
     if M.is_exact:
-        return _det_exact(M.rows)
+        sign, pivots = _bareiss(M.rows, pivoting=True)
+        return sign * pivots[-1] if pivots else 1
     return float(np.linalg.det(M.to_numpy()))
 
 
-def _leading_minors_bareiss(rows):
-    """All leading principal minors from one fraction-free sweep.
-
-    Returns None when a zero pivot stalls the sweep (some minor is 0);
-    callers then fall back to per-block determinants.
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
-    use_int = all(isinstance(v, int) for row in a for v in row)
-    if not use_int:
-        a = [[Fraction(v) for v in row] for row in a]
-    minors = []
-    prev = 1
-    for k in range(n):
-        minors.append(a[k][k])
-        if k == n - 1:
-            break
-        if a[k][k] == 0:
-            return None
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                num = pkk * rowi[j] - aik * rowk[j]
-                rowi[j] = num // prev if use_int else num / prev
-            rowi[k] = 0
-        prev = pkk
-    return minors
-
-
 def leading_minors(M: SquareMatrix) -> list:
-    """Delta_k = det of the top-left k x k block, k = 1..n."""
+    """Delta_k = det of the top-left k x k block, k = 1..n.
+
+    Exact entries take one Bareiss sweep without pivoting; when a zero
+    pivot stalls it (some Delta_k = 0 with k < n), each remaining minor is
+    the determinant of its block.  Float entries use LU per block, and an
+    overflowing minor is inf rather than a warning.
+    """
     n = M.n
     if M.is_exact:
-        fast = _leading_minors_bareiss(M.rows)
-        if fast is not None:
-            return fast
-        return [_det_exact([r[:k] for r in M.rows[:k]]) for k in range(1, n + 1)]
+        _, minors = _bareiss(M.rows, pivoting=False)
+        return minors + [determinant(M.leading_block(k))
+                         for k in range(len(minors) + 1, n + 1)]
     A = M.to_numpy()
-    return [float(np.linalg.det(A[:k, :k])) for k in range(1, n + 1)]
+    with np.errstate(all="ignore"):
+        return [float(np.linalg.det(A[:k, :k])) for k in range(1, n + 1)]
 
 
 def sym_eigs(M: SquareMatrix, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a (nearly) symmetric matrix by cyclic Jacobi
-    rotations.
+    """Eigendecomposition of a (nearly) symmetric matrix by LAPACK ``eigh``.
 
     The matrix is symmetrized by averaging first.  Returns eigenvalues
     sorted descending and the matching orthonormal eigenvector columns.
-    The sweep budget is 100*n^2; exceeding it raises NonConvergence rather
-    than returning a partial answer.
+    A LAPACK failure raises NonConvergence rather than returning a partial
+    answer.  ``tol`` is accepted for interface stability and unused.
     """
     n = M.n
-    A = M.to_numpy()
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-    if n <= 1:
-        return ([float(A[0, 0])] if n else []), V
-    norm = float(np.linalg.norm(A))
-    # never demand convergence below what float rotations can deliver
-    target = max(tol.threshold(norm), 20 * n * np.finfo(float).eps * max(norm, 1.0))
-
-    def offdiag():
-        return math.sqrt(sum(2 * A[p, q] ** 2
-                             for p in range(n - 1) for q in range(p + 1, n)))
-
-    max_sweeps = 100 * n * n
-    sweeps = 0
-    while offdiag() > target:
-        if sweeps >= max_sweeps:
-            raise NonConvergence("Jacobi sweep budget exhausted")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= target / (4 * n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                A[p, p] = c * c * app - 2 * s * c * apq + s * s * aqq
-                A[q, q] = s * s * app + 2 * s * c * apq + c * c * aqq
-                A[p, q] = A[q, p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = A[i, p], A[i, q]
-                    A[i, p] = A[p, i] = c * aip - s * aiq
-                    A[i, q] = A[q, i] = s * aip + c * aiq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        sweeps += 1
-    order = np.argsort(-np.diag(A), kind="stable")
-    values = [float(A[i, i]) for i in order]
-    return values, V[:, order]
+    A = M.to_numpy().reshape(n, n)
+    try:
+        values, V = np.linalg.eigh((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as e:
+        raise NonConvergence(f"symmetric eigensolver failed: {e}") from e
+    return [float(v) for v in values[::-1]], V[:, ::-1]
 
 
 def all_roots(p, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -372,7 +314,9 @@ def all_roots(p, tol: Tolerance = DEFAULT_TOL) -> list:
     of the monic normalization (LAPACK QR iteration under the hood).
 
     Accepts a UniPoly or a raw ascending coefficient sequence.  Residuals
-    |p(root)| are sanity-checked against a tolerance-scaled bound.
+    |p(root)| are sanity-checked against a tolerance-scaled bound.  A
+    coefficient beyond the float range raises NonConvergence, like a
+    failed check.
     """
     coeffs = list(getattr(p, "coeffs", p))
     while coeffs and coeffs[-1] == 0:
@@ -382,8 +326,11 @@ def all_roots(p, tol: Tolerance = DEFAULT_TOL) -> list:
     d = len(coeffs) - 1
     if d == 0:
         return []
-    lead = float(coeffs[-1])
-    monic = [float(c) / lead for c in coeffs]
+    try:
+        lead = float(coeffs[-1])
+        monic = [float(c) / lead for c in coeffs]
+    except OverflowError as e:
+        raise NonConvergence(f"coefficient beyond the float range: {e}") from e
     C = np.zeros((d, d))
     for i in range(1, d):
         C[i, i - 1] = 1.0

@@ -77,6 +77,28 @@ class TestUnipolyCommand:
         assert oracle["note"].startswith("root solver did not converge")
         assert rep["roots"] is None
 
+    def test_float_mode_minor_overflow_prints_no_warning(self):
+        # float minors past the float range read inf, without a numpy warning
+        proc = run_cli(["unipoly", "--mode", "float"],
+                       {"coeffs": [1, 1e200, 1e200, 1]})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["config"]["mode"] == "float"
+
+    def test_exact_coefficients_beyond_float_range_decide(self):
+        # 1 + 10^400 t + t^2 is stable; no float of 10^400 exists, so only
+        # the root oracle, which needs floats, cannot answer
+        proc = run_cli(["unipoly"], {"coeffs": [1, "1" + "0" * 400 + "/1", 1]})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        for name, verdict in rep["deciders"].items():
+            assert verdict["status"] == ("unknown" if name == "root_oracle"
+                                         else "holds"), name
+        assert "beyond the float range" in rep["deciders"]["root_oracle"]["note"]
+        assert rep["roots"] is None
+        assert rep["consistent"] is True
+
     def test_overflow_is_numeric_failure(self, monkeypatch, tmp_path, capsys):
         def overflow(*args, **kwargs):
             raise OverflowError("int too large to convert to float")

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,10 @@ from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       matrix_k_nonnegative, matrix_k_positive,
                       perron_frobenius_check, perron_report, sample_cone,
                       sample_interior)
-from conestab.cones import cone_from_json, cone_to_json, extreme_ray_reps
+from conestab.cones import (_nullspace_1d, _rref, cone_from_json, cone_to_json,
+                            extreme_ray_reps)
+
+SMALL_INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
 
 
 def support_digraph(A: SquareMatrix) -> nx.DiGraph:
@@ -109,6 +113,33 @@ class TestConeConstruction:
         K2 = cone_from_json(cone_to_json(K))
         assert K2.generators == K.generators
         assert sorted(K2.facet_normals) == sorted(K.facet_normals)
+
+
+class TestExactRref:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(SMALL_INTS, min_size=n, max_size=n), min_size=1, max_size=6))))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_numpy(self, case):
+        n, vectors = case
+        rows, pivots = _rref(vectors, n)
+        assert len(pivots) == np.linalg.matrix_rank(np.array(vectors, dtype=float))
+        assert len(rows) == len(pivots) and pivots == sorted(pivots)
+        for i, col in enumerate(pivots):
+            assert [r[col] for r in rows] == [int(j == i) for j in range(len(rows))]
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(SMALL_INTS, min_size=n, max_size=n),
+        min_size=n - 1, max_size=n - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_nullspace_is_primitive_and_orthogonal(self, case):
+        n, vectors = case
+        h = _nullspace_1d(vectors, n)
+        dependent = np.linalg.matrix_rank(np.array(vectors, dtype=float)) < n - 1
+        assert (h is None) == dependent
+        if h is not None:
+            assert all(type(x) is int for x in h) and any(h)
+            assert math.gcd(*h) == 1
+            assert all(sum(a * b for a, b in zip(h, v)) == 0 for v in vectors)
 
 
 class TestSampling:

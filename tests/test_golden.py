@@ -1,5 +1,5 @@
 """Golden CLI reports: the README's examples, plus a form and a matrix over
-second-order cones.
+second-order cones and over polyhedral cones.
 
 Every exact field (ints, strings, booleans, nulls, the shape of the
 report) must match the checked-in output exactly; every float field must
@@ -27,6 +27,17 @@ LORENTZ_FORM = {"n": 4, "d": 2, "terms": [{"exp": [2, 0, 0, 0], "coef": -1},
                                           {"exp": [0, 2, 0, 0], "coef": -1},
                                           {"exp": [0, 0, 2, 0], "coef": -1},
                                           {"exp": [0, 0, 0, 2], "coef": 1}]}
+E3_4_FORM = {"n": 4, "d": 3,
+             "terms": [{"exp": [0 if i == j else 1 for i in range(4)],
+                        "coef": 1} for j in range(4)]}
+# the orthant of R^4 given by redundant generators, so the facets and the
+# extreme rays are computed
+REDUNDANT_ORTHANT = {"type": "polyhedral", "n": 4,
+                     "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                    [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1]]}
+WEDGE_3 = {"type": "polyhedral", "n": 3,
+           "generators": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1],
+                          [1, 1, 2]]}
 SQUARE_FORM = {"n": 2, "d": 2, "terms": [{"exp": [2, 0], "coef": 1},
                                          {"exp": [1, 1], "coef": 2},
                                          {"exp": [0, 2], "coef": 1}]}
@@ -47,6 +58,11 @@ CASES = {
     "matrix_cone_soc3": (["matrix"], {"rows": [[2, 0, 1], [0, 2, 0],
                                                [0, 0, 3]]},
                          {"type": "second_order", "n": 3}),
+    "form_e3_4_polyhedral": (["form", "--trials", "20"], E3_4_FORM,
+                             REDUNDANT_ORTHANT),
+    "matrix_cone_polyhedral": (["matrix"], {"rows": [[2, 1, 0], [1, 2, 0],
+                                                     [0, 0, 3]]},
+                               WEDGE_3),
 }
 
 

@@ -71,6 +71,47 @@ class TestLeadingMinors:
             assert leading_minors(M) == expected
 
 
+EXACT_SCALARS = st.one_of(st.integers(-6, 6),
+                          st.fractions(-6, 6, max_denominator=4))
+SPARSE_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2])
+SPARSE_FRACTIONS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                                    Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def stalling_matrices(draw):
+    """Sparse int, Fraction or mixed matrices, n <= 6; a random leading
+    block is made singular, so a zero pivot stalls the Bareiss sweep."""
+    n = draw(st.integers(1, 6))
+    scalars = draw(st.sampled_from([SPARSE_SCALARS, SPARSE_FRACTIONS,
+                                    EXACT_SCALARS]))
+    rows = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    for k in draw(st.lists(st.integers(1, n), max_size=2)):
+        rows[k - 1][:k] = [rows[k - 1][0] * 0] * k
+    return rows
+
+
+def ring_of(rows):
+    return int if all(isinstance(v, int) for r in rows for v in r) else Fraction
+
+
+class TestBareissKernel:
+    @given(stalling_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_determinant_matches_cofactor_oracle(self, rows):
+        det = determinant(SquareMatrix.from_rows(rows))
+        assert det == cofactor_det(rows)
+        assert type(det) is ring_of(rows)
+
+    @given(stalling_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_leading_minors_match_cofactor_oracle(self, rows):
+        minors = leading_minors(SquareMatrix.from_rows(rows))
+        assert minors == [cofactor_det([r[:k] for r in rows[:k]])
+                          for k in range(1, len(rows) + 1)]
+        assert all(type(m) is ring_of(rows) for m in minors)
+
+
 class TestSymEigs:
     def test_all_ones_minus_identity(self):
         M = SquareMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -101,6 +142,35 @@ class TestSymEigs:
         vals, _ = sym_eigs(M)
         assert vals == pytest.approx([2.0, 0.0])
 
+    def test_empty_and_one_by_one(self):
+        vals, vecs = sym_eigs(SquareMatrix.from_rows([]))
+        assert vals == [] and vecs.shape == (0, 0)
+        vals, vecs = sym_eigs(SquareMatrix.from_rows([[-3]]))
+        assert vals == [-3.0] and np.array_equal(np.abs(vecs), [[1.0]])
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_property_descending_and_reconstructs(self, rows):
+        M = SquareMatrix.from_rows(rows)
+        vals, vecs = sym_eigs(M)
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        A = M.to_numpy()
+        S = (A + A.T) / 2
+        scale = max(1.0, float(np.abs(S).max()))
+        assert np.allclose(vecs.T @ vecs, np.eye(M.n), atol=1e-12)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, S,
+                           atol=1e-12 * M.n * scale, rtol=0)
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            sym_eigs(SquareMatrix.from_rows([[1, 2], [2, 1]]))
+
 
 class TestAllRoots:
     def test_linear(self):
@@ -125,6 +195,10 @@ class TestAllRoots:
     def test_huge_root_residual_does_not_overflow(self):
         # x^2 + 1e300 x: |r|^2 alone is past the float range
         assert all_roots((0.0, 1e300, 1.0)) == [complex(-1e300), 0j]
+
+    def test_coefficient_beyond_float_range_is_nonconvergence(self):
+        with pytest.raises(NonConvergence, match="beyond the float range"):
+            all_roots((1, Fraction(10 ** 400), 1))
 
     def test_inaccurate_roots_fail_the_residual_check(self):
         # the companion eigensolver returns 0 for the root near -1, where
@@ -192,11 +266,6 @@ def cofactor_char_poly(A: SquareMatrix) -> UniPoly:
         return total
 
     return poly_det(entries)
-
-
-EXACT_SCALARS = st.one_of(st.integers(-6, 6),
-                          st.fractions(-6, 6, max_denominator=4))
-SPARSE_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2])
 
 
 @st.composite

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -61,18 +62,25 @@ class RunConfig:
                 "trials": self.trials, "seed": self.seed, "mode": self.mode}
 
 
+def _finite(x: float):
+    """JSON has no NaN or Infinity: a non-finite float is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def jsonable(obj):
     """Recursively convert reports/verdicts/scalars into JSON-fit values."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, float):
+        return _finite(obj)
     if isinstance(obj, Fraction):
         return scalar_to_json(obj)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_finite(obj.real), _finite(obj.imag)]
     if isinstance(obj, Verdict):
         out = {"status": obj.status}
         if obj.margin is not None:
-            out["margin"] = float(obj.margin)
+            out["margin"] = _finite(float(obj.margin))
         if obj.witness is not None:
             out["witness"] = jsonable(obj.witness)
         if obj.note:
@@ -90,7 +98,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
+        return jsonable(obj.item())
     return str(obj)
 
 
@@ -146,7 +154,7 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
             "alpha_square": _criterion_entry(report.alpha_square),
         },
         "minors": [jsonable(m) for m in report.minors],
-        "minor_margins": report.minor_margins,
+        "minor_margins": jsonable(report.minor_margins),
         "roots": roots,
         "consistent": report.consistent,
     }

@@ -55,10 +55,12 @@ _BOUND_MAX_EXP = 1000
 def _scaled_minors(H: SquareMatrix, minors) -> list:
     """(Delta_k, scale_k) pairs, scale_k the Hadamard bound of the k-th
     leading block (at least 1), so Delta_k / scale_k is a margin in
-    [-1, 1].  With an exact Delta_k, a bound past 2^_BOUND_MAX_EXP divides
-    both members by one power of two, so neither the bound nor
-    float(Delta_k) overflows; a float Delta_k keeps the plain bound, which
-    is inf past the float range, so its comparison stays indeterminate.
+    [-1, 1] up to the float rounding of the bound (the float coefficients
+    1, 1e200, 1e200, 1 give 1.0000000000000222).  With an exact Delta_k,
+    a bound past 2^_BOUND_MAX_EXP divides both members by one power of
+    two, so neither the bound nor float(Delta_k) overflows; a float
+    Delta_k keeps the plain bound, which is inf past the float range, so
+    its comparison stays indeterminate.
 
     Each row is scaled by a power of two before its norms are taken, and
     the product of norms is kept as a float significand and an integer

@@ -285,8 +285,12 @@ def leading_minors(M: SquareMatrix) -> list:
     n = M.n
     if M.is_exact:
         _, minors = _bareiss(M.rows, pivoting=False)
-        return minors + [determinant(M.leading_block(k))
-                         for k in range(len(minors) + 1, n + 1)]
+        if len(minors) < n:
+            # a block's own entries may all be ints; keep the sweep's ring
+            ring = type(minors[0])
+            minors += [ring(determinant(M.leading_block(k)))
+                       for k in range(len(minors) + 1, n + 1)]
+        return minors
     A = M.to_numpy()
     with np.errstate(all="ignore"):
         return [float(np.linalg.det(A[:k, :k])) for k in range(1, n + 1)]

@@ -69,15 +69,28 @@ class InequalityLedger:
     checked inequalities, the first definite violation, and the first
     indeterminate comparison.  ``scale`` defaults to
     ``max(|lhs|, |rhs|, 1)`` so margins are scale-free.
+
+    Margins are exact (``Fraction``) when slack and scale are exact, and
+    ``slack / scale`` otherwise.  An exact margin is built lazily: the
+    running minimum is kept as its ``(slack, scale)`` pair, two exact pairs
+    are compared by cross-multiplication, and the ``Fraction`` is built
+    once, when ``min_margin`` is read or a float margin is compared with it.
     """
 
     def __init__(self, tol=None, strict=False):
         self.tol = tol if tol is not None else DEFAULT_TOL
         self.strict = strict
-        self.min_margin = None
+        self._slack = self._scale = self._exact = self._margin = None
         self.binding = None
         self.violation = None
         self.indeterminate = None
+
+    @property
+    def min_margin(self):
+        """The smallest margin so far, or None before the first require."""
+        if self._margin is None and self._slack is not None:
+            self._margin = Fraction(self._slack) / Fraction(self._scale)
+        return self._margin
 
     def require(self, lhs, rhs=0, *, witness=None, strict=None, scale=None) -> bool:
         """Record one inequality; returns False on a definite violation."""
@@ -87,22 +100,38 @@ class InequalityLedger:
             scale = max(abs(lhs), abs(rhs), 1)
         else:
             scale = max(scale, 1)
-        if is_exact(slack) and is_exact(scale):
-            margin = Fraction(slack) / Fraction(scale)
-        else:
-            margin = slack / scale
-        if self.min_margin is None or margin < self.min_margin:
-            self.min_margin = margin
-            self.binding = witness
+        exact_slack = is_exact(slack)
+        exact = exact_slack and is_exact(scale)
+        # a float margin is cheap and built now; an exact one only if needed
+        margin = None if exact else slack / scale
         # an exact slack is compared with 0 directly; only a float slack
         # needs the (float) scale of its tolerance band
-        sign = (classify_sign(slack) if is_exact(slack)
-                else classify_sign(slack, self.tol, scale=float(scale)))
-        violated = sign is Sign.NEG or (strict and sign is Sign.ZERO)
+        if exact_slack:
+            violated = slack <= 0 if strict else slack < 0
+            undecided = False
+        else:
+            sign = classify_sign(slack, self.tol, scale=float(scale))
+            violated = sign is Sign.NEG or (strict and sign is Sign.ZERO)
+            undecided = sign is Sign.INDETERMINATE
         if violated and self.violation is None:
+            if margin is None:
+                margin = Fraction(slack) / Fraction(scale)
             self.violation = (witness, margin)
-        if sign is Sign.INDETERMINATE and self.indeterminate is None:
+        if undecided and self.indeterminate is None:
             self.indeterminate = (witness, margin)
+        if self._slack is None:
+            lower = True
+        elif exact and self._exact:
+            # both scales are >= 1, so cross-multiplying keeps the direction
+            lower = slack * self._scale < self._slack * scale
+        else:
+            if margin is None:
+                margin = Fraction(slack) / Fraction(scale)
+            lower = margin < self.min_margin
+        if lower:
+            self._slack, self._scale, self._exact = slack, scale, exact
+            self._margin = margin
+            self.binding = witness
         return not violated
 
     @property

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conestab import cli
+from conestab.verdict import Verdict
 
 CLI = [sys.executable, "-m", "conestab.cli"]
 
@@ -84,6 +85,28 @@ class TestUnipolyCommand:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["config"]["mode"] == "float"
+
+    def test_float_mode_overflow_writes_strict_json(self):
+        # JSON has no NaN or Infinity: the inf minors and their nan margins
+        # are written as null, and the finite margin as computed (its float
+        # bound rounds just below the minor, so it reads a hair above 1)
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        proc = run_cli(["unipoly", "--mode", "float"],
+                       {"coeffs": [1, 1e200, 1e200, 1]})
+        assert proc.returncode == 0
+        rep = json.loads(proc.stdout, parse_constant=reject)
+        assert rep["minors"][1:] == [None, None]
+        assert rep["minor_margins"][1:] == [None, None]
+        assert rep["minor_margins"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_jsonable_writes_non_finite_floats_as_null(self):
+        nan, inf = float("nan"), float("inf")
+        assert cli.jsonable([1.5, nan, -inf]) == [1.5, None, None]
+        assert cli.jsonable(complex(inf, 2.0)) == [None, 2.0]
+        assert cli.jsonable(Verdict("unknown", margin=nan)) == {
+            "status": "unknown", "margin": None}
 
     def test_exact_coefficients_beyond_float_range_decide(self):
         # 1 + 10^400 t + t^2 is stable; no float of 10^400 exists, so only

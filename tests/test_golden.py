@@ -63,6 +63,16 @@ CASES = {
     "matrix_cone_polyhedral": (["matrix"], {"rows": [[2, 1, 0], [1, 2, 0],
                                                      [0, 0, 3]]},
                                WEDGE_3),
+    # random signs: every coefficient decider fails at a coefficient witness
+    "unipoly_coefficient_witness": (["unipoly"],
+                                    {"coeffs": [2, 3, -1, 4, 1]}, None),
+    # Delta_2 = a1 a2 - a0 a3 = 0: exact margins of exactly 0
+    "unipoly_zero_minor": (["unipoly"], {"coeffs": [1, 1, 1, 1]}, None),
+    # decimal and "p/q" coefficients read exactly: Fraction margins
+    "unipoly_rational": (["unipoly"], {"coeffs": ["1/3", 2.5, "7/4", 1]},
+                         None),
+    "unipoly_float_mode": (["unipoly", "--mode", "float"],
+                           {"coeffs": [2, 5, 4, 1]}, None),
 }
 
 

@@ -12,6 +12,7 @@ only; their non-refuted verdicts are labeled "holds-sampled", never
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,6 +157,11 @@ class Cone:
         return (all(all_exact(g) for g in self.generators)
                 and all(all_exact(h) for h in self.facet_normals))
 
+    @functools.cached_property
+    def _extreme_ray_reps(self) -> tuple:
+        # a cone is immutable, so its rays are enumerated once
+        return tuple(_enumerate_extreme_rays(self))
+
 
 def _float_norm(v) -> float:
     return math.sqrt(sum(float(x) ** 2 for x in v))
@@ -263,8 +269,13 @@ def extreme_ray_reps(K: Cone) -> list:
 
     A generator is extreme iff its active facets span a hyperplane.
     Orthant rays are the standard basis.  Second-order cones have a
-    continuum of extreme rays.
+    continuum of extreme rays.  Enumerated once per cone; each call
+    returns a new list.
     """
+    return list(K._extreme_ray_reps)
+
+
+def _enumerate_extreme_rays(K: Cone) -> list:
     if K.kind == ORTHANT:
         return [tuple(1 if j == i else 0 for j in range(K.n))
                 for i in range(K.n)]
@@ -395,7 +406,14 @@ def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,
     return led.verdict()
 
 
-def _soc_probe_points(K: Cone, trials: int, seed) -> list:
+def _soc_probe_points(K: Cone, trials: int, seed) -> tuple:
+    return _soc_probe_points_of(K, trials, tuple(flatten_seed(seed)))
+
+
+# One entry: the K-positivity of (I + A)^(n-1) probes the points that the
+# K-nonnegativity of A has just probed under the same trials and seed.
+@functools.lru_cache(maxsize=1)
+def _soc_probe_points_of(K: Cone, trials: int, seed: tuple) -> tuple:
     pts = [sample_cone(K, [seed, t]) for t in range(trials)]
     # axis ray and a few canonical boundary rays help catch easy refutations
     pts.append(tuple([0.0] * (K.n - 1) + [1.0]))
@@ -407,7 +425,7 @@ def _soc_probe_points(K: Cone, trials: int, seed) -> list:
         e2 = list(e)
         e2[i] = -1.0
         pts.append(tuple(e2))
-    return pts
+    return tuple(pts)
 
 
 def matrix_k_nonnegative(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,

@@ -2,14 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conestab import cones, forms
+from conestab import cli, cones, forms
 from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
-                      clc_necessary_check, hessian_signature_check,
+                      UniPoly, clc_necessary_check, hessian_signature_check,
                       hurwitz_over_cone_check, is_log_concave,
                       lorentzian_sample_check, quadratic_lorentzian_check,
                       quadratic_matrix, restrict_line, sym_eigs,
                       verify_sum_condition)
+from conestab.numerics import exact_div
 
 
 def elementary_symmetric_2(n=3):
@@ -37,6 +40,18 @@ def power_of_sum(n, d, coeff=1):
 
     rec((), d, n)
     return MultiForm(n, d, terms)
+
+
+def restrict_by_derivatives(f, x, v):
+    """Reference oracle for restrict_line: a_k = D_v^k f(x) / k!, by
+    iterated directional derivatives."""
+    coeffs = []
+    g = f
+    for k in range(f.d + 1):
+        coeffs.append(exact_div(g.eval(x), math.factorial(k)))
+        if k < f.d:
+            g = g.dir_derivative(v)
+    return UniPoly(tuple(coeffs))
 
 
 def random_sparse_form(rng, n, d, nterms=5):
@@ -133,6 +148,30 @@ class TestHessian:
                         ref, rel=1e-5, abs=1e-4)
 
 
+EXACT_COORDS = st.one_of(st.integers(-5, 5),
+                        st.fractions(-5, 5, max_denominator=4))
+FLOAT_COORDS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False,
+                         allow_subnormal=False)
+
+
+@st.composite
+def restriction_inputs(draw, coords):
+    """A form with coefficients, and a point and direction with
+    coordinates, drawn from ``coords``."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=d,
+                               max_size=d)):
+            e[i] += 1
+        terms[tuple(e)] = draw(coords)
+    x = tuple(draw(coords) for _ in range(n))
+    v = tuple(draw(coords) for _ in range(n))
+    return MultiForm(n, d, terms), x, v
+
+
 class TestRestrictLine:
     def test_square_of_sum(self):
         sq = MultiForm(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
@@ -151,7 +190,30 @@ class TestRestrictLine:
                       for _ in range(n))
             v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                       for _ in range(n))
-            restrict_line(f, x, v)  # InternalMismatch would raise
+            assert (restrict_line(f, x, v).coeffs
+                    == restrict_by_derivatives(f, x, v).coeffs)
+
+    @given(restriction_inputs(EXACT_COORDS))
+    @settings(max_examples=200, deadline=None)
+    def test_substitution_matches_derivative_oracle_exactly(self, case):
+        f, x, v = case
+        assert (restrict_line(f, x, v).coeffs
+                == restrict_by_derivatives(f, x, v).coeffs)
+
+    @given(restriction_inputs(FLOAT_COORDS))
+    @settings(max_examples=200, deadline=None)
+    def test_substitution_matches_derivative_oracle_in_floats(self, case):
+        f, x, v = case
+        got = restrict_line(f, x, v)
+        want = restrict_by_derivatives(f, x, v)
+        # every coefficient is a sum of products; bound its rounding by the
+        # same sum taken over absolute values, where nothing cancels
+        size = restrict_line(
+            MultiForm(f.n, f.d, {e: abs(c) for e, c in f.terms.items()}),
+            tuple(abs(c) for c in x), tuple(abs(c) for c in v))
+        for k in range(f.d + 1):
+            assert abs(got.coeff(k) - want.coeff(k)) <= (
+                1e-12 * size.coeff(k) + 1e-250), k
 
     def test_derivative_restriction_commutation(self, rng):
         # k-th t-derivative of the restriction at 0 equals D_v^k f(x)
@@ -335,6 +397,76 @@ class TestConeMatrixVerdictsComputedOnce:
         assert rep.details["dichotomy_branch"] == "nonsingular-irreducible"
         assert rep.details["dichotomy"].is_holds
         assert calls == {"matrix_k_nonnegative": 1, "matrix_k_positive": 1}
+
+
+E3_4 = MultiForm(4, 3, {tuple(0 if i == j else 1 for i in range(4)): 1
+                        for j in range(4)})
+# x1^3 - 3 x1 x2^2, refuted at its first reduction over the orthant
+CUBIC = MultiForm(2, 3, {(3, 0): 1, (1, 2): -3})
+LORENTZ_4 = MultiForm(4, 2, {(2, 0, 0, 0): -1, (0, 2, 0, 0): -1,
+                             (0, 0, 2, 0): -1, (0, 0, 0, 2): 1})
+
+
+class TestFormChecksComputeOnlyWhatTheyReport:
+    @pytest.mark.parametrize("f, expected", [
+        (E3_4, {"matrix_k_nonnegative": 0, "matrix_k_positive": 0}),
+        # the refuted reduction's report carries K-nonnegativity, which
+        # fails, so irreducibility is not asked
+        (CUBIC, {"matrix_k_nonnegative": 1, "matrix_k_positive": 0}),
+    ])
+    def test_dichotomy_only_for_the_refuted_reduction(self, monkeypatch,
+                                                      f, expected):
+        calls = count_cone_matrix_checks(monkeypatch)
+        rep = lorentzian_sample_check(f, Cone.orthant(f.n), trials=20,
+                                      seed=[3, 1])
+        assert calls == expected
+        if rep.verdict.is_fails:
+            inner = rep.details["inner_details"]
+            assert inner["k_nonnegative"].is_fails
+            assert inner["dichotomy"].note == "not K-nonnegative"
+        else:
+            assert rep.details["trials_run"] == 20
+
+    def test_one_probe_list_per_hessian(self, monkeypatch):
+        drawn = 0
+        original = cones.sample_cone
+
+        def counted(*args, **kwargs):
+            nonlocal drawn
+            drawn += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "sample_cone", counted)
+        trials = 3
+        # a seed no other test uses, so no probe list is already kept
+        rep = hessian_signature_check(LORENTZ_4, Cone.second_order(4),
+                                      trials=trials, seed=8117)
+        assert rep.details["tallies"]["nonsingular_irreducible"] == trials
+        # K-nonnegativity and K-positivity of (I + H)^3 share 32 probes
+        assert drawn == trials * 32
+
+    def test_form_enumerates_extreme_rays_once(self, monkeypatch):
+        cone = {"type": "polyhedral", "n": 4,
+                "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                               [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1]]}
+        form = {"n": 4, "d": 3,
+                "terms": [{"exp": list(e), "coef": c}
+                          for e, c in E3_4.terms.items()]}
+        eliminations = 0
+        original = cones._rref
+
+        def counted(*args, **kwargs):
+            nonlocal eliminations
+            eliminations += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "_rref", counted)
+        cones.cone_from_json(cone)
+        construction = eliminations
+        cli.cmd_form(form, cone, cli.RunConfig(trials=5, seed=0))
+        # cmd_form builds the cone again, then one elimination per
+        # generator decides which generators are extreme
+        assert eliminations == 2 * construction + len(cone["generators"])
 
 
 class TestHurwitzOverCone:

@@ -38,6 +38,10 @@ REDUNDANT_ORTHANT = {"type": "polyhedral", "n": 4,
 WEDGE_3 = {"type": "polyhedral", "n": 3,
            "generators": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1],
                           [1, 1, 2]]}
+# x1^3 - 3 x1 x2^2: refuted at the first reduction, whose inner details
+# carry the self-dual K-nonnegativity and dichotomy
+CUBIC_FORM = {"n": 2, "d": 3, "terms": [{"exp": [3, 0], "coef": 1},
+                                        {"exp": [1, 2], "coef": -3}]}
 SQUARE_FORM = {"n": 2, "d": 2, "terms": [{"exp": [2, 0], "coef": 1},
                                          {"exp": [1, 1], "coef": 2},
                                          {"exp": [0, 2], "coef": 1}]}
@@ -73,6 +77,8 @@ CASES = {
                          None),
     "unipoly_float_mode": (["unipoly", "--mode", "float"],
                            {"coeffs": [2, 5, 4, 1]}, None),
+    "form_cubic_refuted": (["form", "--trials", "20", "--seed", "3"],
+                           CUBIC_FORM, {"type": "orthant", "n": 2}),
 }
 
 

@@ -45,7 +45,13 @@ class LTIReport:
 
 def _eigen_ground_truth(A: SquareMatrix, tol: Tolerance):
     try:
-        vals = np.linalg.eig(A.to_numpy())[0]
+        M = A.to_numpy()
+    except OverflowError:
+        # exact entries with no float: the exact tests still decide
+        return None, None, Verdict(UNKNOWN,
+                                   note="entries beyond the float range")
+    try:
+        vals = np.linalg.eig(M)[0]
     except np.linalg.LinAlgError as e:
         return None, None, Verdict(UNKNOWN, note=f"eigensolver failed: {e}")
     abscissa = float(max(v.real for v in vals))

@@ -223,6 +223,16 @@ def matrix_power(M: SquareMatrix, k: int) -> SquareMatrix:
     return out
 
 
+def _integer_rows(rows):
+    """``(int_rows, D)``: exact ``rows`` times their common denominator D,
+    the lcm of the entries' denominators; D is None when every entry is
+    already an int."""
+    if all(isinstance(v, int) for r in rows for v in r):
+        return [list(r) for r in rows], None
+    D = math.lcm(*(v.denominator for r in rows for v in r))
+    return [[v.numerator * (D // v.denominator) for v in r] for r in rows], D
+
+
 def _bareiss(rows, pivoting: bool):
     """One fraction-free (Bareiss) elimination sweep over exact entries.
 
@@ -231,17 +241,20 @@ def _bareiss(rows, pivoting: bool):
     identity), and ``sign`` is the parity of the row swaps.  The sweep
     stops at the first zero pivot; with ``pivoting`` a zero pivot is first
     swapped for a nonzero entry below it, so a zero pivot then means a
-    singular matrix.  Int entries stay ints (every division is exact); any
-    other exact entries run on Fractions.
+    singular matrix.
+
+    The sweep runs on ints, where every division is exact: rational
+    entries are first scaled by their common denominator D
+    (:func:`_integer_rows`).  That scales the k-th leading minor by D^k,
+    so pivot k is returned as the Fraction pivot / D^k, the same value at
+    the same step; int entries give int pivots.
     """
-    a = [list(r) for r in rows]
+    a, D = _integer_rows(rows)
     n = len(a)
-    use_int = all(isinstance(v, int) for row in a for v in row)
-    if not use_int:
-        a = [[Fraction(v) for v in row] for row in a]
     sign = 1
     pivots = []
     prev = 1
+    scale = 1
     for k in range(n):
         if pivoting and a[k][k] == 0:
             i = next((i for i in range(k + 1, n) if a[i][k] != 0), k)
@@ -249,7 +262,11 @@ def _bareiss(rows, pivoting: bool):
                 a[k], a[i] = a[i], a[k]
                 sign = -sign
         pkk = a[k][k]
-        pivots.append(pkk)
+        if D is None:
+            pivots.append(pkk)
+        else:
+            scale *= D
+            pivots.append(Fraction(pkk, scale))
         if pkk == 0:
             break
         rowk = a[k]
@@ -257,8 +274,7 @@ def _bareiss(rows, pivoting: bool):
             rowi = a[i]
             aik = rowi[k]
             for j in range(k + 1, n):
-                num = pkk * rowi[j] - aik * rowk[j]
-                rowi[j] = num // prev if use_int else num / prev
+                rowi[j] = (pkk * rowi[j] - aik * rowk[j]) // prev
             rowi[k] = 0
         prev = pkk
     return sign, pivots
@@ -381,25 +397,19 @@ def _unscaled(x: float, e: int) -> float:
 
 
 def _hessenberg(A: SquareMatrix) -> list:
-    """Upper Hessenberg form of ``A`` by elimination similarities.
+    """Upper Hessenberg form of a float matrix by elimination similarities.
 
-    For each column, a pivot is brought to the subdiagonal by a row and
-    column swap; then every row operation R_i -= u R_m below it is paired
-    with the inverse column operation C_m += u C_i, so the result is
-    similar to ``A``.  Exact entries run on Fractions and take the first
-    nonzero pivot; float entries take the largest one (partial pivoting).
-    A column that is already zero below the subdiagonal is skipped.
+    For each column, the largest pivot (partial pivoting) is brought to
+    the subdiagonal by a row and column swap; then every row operation
+    R_i -= u R_m below it is paired with the inverse column operation
+    C_m += u C_i, so the result is similar to ``A``.  A column that is
+    already zero below the subdiagonal is skipped.
     """
-    exact = A.is_exact
-    convert = Fraction if exact else float
-    H = [[convert(v) for v in r] for r in A.rows]
+    H = [[float(v) for v in r] for r in A.rows]
     n = len(H)
     for m in range(1, n - 1):
         col = m - 1
-        if exact:
-            piv = next((i for i in range(m, n) if H[i][col]), m)
-        else:
-            piv = max(range(m, n), key=lambda i: abs(H[i][col]))
+        piv = max(range(m, n), key=lambda i: abs(H[i][col]))
         if not H[piv][col]:
             continue
         if piv != m:
@@ -413,7 +423,7 @@ def _hessenberg(A: SquareMatrix) -> list:
             if not row_i[col]:
                 continue
             u = row_i[col] / pivot
-            row_i[col] = convert(0)
+            row_i[col] = 0.0
             for j in range(m, n):
                 if row_m[j]:
                     row_i[j] -= u * row_m[j]
@@ -423,10 +433,39 @@ def _hessenberg(A: SquareMatrix) -> list:
     return H
 
 
+def _berkowitz(a) -> list:
+    """Descending coefficients of det(tI - a) for a square int matrix.
+
+    Berkowitz's algorithm: with a_r the leading r x r block, R and C the
+    row and column that border it and a_rr the new diagonal entry, the
+    characteristic polynomial of the next block is the Toeplitz product
+    T p_r, where p_r holds those of a_r and T has first column
+    (1, -a_rr, -R C, -R a_r C, ..., -R a_r^(r-1) C).  No step divides.
+    """
+    p = [1]
+    for r in range(len(a)):
+        block = [row[:r] for row in a[:r]]
+        row = a[r][:r]
+        c = [1, -a[r][r]]
+        v = [a[i][r] for i in range(r)]
+        for k in range(r):
+            c.append(-_dot(row, v))
+            if k < r - 1:
+                v = [_dot(b, v) for b in block]
+        p = [_dot(c[i::-1], p[:i + 1]) for i in range(r + 2)]
+    return p
+
+
 def char_poly(A: SquareMatrix):
     """Characteristic polynomial det(tI - A), monic, ascending coefficients.
 
-    ``A`` is reduced to upper Hessenberg form H by similarity
+    Exact ``A`` is scaled by its common denominator D to the int matrix
+    B = D A (:func:`_integer_rows`) and chi_B is computed division-free by
+    :func:`_berkowitz`; then chi_A(t) = D^-n chi_B(D t), so coefficient k
+    is the Fraction c_k(B) / D^(n-k).  Every coefficient below the leading
+    int 1 is a Fraction.
+
+    Float ``A`` is reduced to upper Hessenberg form H by similarity
     (:func:`_hessenberg`), then chi is read off H with the recurrence
 
         p_0 = 1,
@@ -434,12 +473,18 @@ def char_poly(A: SquareMatrix):
               - sum_{i<m} h_{m,m-1} ... h_{m-i+1,m-i} h_{m-i,m} p_{m-i-1},
 
     with chi = p_n (Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.2.9): O(n^3) operations in all.  Exact on rational
-    entries, where every coefficient below the leading 1 is a Fraction;
-    float entries give float coefficients.
+    Theory*, Alg. 2.2.9), giving float coefficients: O(n^3) operations,
+    against O(n^4) int operations for Berkowitz.
     """
     from .unipoly import UniPoly
 
+    n = A.n
+    if A.is_exact:
+        B, D = _integer_rows(A.rows)
+        D = D or 1
+        c = _berkowitz(B)
+        return UniPoly(tuple(Fraction(c[n - k], D ** (n - k)) for k in range(n))
+                       + (1,))
     H = _hessenberg(A)
     p = [[1]]
     for k in range(len(H)):

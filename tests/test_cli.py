@@ -182,6 +182,20 @@ class TestMatrixCommand:
         assert rh["witness"] == ["coefficient", 0]
         assert rep["lti_report"]["conclusion"] == "unstable"
 
+    def test_exact_entries_beyond_float_range_decide(self):
+        # det(tI - A) = t^2 + 2t + (10^400 - 1) / 3: the exact minor test
+        # decides, the eigenvalues have no float input
+        proc = run_cli(["matrix"], {"rows": [["1/3", "1" + "0" * 400],
+                                             [-1, -1]]})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)["lti_report"]
+        assert rep["conclusion"] == "stable"
+        assert rep["routh_hurwitz"]["status"] == "holds"
+        assert rep["eigen_stable"] == {
+            "note": "entries beyond the float range", "status": "unknown"}
+        assert rep["eigenvalues"] is None and rep["spectral_abscissa"] is None
+
     def test_cone_route_irreducible_permutation(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 3}))

@@ -45,6 +45,17 @@ CUBIC_FORM = {"n": 2, "d": 3, "terms": [{"exp": [3, 0], "coef": 1},
 SQUARE_FORM = {"n": 2, "d": 2, "terms": [{"exp": [2, 0], "coef": 1},
                                          {"exp": [1, 1], "coef": 2},
                                          {"exp": [0, 2], "coef": 1}]}
+# a dense rational matrix, entries k/q with q in 2..9 and the diagonal
+# shifted by -3: stable, although both alpha criteria fail
+RATIONAL_LTI_7 = [
+    ["-22/9", 1, "-4/9", "-4/3", "5/6", "-5/3", 4],
+    ["1/3", -5, "7/3", -4, "-3/5", -1, "1/9"],
+    ["9/5", "7/5", -3, -3, "5/6", "4/3", "-1/7"],
+    ["-1/3", -3, 3, -2, 0, "-7/2", "-9/5"],
+    ["-3/2", "3/4", "3/8", "-7/5", "-22/7", "-7/6", "1/2"],
+    ["4/3", -1, -3, "-8/9", "3/2", "-7/5", 1],
+    ["-5/8", 1, "3/8", "-3/2", "-1/6", "-9/5", "-7/2"],
+]
 
 # name -> (CLI arguments, input, cone or None)
 CASES = {
@@ -52,6 +63,7 @@ CASES = {
                         None),
     "form_e2": (["form", "--trials", "100", "--seed", "7"], E2_FORM, None),
     "matrix_lti": (["matrix"], {"rows": [[-1, 0], [0, -2]]}, None),
+    "matrix_lti_rational": (["matrix"], {"rows": RATIONAL_LTI_7}, None),
     "matrix_cone_orthant": (["matrix"], {"rows": [[0, 1, 0], [0, 0, 1],
                                                   [1, 0, 0]]},
                             {"type": "orthant", "n": 3}),

@@ -88,6 +88,24 @@ class TestLtiReport:
                 assert chi.eval(lam) == 0
 
 
+    @pytest.mark.parametrize("rows,conclusion", [
+        # trace -3 and det 2 + 10^400: stable
+        ([[-1, 1], [-10**400, -2]], "stable"),
+        # trace 1: unstable
+        ([[3, 1], [-10**400, -2]], "unstable"),
+        ([[Fraction(1, 3), 10**400], [-1, -1]], "stable"),
+    ])
+    def test_entries_beyond_float_range_decide_exactly(self, rows,
+                                                         conclusion):
+        rep = lti_report(SquareMatrix.from_rows(rows))
+        assert rep.eigenvalues is None and rep.spectral_abscissa is None
+        assert rep.eigen_stable.status == "unknown"
+        assert "beyond the float range" in rep.eigen_stable.note
+        assert rep.routh_hurwitz.status == (
+            "holds" if conclusion == "stable" else "fails")
+        assert rep.conclusion == conclusion
+
+
 class TestLtiSoundness:
     def test_exact_constructed_spectra(self, rng):
         # characteristic polynomials built from placed roots, conjugated by
@@ -144,6 +162,17 @@ class TestRealizationCheck:
             restriction_realization_check(
                 f, Cone.orthant(2), (1, 1), (1, 1),
                 SquareMatrix.identity(3).scale(-1))
+
+    def test_entries_beyond_float_range(self):
+        # f(x0 + t v) = (t + 1)(t + N) for x0 = (1, 1), v = (1, 2), which is
+        # det(tI - A); no float of N = 10^400 exists
+        N = 10**400
+        f = MultiForm(2, 2, {(2, 0): 2 * N - 1, (1, 1): 1 - N})
+        A = SquareMatrix.from_rows([[-1, 0], [0, -N]])
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 2), A)
+        assert v.status == "holds"
+        assert v.witness["implied_stable"] is True
+        assert v.witness["eigen_stable"] == "unknown"
 
     def test_degree_five_alpha_square_route(self):
         # (x1+x2)^5 restrictions satisfy the alpha-square inequalities:

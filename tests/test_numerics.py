@@ -71,6 +71,24 @@ class TestLeadingMinors:
             assert leading_minors(M) == expected
 
 
+# pairwise coprime denominators near 10^6, so a common denominator is large
+PRIMES_NEAR_1E6 = (999959, 999961, 999979, 999983, 1000003, 1000033,
+                   1000037, 1000039)
+
+
+@st.composite
+def coprime_denominator_matrices(draw, max_n):
+    """Fraction, int or mixed matrices whose denominators are primes near
+    10^6; a few entries may be zero."""
+    n = draw(st.integers(1, max_n))
+    ints = st.integers(-10**6, 10**6)
+    fracs = st.builds(Fraction, ints, st.sampled_from(PRIMES_NEAR_1E6))
+    scalars = draw(st.sampled_from([fracs, st.one_of(fracs, ints),
+                                    st.one_of(fracs, st.just(0))]))
+    return SquareMatrix.from_rows([[draw(scalars) for _ in range(n)]
+                                   for _ in range(n)])
+
+
 EXACT_SCALARS = st.one_of(st.integers(-6, 6),
                           st.fractions(-6, 6, max_denominator=4))
 SPARSE_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2])
@@ -111,6 +129,17 @@ class TestBareissKernel:
         minors = leading_minors(SquareMatrix.from_rows(rows))
         assert minors == [cofactor_det([r[:k] for r in rows[:k]])
                           for k in range(1, len(rows) + 1)]
+        assert all(type(m) is ring_of(rows) for m in minors)
+
+    @given(coprime_denominator_matrices(5))
+    @settings(max_examples=100, deadline=None)
+    def test_coprime_denominators_match_cofactor_oracle(self, M):
+        rows = M.rows
+        det, minors = determinant(M), leading_minors(M)
+        assert det == cofactor_det(rows)
+        assert minors == [cofactor_det([r[:k] for r in rows[:k]])
+                          for k in range(1, len(rows) + 1)]
+        assert type(det) is ring_of(rows)
         assert all(type(m) is ring_of(rows) for m in minors)
 
 
@@ -290,6 +319,42 @@ def exact_matrices(draw, max_n):
     return SquareMatrix.from_rows(rows)
 
 
+def hessenberg_char_poly(A: SquareMatrix) -> UniPoly:
+    """Reference oracle for exact char_poly: reduction to upper Hessenberg
+    form on Fractions (first nonzero pivot), then Cohen's recurrence
+    (Alg. 2.2.9) for chi, in the order and with the types it produces."""
+    H = [[Fraction(v) for v in r] for r in A.rows]
+    n = len(H)
+    for m in range(1, n - 1):
+        col = m - 1
+        piv = next((i for i in range(m, n) if H[i][col]), m)
+        if not H[piv][col]:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        for i in range(m + 1, n):
+            u = H[i][col] / H[m][col]
+            H[i][col] = Fraction(0)
+            for j in range(m, n):
+                H[i][j] -= u * H[m][j]
+            for row in H:
+                row[m] += u * row[i]
+    p = [[1]]
+    for k in range(n):
+        cur = [0] + p[k]
+        for j, c in enumerate(p[k]):
+            cur[j] -= H[k][k] * c
+        prod = 1
+        for i in range(1, k + 1):
+            prod *= H[k - i + 1][k - i]
+            for j, c in enumerate(p[k - i]):
+                cur[j] -= prod * H[k - i][k] * c
+        p.append(cur)
+    return UniPoly(tuple(p[-1]))
+
+
 def cayley_hamilton_residual(A: SquareMatrix, chi: UniPoly) -> SquareMatrix:
     """chi(A) by Horner's rule in exact matrix arithmetic."""
     ident = SquareMatrix.identity(A.n)
@@ -331,6 +396,38 @@ class TestCharPoly:
     @given(exact_matrices(10))
     @settings(max_examples=40, deadline=None)
     def test_property_cayley_hamilton(self, A):
+        chi = char_poly(A)
+        assert chi.degree == A.n and chi.leading == 1
+        residual = cayley_hamilton_residual(A, chi)
+        assert all(v == 0 for r in residual.rows for v in r)
+
+    @given(st.one_of(exact_matrices(8), coprime_denominator_matrices(6)))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_hessenberg_oracle_in_value_and_type(self, A):
+        got, want = char_poly(A).coeffs, hessenberg_char_poly(A).coeffs
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+    @pytest.mark.parametrize("rows", [
+        [[Fraction(1, 2), Fraction(-3, 7)], [Fraction(4), Fraction(5, 3)]],
+        [[1, Fraction(1, 3), 0], [0, -2, Fraction(5, 2)], [7, 0, 1]],
+        [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]],
+    ], ids=["fraction", "mixed", "whole-fractions"])
+    def test_coefficient_types_of_rational_matrices(self, rows):
+        chi = char_poly(SquareMatrix.from_rows(rows))
+        assert all(type(c) is Fraction for c in chi.coeffs[:-1])
+        assert type(chi.coeffs[-1]) is int and chi.coeffs[-1] == 1
+
+    @given(coprime_denominator_matrices(5))
+    @settings(max_examples=60, deadline=None)
+    def test_property_coprime_denominators_match_cofactor_oracle(self, A):
+        chi = char_poly(A)
+        assert chi.coeffs == cofactor_char_poly(A).coeffs
+        assert all(type(c) is Fraction for c in chi.coeffs[:-1])
+
+    @given(coprime_denominator_matrices(10))
+    @settings(max_examples=15, deadline=None)
+    def test_property_coprime_denominators_cayley_hamilton(self, A):
         chi = char_poly(A)
         assert chi.degree == A.n and chi.leading == 1
         residual = cayley_hamilton_residual(A, chi)

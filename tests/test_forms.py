@@ -469,6 +469,169 @@ class TestFormChecksComputeOnlyWhatTheyReport:
         assert eliminations == 2 * construction + len(cone["generators"])
 
 
+O2, O3 = Cone.orthant(2), Cone.orthant(3)
+WEDGE_3 = Cone.polyhedral([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1],
+                           [1, 1, 2]])
+LINEAR = MultiForm(2, 1, {(1, 0): 1, (0, 1): 2})
+LINEAR_MIXED = MultiForm(2, 1, {(1, 0): -1, (0, 1): 2})
+SUM_SQ = MultiForm(2, 2, {(2, 0): 1, (0, 2): 1})
+NEG_DEF = MultiForm(2, 2, {(2, 0): -1, (0, 2): -1})
+# -(x1 + x2)^2 and (x1 - x2)^2: singular Hessians
+NEG_SQ = MultiForm(2, 2, {(2, 0): -1, (1, 1): -2, (0, 2): -1})
+DIFF_SQ = MultiForm(2, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
+DIAG_CUBIC = MultiForm(2, 3, {(3, 0): 1, (0, 3): 1})
+# (x1 + x2)^2 x3: a singular Hessian whose zero entry is a float 0.0
+SQ_X3 = MultiForm(3, 3, {(2, 0, 1): 1, (1, 1, 1): 2, (0, 2, 1): 1})
+# coefficients inside the float tolerance band
+TINY = MultiForm(2, 3, {(2, 1): 1e-12, (1, 2): 1e-12})
+ZERO = MultiForm(2, 2, {})
+E2 = elementary_symmetric_2()
+CUBE_2, CUBE_3 = power_of_sum(2, 3), power_of_sum(3, 3)
+
+LOR, CLC = "lorentzian_sample_check", "clc_necessary_check"
+HES, HUR = "hessian_signature_check", "hurwitz_over_cone_check"
+NONE_FOUND = "refutation sampled, none found"
+QUAD = ("dichotomy", "dichotomy_branch", "eigenvalues", "k_nonnegative",
+        "pairing", "singular")
+HIT = ("inner", "v", "x")
+TALLY = ("tallies", "trials_run")
+LINE = ("note", "trials_run")
+BOUNDARY = ("boundary_note", "boundary_violations", "note", "trials_run")
+
+
+def tallies(nonsingular, singular):
+    return {"nonsingular_irreducible": nonsingular,
+            "singular_nonnegative": singular}
+
+
+# name, (check, form, cone, strict), (status, note, trials_run, witness keys,
+# detail keys, tallies); every check runs 8 trials at seed 0.  A dict
+# witness is pinned by its sorted keys, a tuple witness by its tag.
+BRANCHES = [
+    # lorentzian_sample_check: degree <= 1 is nonnegativity on K
+    ("lorentzian/linear/orthant", (LOR, LINEAR, O2, False),
+     ("holds", None, None, "ray", ("degenerate_degree",), None)),
+    ("lorentzian/linear-mixed/orthant", (LOR, LINEAR_MIXED, O2, False),
+     ("fails", None, None, "ray", ("degenerate_degree",), None)),
+    ("lorentzian/linear/soc", (LOR, LINEAR, Cone.second_order(2), False),
+     ("holds-sampled", None, None, "point", ("degenerate_degree",), None)),
+    # ... degree 2 is the quadratic check
+    ("lorentzian/sum-sq/orthant", (LOR, SUM_SQ, O2, False),
+     ("fails", "more than one positive eigenvalue", None,
+      "positive-eigenvalues", ("eigenvalues",), None)),
+    ("lorentzian/neg-def/orthant", (LOR, NEG_DEF, O2, False),
+     ("fails", None, None, "positive-eigenvalues", ("eigenvalues",), None)),
+    ("lorentzian/neg-sq/orthant", (LOR, NEG_SQ, O2, False),
+     ("unknown", None, None, "positive-eigenvalues", ("eigenvalues",), None)),
+    ("lorentzian/diff-sq/orthant", (LOR, DIFF_SQ, O2, False),
+     ("fails", None, None, "ray-pair", QUAD, None)),
+    ("lorentzian/e2/orthant", (LOR, E2, O3, False),
+     ("holds", None, None, None, QUAD, None)),
+    ("lorentzian/diff-sq/soc", (LOR, DIFF_SQ, Cone.second_order(2), False),
+     ("holds-sampled", "eigenvalue(s) inside the zero band treated as zero",
+      None, None, QUAD, None)),
+    ("lorentzian/lorentz4/soc", (LOR, LORENTZ_4, Cone.second_order(4), False),
+     ("holds-sampled", None, None, None, QUAD, None)),
+    # ... degree >= 3 samples reductions
+    ("lorentzian/cubic/orthant", (LOR, CUBIC, O2, False),
+     ("fails", None, 1, ("directions", "inner"), ("inner_details", "trials_run"),
+      None)),
+    ("lorentzian/tiny/orthant", (LOR, TINY, O2, False),
+     ("unknown", "8/8 reductions indeterminate", 8, None, ("trials_run",),
+      None)),
+    ("lorentzian/cube2/orthant", (LOR, CUBE_2, O2, False),
+     ("holds-sampled", NONE_FOUND, 8, None, ("trials_run",), None)),
+    # clc_necessary_check
+    ("clc/cubic/orthant", (CLC, CUBIC, O2, False),
+     ("fails", None, 1, HIT, ("trials_run",), None)),
+    ("clc/tiny/orthant", (CLC, TINY, O2, False),
+     ("unknown", "8/8 lines indeterminate", 8, None, LINE, None)),
+    ("clc/cube2/orthant", (CLC, CUBE_2, O2, False),
+     ("holds-sampled", NONE_FOUND, 8, None, LINE, None)),
+    ("clc/cubic/orthant/strict", (CLC, CUBIC, O2, True),
+     ("fails", None, 3, HIT, ("trials_run",), None)),
+    ("clc/tiny/orthant/strict", (CLC, TINY, O2, True),
+     ("unknown", "3/8 lines indeterminate", 8, None, BOUNDARY, None)),
+    ("clc/e3-4/orthant/strict", (CLC, E3_4, Cone.orthant(4), True),
+     ("holds-sampled", NONE_FOUND, 8, None, BOUNDARY, None)),
+    ("clc/cube2/orthant/strict", (CLC, CUBE_2, O2, True),
+     ("holds-sampled", NONE_FOUND, 8, None, LINE, None)),
+    # hessian_signature_check
+    ("hessian/diag-cubic/orthant", (HES, DIAG_CUBIC, O2, False),
+     ("fails", None, 1, ("eigenvalues", "point", "positive_count"), TALLY,
+      tallies(0, 0))),
+    ("hessian/neg-def/orthant", (HES, NEG_DEF, O2, False),
+     ("fails", None, 1, ("eigenvalues", "point", "positive_count"), TALLY,
+      tallies(0, 0))),
+    ("hessian/diff-sq/orthant", (HES, DIFF_SQ, O2, False),
+     ("fails", "singular Hessian is not K-nonnegative", 1, ("inner", "point"),
+      TALLY, tallies(0, 0))),
+    ("hessian/cubic/orthant", (HES, CUBIC, O2, False),
+     ("fails", "nonsingular Hessian is not K-nonnegative", 1,
+      ("inner", "point"), TALLY, tallies(0, 0))),
+    # no positive eigenvalue, one in the zero band
+    ("hessian/neg-sq/orthant", (HES, NEG_SQ, O2, False),
+     ("unknown", "8/8 points indeterminate", 8, None, TALLY, tallies(0, 0))),
+    # singular, K-nonnegativity unknown on the float 0.0 entry
+    ("hessian/sq-x3/orthant", (HES, SQ_X3, O3, False),
+     ("unknown", "8/8 points indeterminate", 8, None, TALLY, tallies(0, 0))),
+    ("hessian/cube2/orthant", (HES, CUBE_2, O2, False),
+     ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(0, 8))),
+    ("hessian/e2/orthant", (HES, E2, O3, False),
+     ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(8, 0))),
+    ("hessian/lorentz4/soc", (HES, LORENTZ_4, Cone.second_order(4), False),
+     ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(8, 0))),
+    # not self-dual: the signature alone
+    ("hessian/cube3/wedge", (HES, CUBE_3, WEDGE_3, False),
+     ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(0, 0))),
+    # hurwitz_over_cone_check
+    ("hurwitz/cubic/orthant", (HUR, CUBIC, O2, False),
+     ("fails", None, 1, HIT, ("trials_run",), None)),
+    ("hurwitz/tiny/orthant", (HUR, TINY, O2, False),
+     ("unknown", "8/8 lines indeterminate", 8, None, ("trials_run",), None)),
+    # every restriction of the zero form is zero
+    ("hurwitz/zero/orthant", (HUR, ZERO, O2, False),
+     ("unknown", "8/8 lines indeterminate", 8, None, ("trials_run",), None)),
+    ("hurwitz/cube2/orthant", (HUR, CUBE_2, O2, False),
+     ("holds-sampled", NONE_FOUND, 8, None, ("trials_run",), None)),
+]
+
+
+class TestFormCheckBranches:
+    """One row per branch of the four sampled form checks that an input
+    can reach."""
+
+    @pytest.mark.parametrize("case, expected", [c[1:] for c in BRANCHES],
+                             ids=[c[0] for c in BRANCHES])
+    def test_branch(self, case, expected):
+        check, f, K, strict = case
+        kwargs = {"strict": True} if strict else {}
+        rep = getattr(forms, check)(f, K, trials=8, seed=0, **kwargs)
+        w = rep.verdict.witness
+        witness = (tuple(sorted(w)) if isinstance(w, dict)
+                   else w[0] if isinstance(w, tuple) else w)
+        got = (rep.verdict.status, rep.verdict.note,
+               rep.details.get("trials_run"), witness,
+               tuple(sorted(rep.details)), rep.details.get("tallies"))
+        assert got == expected
+
+    def test_refuted_reduction_carries_the_dichotomy(self):
+        rep = lorentzian_sample_check(CUBIC, O2, trials=8, seed=0)
+        assert tuple(sorted(rep.details["inner_details"])) == QUAD
+        assert (rep.details["inner_details"]["dichotomy"].note
+                == "not K-nonnegative")
+
+    def test_strict_zero_direction_is_skipped(self, monkeypatch):
+        # sample_cone never draws the zero vector; a zero direction counts
+        # neither as a refutation nor as indeterminate
+        monkeypatch.setattr(forms, "sample_cone",
+                            lambda K, seed: (0,) * K.n if seed[2] else (1,) * K.n)
+        rep = clc_necessary_check(CUBIC, O2, trials=8, seed=0, strict=True)
+        assert rep.verdict.status == "holds-sampled"
+        assert rep.details == {"trials_run": 8,
+                               "note": "boundary coverage is sampled and incomplete"}
+
+
 class TestHurwitzOverCone:
     def test_cube_of_sum(self):
         rep = hurwitz_over_cone_check(power_of_sum(2, 3), Cone.orthant(2),

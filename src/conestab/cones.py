@@ -432,36 +432,29 @@ def matrix_k_nonnegative(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
                          trials: int = 200, seed=0) -> Verdict:
     """Does A map K into K?  Exact over extreme rays for orthant/polyhedral
     cones; sampled refutation for second-order cones."""
-    if A.n != K.n:
-        raise DimensionMismatch("matrix/cone dimension mismatch")
-    if K.kind == SECOND_ORDER:
-        for x in _soc_probe_points(K, trials, seed):
-            y = A.mul_vec(x)
-            if not contains(K, y, tol):
-                return Verdict(FAILS, witness=("point", x))
-        return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
-    led = InequalityLedger(tol)
-    facets = ([tuple(1 if j == i else 0 for j in range(K.n)) for i in range(K.n)]
-              if K.kind == ORTHANT else K.facet_normals)
-    for g in extreme_ray_reps(K):
-        y = A.mul_vec(g)
-        ys = _float_norm(y)
-        for h in facets:
-            led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
-                        scale=ys * _float_norm(h))
-    return led.verdict()
+    return _maps_into(A, K, False, tol, trials, seed)
 
 
 def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
                       trials: int = 200, seed=0) -> Verdict:
     """Does A map nonzero points of K into the interior of K?"""
+    return _maps_into(A, K, True, tol, trials, seed)
+
+
+def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
+               trials: int, seed) -> Verdict:
+    """Does A map nonzero points of K into K, or into its interior when
+    ``interior``?  Second-order cones are probed at sampled points; other
+    cones pair the image of every extreme ray with every facet normal,
+    strictly (with the ray's own norm as a floor on the scale) when
+    ``interior``."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     if K.kind == SECOND_ORDER:
+        inside = interior_contains if interior else contains
         for x in _soc_probe_points(K, trials, seed):
-            if not any(x):
-                continue
-            if not interior_contains(K, A.mul_vec(x), tol):
+            # A maps 0 to 0, which lies in K but not in its interior
+            if any(x) and not inside(K, A.mul_vec(x), tol):
                 return Verdict(FAILS, witness=("point", x))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
     led = InequalityLedger(tol)
@@ -471,8 +464,10 @@ def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
         y = A.mul_vec(g)
         ys = _float_norm(y)
         for h in facets:
+            scale = ys * _float_norm(h)
             led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
-                        strict=True, scale=max(ys * _float_norm(h), _float_norm(g)))
+                        strict=interior,
+                        scale=max(scale, _float_norm(g)) if interior else scale)
     return led.verdict()
 
 

@@ -9,6 +9,12 @@ here implement the refutation side of the cone-positivity hierarchy:
 * higher-degree checks reduce through sampled interior directional
   derivatives or line restrictions, so their non-refuted verdicts are
   "holds-sampled" -- sampling can refute but never certify.
+
+The four sampled checks share one loop, ``_sampled_check``: it stops at
+the first refuting trial and otherwise reports "unknown" or
+"holds-sampled" by the count of indeterminate trials.  The self-dual
+dichotomy (a singular matrix must be K-nonnegative, a nonsingular one
+K-irreducible) is ``_dichotomy``, for quadratic forms and Hessians alike.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# perron_frobenius_check is unused here but stays bound: perfbench/tracing.py
-# wraps it by this module's name.
+# matrix_k_irreducible and perron_frobenius_check are unused here but stay
+# bound: perfbench/tracing.py wraps them by this module's name.
 from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
                     extreme_ray_reps, interior_contains, matrix_k_irreducible,
                     matrix_k_nonnegative, perron_frobenius_check, perron_report,
@@ -284,22 +290,57 @@ def _add_dichotomy(report: FormReport, Q: SquareMatrix, K: Cone, band,
     pairing was computed (``band`` is not None) and K is self-dual."""
     if band is None or not K.is_self_dual:
         return
-    details = report.details
-    kn = matrix_k_nonnegative(Q, K, tol, trials=trials, seed=seed)
-    details["k_nonnegative"] = kn
     singular = band > 0
-    details["singular"] = singular
+    kn, verdict = _dichotomy(Q, K, singular, tol, trials, seed)
+    report.details.update(
+        k_nonnegative=kn, singular=singular, dichotomy=verdict,
+        dichotomy_branch=("singular-nonnegative" if singular
+                          else "nonsingular-irreducible"))
+
+
+def _dichotomy(Q: SquareMatrix, K: Cone, singular: bool, tol: Tolerance,
+               trials: int, seed):
+    """The self-dual dichotomy of the symmetric Q: ``(kn, verdict)``, with
+    kn the K-nonnegativity of Q and verdict that of its branch -- kn itself
+    when Q is singular, the K-irreducibility of Q when it is nonsingular.
+    A nonsingular Q that is not verifiably K-nonnegative fails its branch."""
+    kn = matrix_k_nonnegative(Q, K, tol, trials=trials, seed=seed)
     if singular:
-        details["dichotomy"] = kn
-        details["dichotomy_branch"] = "singular-nonnegative"
+        return kn, kn
+    try:
+        return kn, _k_irreducible_given(Q, K, kn, tol, trials=trials, seed=seed)
+    except Inapplicable as e:
+        return kn, Verdict(FAILS, witness=e.witness, note="not K-nonnegative")
+
+
+def _sampled_check(check: str, trials: int, trial, noun: str,
+                   details: dict) -> FormReport:
+    """The sampling policy of every form check.  ``trial(t)`` returns None
+    when trial t refutes nothing, UNKNOWN when it is indeterminate, or
+    ``(verdict, extra_details)`` for a refutation.  The first refutation is
+    the report, with ``trials_run`` t + 1; otherwise all trials ran, and the
+    report -- carrying ``details`` -- is "unknown" when any trial was
+    indeterminate and "holds-sampled" when none was."""
+    unknowns = 0
+    for t in range(trials):
+        outcome = trial(t)
+        if outcome == UNKNOWN:
+            unknowns += 1
+        elif outcome is not None:
+            verdict, extra = outcome
+            return FormReport(check, verdict, {"trials_run": t + 1, **extra})
+    if unknowns:
+        verdict = Verdict(UNKNOWN,
+                          note=f"{unknowns}/{trials} {noun} indeterminate")
     else:
-        try:
-            details["dichotomy"] = _k_irreducible_given(
-                Q, K, kn, tol, trials=trials, seed=seed)
-        except Inapplicable as e:
-            details["dichotomy"] = Verdict(FAILS, witness=e.witness,
-                                           note="not K-nonnegative")
-        details["dichotomy_branch"] = "nonsingular-irreducible"
+        verdict = Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
+    return FormReport(check, verdict, {"trials_run": trials, **details})
+
+
+def _line_refutation(inner: Verdict, x, v):
+    """A trial outcome refuting a check along the line x + t v."""
+    return Verdict(FAILS, margin=inner.margin,
+                   witness={"x": x, "v": v, "inner": inner.witness}), {}
 
 
 def _nonnegative_on_cone(f: MultiForm, K: Cone, tol: Tolerance,
@@ -335,35 +376,24 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         inner = quadratic_lorentzian_check(quadratic_matrix(f), K, tol,
                                            trials=trials, seed=seed)
         return FormReport("lorentzian-sampled", inner.verdict, inner.details)
-    unknowns = 0
-    rounds = max(1, trials)
-    for t in range(rounds):
+    def trial(t):
         dirs = tuple(sample_interior(K, [seed, t, j]) for j in range(f.d - 2))
         q = f
         for a in dirs:
             q = q.dir_derivative(a)
         Q = quadratic_matrix(q).symmetrized()
         inner_trials, inner_seed = max(8, trials // 10), [seed, t, 1]
-        # the dichotomy is reported for the refuted reduction only
         inner, band = _quadratic_verdict(Q, K, tol, inner_trials, inner_seed)
         if inner.verdict.is_fails:
+            # the dichotomy is reported for the refuted reduction only
             _add_dichotomy(inner, Q, K, band, tol, inner_trials, inner_seed)
-            return FormReport(
-                "lorentzian-sampled",
-                Verdict(FAILS, witness={"directions": dirs,
-                                        "inner": inner.verdict.witness}),
-                {"trials_run": t + 1, "inner_details": inner.details})
-        if inner.verdict.is_unknown:
-            unknowns += 1
-    if unknowns:
-        return FormReport("lorentzian-sampled",
-                          Verdict(UNKNOWN,
-                                  note=f"{unknowns}/{rounds} reductions indeterminate"),
-                          {"trials_run": rounds})
-    return FormReport("lorentzian-sampled",
-                      Verdict(HOLDS_SAMPLED,
-                              note="refutation sampled, none found"),
-                      {"trials_run": rounds})
+            return (Verdict(FAILS, witness={"directions": dirs,
+                                            "inner": inner.verdict.witness}),
+                    {"inner_details": inner.details})
+        return UNKNOWN if inner.verdict.is_unknown else None
+
+    return _sampled_check("lorentzian-sampled", max(1, trials), trial,
+                          "reductions", {})
 
 
 def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
@@ -379,14 +409,15 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
     """
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
-    unknowns = 0
+    details = {"note": "boundary coverage is sampled and incomplete"}
     boundary_flagged = []
-    for t in range(trials):
+
+    def trial(t):
         if strict:
             x = sample_cone(K, [seed, t, 0])
             v = sample_cone(K, [seed, t, 1])
             if not any(v):
-                continue
+                return None
         else:
             x = sample_interior(K, [seed, t, 0])
             v = sample_interior(K, [seed, t, 1])
@@ -394,33 +425,19 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         weighted = [math.factorial(k) * p.coeff(k) for k in range(f.d + 1)]
         verdict = is_log_concave(weighted, strict=strict, tol=tol)
         if verdict.is_fails:
-            on_boundary = strict and not (interior_contains(K, x, tol)
-                                          and interior_contains(K, v, tol))
-            if on_boundary:
+            if strict and not (interior_contains(K, x, tol)
+                               and interior_contains(K, v, tol)):
                 boundary_flagged.append((x, v, verdict.witness))
-                continue
-            return FormReport(
-                "clc-necessary",
-                Verdict(FAILS, margin=verdict.margin,
-                        witness={"x": x, "v": v, "inner": verdict.witness}),
-                {"trials_run": t + 1})
-        if verdict.is_unknown:
-            unknowns += 1
-    details = {"trials_run": trials,
-               "note": "boundary coverage is sampled and incomplete"}
-    if boundary_flagged:
-        details["boundary_violations"] = boundary_flagged[:5]
-        details["boundary_note"] = (
-            "strict inequalities failed on boundary samples; the strict "
-            "property on faces where derivatives vanish is not resolved here")
-    if unknowns:
-        return FormReport("clc-necessary",
-                          Verdict(UNKNOWN,
-                                  note=f"{unknowns}/{trials} lines indeterminate"),
-                          details)
-    return FormReport("clc-necessary",
-                      Verdict(HOLDS_SAMPLED, note="refutation sampled, none found"),
-                      details)
+                details["boundary_violations"] = boundary_flagged[:5]
+                details["boundary_note"] = (
+                    "strict inequalities failed on boundary samples; the "
+                    "strict property on faces where derivatives vanish is "
+                    "not resolved here")
+                return None
+            return _line_refutation(verdict, x, v)
+        return UNKNOWN if verdict.is_unknown else None
+
+    return _sampled_check("clc-necessary", trials, trial, "lines", details)
 
 
 def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
@@ -436,72 +453,43 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     if f.d < 2:
         raise ValueError("Hessian check needs degree >= 2")
     tallies = {"nonsingular_irreducible": 0, "singular_nonnegative": 0}
-    unknowns = 0
-    for t in range(trials):
+
+    def refuted(witness, note=None):
+        return Verdict(FAILS, witness=witness, note=note), {"tallies": tallies}
+
+    def trial(t):
         a = sample_interior(K, [seed, t])
         H = f.hessian_at(a)
-        vals, pos, band, thr = _eig_positive_count(H, tol)
+        vals, pos, band, _ = _eig_positive_count(H, tol)
         if pos != 1:
             if pos == 0 and band:
-                unknowns += 1
-                continue
-            return FormReport(
-                "hessian-signature",
-                Verdict(FAILS,
-                        witness={"point": a, "eigenvalues": vals,
-                                 "positive_count": pos}),
-                {"trials_run": t + 1, "tallies": tallies})
+                return UNKNOWN
+            return refuted({"point": a, "eigenvalues": vals,
+                            "positive_count": pos})
         if not K.is_self_dual:
-            continue
+            return None
         singular = band > 0
+        kn, sub = _dichotomy(H, K, singular, tol, 32, [seed, t, 1])
+        if sub.is_fails:
+            kind = "singular" if singular else "nonsingular"
+            prop = "irreducible" if kn.is_holds else "nonnegative"
+            return refuted({"point": a, "inner": sub.witness},
+                           f"{kind} Hessian is not K-{prop}")
+        if sub.is_unknown:
+            return UNKNOWN
         if singular:
-            sub = matrix_k_nonnegative(H, K, tol, trials=32, seed=[seed, t, 1])
-            if sub.is_fails:
-                return FormReport(
-                    "hessian-signature",
-                    Verdict(FAILS, witness={"point": a, "inner": sub.witness},
-                            note="singular Hessian is not K-nonnegative"),
-                    {"trials_run": t + 1, "tallies": tallies})
-            if sub.is_unknown:
-                unknowns += 1
-                continue
             tallies["singular_nonnegative"] += 1
-        else:
-            try:
-                sub = matrix_k_irreducible(H, K, tol, trials=32, seed=[seed, t, 1])
-            except Inapplicable as e:
-                return FormReport(
-                    "hessian-signature",
-                    Verdict(FAILS, witness={"point": a, "inner": e.witness},
-                            note="nonsingular Hessian is not K-nonnegative"),
-                    {"trials_run": t + 1, "tallies": tallies})
-            if sub.is_fails:
-                return FormReport(
-                    "hessian-signature",
-                    Verdict(FAILS, witness={"point": a, "inner": sub.witness},
-                            note="nonsingular Hessian is not K-irreducible"),
-                    {"trials_run": t + 1, "tallies": tallies})
-            if sub.is_unknown:
-                unknowns += 1
-                continue
-            perron = perron_report(H, K, tol)
-            if not (perron.rho_positive and perron.simple
-                    and perron.eigenvector_interior):
-                return FormReport(
-                    "hessian-signature",
-                    Verdict(FAILS, witness={"point": a, "perron": perron},
-                            note="generalized Perron-Frobenius property fails"),
-                    {"trials_run": t + 1, "tallies": tallies})
-            tallies["nonsingular_irreducible"] += 1
-    details = {"trials_run": trials, "tallies": tallies}
-    if unknowns:
-        return FormReport("hessian-signature",
-                          Verdict(UNKNOWN,
-                                  note=f"{unknowns}/{trials} points indeterminate"),
-                          details)
-    return FormReport("hessian-signature",
-                      Verdict(HOLDS_SAMPLED, note="refutation sampled, none found"),
-                      details)
+            return None
+        perron = perron_report(H, K, tol)
+        if not (perron.rho_positive and perron.simple
+                and perron.eigenvector_interior):
+            return refuted({"point": a, "perron": perron},
+                           "generalized Perron-Frobenius property fails")
+        tallies["nonsingular_irreducible"] += 1
+        return None
+
+    return _sampled_check("hessian-signature", trials, trial, "points",
+                          {"tallies": tallies})
 
 
 def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
@@ -514,32 +502,18 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.d < 1:
         raise ValueError("stability over the cone needs degree >= 1")
-    unknowns = 0
-    for t in range(trials):
+    def trial(t):
         x = sample_interior(K, [seed, t, 0])
         v = sample_interior(K, [seed, t, 1])
         p = restrict_line(f, x, v)
         if p.is_zero or p.degree < 1:
-            unknowns += 1
-            continue
+            return UNKNOWN
         verdict = routh_hurwitz_stable(p, tol)
         if verdict.is_fails:
-            return FormReport(
-                "hurwitz-over-cone",
-                Verdict(FAILS, margin=verdict.margin,
-                        witness={"x": x, "v": v, "inner": verdict.witness}),
-                {"trials_run": t + 1})
-        if verdict.is_unknown:
-            unknowns += 1
-    details = {"trials_run": trials}
-    if unknowns:
-        return FormReport("hurwitz-over-cone",
-                          Verdict(UNKNOWN,
-                                  note=f"{unknowns}/{trials} lines indeterminate"),
-                          details)
-    return FormReport("hurwitz-over-cone",
-                      Verdict(HOLDS_SAMPLED, note="refutation sampled, none found"),
-                      details)
+            return _line_refutation(verdict, x, v)
+        return UNKNOWN if verdict.is_unknown else None
+
+    return _sampled_check("hurwitz-over-cone", trials, trial, "lines", {})
 
 
 def verify_sum_condition(f: MultiForm, g: MultiForm, b, c,

@@ -125,8 +125,9 @@ def restriction_realization_check(f: MultiForm, K: Cone, x0, v,
 
     On a match, the degree-gated coefficient hypotheses are evaluated on
     the restriction; when they hold, the implied stability is cross-checked
-    against the eigenvalue ground truth.  Realizations are verified, never
-    synthesized.
+    against the exact minor test on an exact characteristic polynomial, and
+    against the eigenvalue ground truth otherwise.  Realizations are
+    verified, never synthesized.
     """
     if not interior_contains(K, x0, tol):
         raise NotInterior("x0 is not interior to the cone")
@@ -171,7 +172,17 @@ def restriction_realization_check(f: MultiForm, K: Cone, x0, v,
         criterion_name = "alpha-square"
     implied_stable = bool(criterion is not None and criterion.is_holds)
     _, _, eigen_stable = _eigen_ground_truth(A, tol)
-    if implied_stable and eigen_stable.is_fails:
+    if implied_stable and chi.is_exact:
+        # an exact chi is decided by the exact minor test alone; the float
+        # eigenvalues stay a diagnostic
+        rh = routh_hurwitz_stable(chi, tol)
+        if rh.is_fails:
+            return Verdict(FAILS,
+                           witness={"criterion": criterion_name,
+                                    "minors": rh.witness},
+                           note="criterion implied stability but the exact "
+                                "minor test refutes it")
+    elif implied_stable and eigen_stable.is_fails:
         return Verdict(FAILS,
                        witness={"criterion": criterion_name,
                                 "eigen": eigen_stable.witness},

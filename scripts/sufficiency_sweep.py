@@ -35,7 +35,8 @@ def alpha_square_poly(rng, d):
 
 
 def sweep(label, count, make, criterion):
-    rng = random.Random(hash(label) & 0xFFFF)
+    # a str seed is hashed by random itself, the same in every process
+    rng = random.Random(f"sufficiency_sweep/{label}")
     kept = 0
     counterexamples = 0
     attempts = 0

@@ -407,6 +407,15 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
     return led.verdict()
 
 
+def _gated(criterion, p: UniPoly, *args):
+    """``criterion(p, *args)``, or None when p's degree is outside the
+    criterion's gate."""
+    try:
+        return criterion(p, *args)
+    except (WrongDegree, ZeroPolynomial):
+        return None
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Every decider and criterion verdict for one polynomial, plus the
@@ -443,13 +452,6 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
     hb = hermite_biehler_stable(p_norm, tol)
     dr = degree_reduction_stable(p_norm, tol)
     oracle = root_oracle_verdict(p_norm, tol)
-
-    def gated(fn, *args):
-        try:
-            return fn(p, *args, tol)
-        except (WrongDegree, ZeroPolynomial):
-            return None
-
     d = p_norm.degree
     report = StabilityReport(
         poly=p,
@@ -460,10 +462,10 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
         hermite_biehler=hb,
         degree_reduction=dr,
         root_oracle=oracle,
-        clc_d_le_4=gated(clc_d_le_4_criterion) if d <= 4 else None,
-        quintic=gated(quintic_criterion) if d == 5 else None,
-        alpha_product=gated(alpha_criterion, "product"),
-        alpha_square=gated(alpha_criterion, "square"),
+        clc_d_le_4=_gated(clc_d_le_4_criterion, p, tol) if d <= 4 else None,
+        quintic=_gated(quintic_criterion, p, tol) if d == 5 else None,
+        alpha_product=_gated(alpha_criterion, p, "product", tol),
+        alpha_square=_gated(alpha_criterion, p, "square", tol),
         consistent=_consistent([rh, *lc.values(), hb, dr, oracle]),
     )
     return report

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Cone, interior_contains
-from .errors import DegreeMismatch, NotInterior, WrongDegree, ZeroPolynomial
+from .errors import DegreeMismatch, NotInterior
 from .forms import MultiForm, restrict_line
-from .hurwitz import (alpha_criterion, clc_d_le_4_criterion, quintic_criterion,
-                      routh_hurwitz_stable)
+from .hurwitz import (_gated, alpha_criterion, clc_d_le_4_criterion,
+                      quintic_criterion, routh_hurwitz_stable)
 from .numerics import DEFAULT_TOL, SquareMatrix, Tolerance, char_poly
 from .unipoly import UniPoly
 from .verdict import FAILS, HOLDS, UNKNOWN, Verdict
@@ -81,12 +81,6 @@ def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
     rh = routh_hurwitz_stable(chi, tol) if d >= 1 else Verdict(
         UNKNOWN, note="degree-0 characteristic polynomial")
 
-    def gated(fn, *args):
-        try:
-            return fn(chi, *args, tol)
-        except (WrongDegree, ZeroPolynomial):
-            return None
-
     eigs, abscissa, eigen_stable = _eigen_ground_truth(A, tol) if A.n else (
         [], float("-inf"), Verdict(HOLDS, note="empty system"))
 
@@ -109,10 +103,13 @@ def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
         spectral_abscissa=abscissa,
         eigen_stable=eigen_stable,
         routh_hurwitz=rh,
-        clc_d_le_4=gated(clc_d_le_4_criterion) if d is not None and d <= 4 else None,
-        quintic=gated(quintic_criterion) if d == 5 else None,
-        alpha_product=gated(alpha_criterion, "product") if d is not None and d >= 5 else None,
-        alpha_square=gated(alpha_criterion, "square") if d is not None and d >= 5 else None,
+        clc_d_le_4=(_gated(clc_d_le_4_criterion, chi, tol)
+                    if d is not None and d <= 4 else None),
+        quintic=_gated(quintic_criterion, chi, tol) if d == 5 else None,
+        alpha_product=(_gated(alpha_criterion, chi, "product", tol)
+                       if d is not None and d >= 5 else None),
+        alpha_square=(_gated(alpha_criterion, chi, "square", tol)
+                      if d is not None and d >= 5 else None),
         conclusion=conclusion,
     )
 

@@ -10,11 +10,8 @@ here implement the refutation side of the cone-positivity hierarchy:
   derivatives or line restrictions, so their non-refuted verdicts are
   "holds-sampled" -- sampling can refute but never certify.
 
-The four sampled checks share one loop, ``_sampled_check``: it stops at
-the first refuting trial and otherwise reports "unknown" or
-"holds-sampled" by the count of indeterminate trials.  The self-dual
-dichotomy (a singular matrix must be K-nonnegative, a nonsingular one
-K-irreducible) is ``_dichotomy``, for quadratic forms and Hessians alike.
+The four sampled checks share one refutation loop, ``_sampled_check``;
+quadratic forms and Hessians share one self-dual dichotomy, ``_dichotomy``.
 """
 
 from __future__ import annotations
@@ -376,6 +373,7 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         inner = quadratic_lorentzian_check(quadratic_matrix(f), K, tol,
                                            trials=trials, seed=seed)
         return FormReport("lorentzian-sampled", inner.verdict, inner.details)
+
     def trial(t):
         dirs = tuple(sample_interior(K, [seed, t, j]) for j in range(f.d - 2))
         q = f
@@ -502,6 +500,7 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.d < 1:
         raise ValueError("stability over the cone needs degree >= 1")
+
     def trial(t):
         x = sample_interior(K, [seed, t, 0])
         v = sample_interior(K, [seed, t, 1])

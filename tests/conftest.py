@@ -1,11 +1,12 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conestab import SquareMatrix, UniPoly
+from conestab import MultiForm, SquareMatrix, UniPoly
 
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, max_den=5, nonzero=False):
@@ -51,6 +52,25 @@ def poly_from_roots(real_roots, complex_pairs):
     for re, im in complex_pairs:
         p = p * UniPoly((re * re + im * im, -2 * re, 1))
     return p
+
+
+def form_through_line(coeffs):
+    """A bivariate form f with f((1, 1) + t (1, 2)) = sum_k coeffs[k] t^k:
+    sum_k coeffs[k] x1^(d-k) x2^k, which restricts to the polynomial along
+    x = (1, 0), v = (0, 1), pulled back through y -> (2y1 - y2, y2 - y1)."""
+    d = len(coeffs) - 1
+
+    def binom_pow(c0, c1, e):
+        return {(e - j, j): math.comb(e, j) * c0 ** (e - j) * c1 ** j
+                for j in range(e + 1)}
+
+    terms = {}
+    for k, a in enumerate(coeffs):
+        for (e1, e2), ca in binom_pow(2, -1, d - k).items():
+            for (f1, f2), cb in binom_pow(-1, 1, k).items():
+                key = (e1 + f1, e2 + f2)
+                terms[key] = terms.get(key, 0) + a * ca * cb
+    return MultiForm(2, d, terms)
 
 
 @pytest.fixture

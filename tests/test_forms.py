@@ -14,6 +14,8 @@ from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       verify_sum_condition)
 from conestab.numerics import exact_div
 
+from conftest import form_through_line
+
 
 def elementary_symmetric_2(n=3):
     terms = {}
@@ -504,6 +506,13 @@ def tallies(nonsingular, singular):
             "singular_nonnegative": singular}
 
 
+# No input reaches the Hessian notes "nonsingular Hessian is not
+# K-irreducible" and "generalized Perron-Frobenius property fails", nor an
+# indeterminate K-positivity of (I + H)^(n-1): on the orthant and the
+# second-order cone a K-nonnegative nonsingular symmetric matrix with one
+# positive eigenvalue is K-irreducible, and Perron-Frobenius holds for it.
+# A zero direction in strict mode is pinned by substituting sample_cone.
+#
 # name, (check, form, cone, strict), (status, note, trials_run, witness keys,
 # detail keys, tallies); every check runs 8 trials at seed 0.  A dict
 # witness is pinned by its sorted keys, a tuple witness by its tag.
@@ -534,8 +543,8 @@ BRANCHES = [
      ("holds-sampled", None, None, None, QUAD, None)),
     # ... degree >= 3 samples reductions
     ("lorentzian/cubic/orthant", (LOR, CUBIC, O2, False),
-     ("fails", None, 1, ("directions", "inner"), ("inner_details", "trials_run"),
-      None)),
+     ("fails", None, 1, ("directions", "inner"),
+      ("inner_details", "trials_run"), None)),
     ("lorentzian/tiny/orthant", (LOR, TINY, O2, False),
      ("unknown", "8/8 reductions indeterminate", 8, None, ("trials_run",),
       None)),
@@ -624,12 +633,14 @@ class TestFormCheckBranches:
     def test_strict_zero_direction_is_skipped(self, monkeypatch):
         # sample_cone never draws the zero vector; a zero direction counts
         # neither as a refutation nor as indeterminate
-        monkeypatch.setattr(forms, "sample_cone",
-                            lambda K, seed: (0,) * K.n if seed[2] else (1,) * K.n)
+        monkeypatch.setattr(
+            forms, "sample_cone",
+            lambda K, seed: (0,) * K.n if seed[2] else (1,) * K.n)
         rep = clc_necessary_check(CUBIC, O2, trials=8, seed=0, strict=True)
         assert rep.verdict.status == "holds-sampled"
-        assert rep.details == {"trials_run": 8,
-                               "note": "boundary coverage is sampled and incomplete"}
+        assert rep.details == {
+            "trials_run": 8,
+            "note": "boundary coverage is sampled and incomplete"}
 
 
 class TestHurwitzOverCone:
@@ -644,24 +655,10 @@ class TestHurwitzOverCone:
         assert rep.verdict.status == "holds-sampled"
 
     def test_embedded_unstable_quintic_is_refuted(self):
-        # homogenize the unstable quintic over x1^(5-k) x2^k, then pull back
-        # through y -> (2y1 - y2, y2 - y1) so the line x=(1,0), v=(0,1) that
-        # reproduces the quintic exactly moves to the interior pair
-        # x=(1,1), v=(1,2)
+        # the line x=(1,1), v=(1,2) reproduces the unstable quintic exactly
         from conestab import routh_hurwitz_stable
         a = (5, 14, Fraction(25, 2), Fraction(36, 5), 3, 1)
-        terms = {}
-
-        def binom_pow(c0, c1, e):
-            return {(e - j, j): math.comb(e, j) * c0 ** (e - j) * c1 ** j
-                    for j in range(e + 1)}
-
-        for k in range(6):
-            for (e1, e2), ca in binom_pow(2, -1, 5 - k).items():
-                for (f1, f2), cb in binom_pow(-1, 1, k).items():
-                    key = (e1 + f1, e2 + f2)
-                    terms[key] = terms.get(key, 0) + a[k] * ca * cb
-        g = MultiForm(2, 5, terms)
+        g = form_through_line(a)
         anchor = restrict_line(g, (1, 1), (1, 2))
         assert anchor.coeffs == a
         assert routh_hurwitz_stable(anchor).status == "fails"

@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Print one ``name sha256`` line per CLI report over a fixed corpus.
+
+The corpus is drawn from fixed seeds, so every run prints the same names
+in the same order.  It covers every subcommand:
+
+* ``forms/``       a catalogue of 9 forms over the three cone kinds,
+                   seeds 0-9;
+* ``form/``        300 random forms, 100 per cone kind, in auto and float
+                   mode; the orthant forms also without ``--cone``;
+* ``matrix-cone/`` 300 random matrices, 100 per cone kind, in auto and
+                   float mode;
+* ``lti/``         112 matrices without a cone, in auto and float mode;
+* ``unipoly/``     300 integer polynomials, and 50 with float literals in
+                   float mode;
+* ``restrict/``    30 line restrictions.
+
+Each digest covers the exit code, stdout and stderr of ``conestab.cli``
+run in this process.  Diff the output of two commits to check that a
+change keeps the reports byte-identical, or of two ``PYTHONHASHSEED``
+values to check that identical input and seed give identical bytes:
+
+    PYTHONPATH=src python scripts/report_digests.py > digests.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from conestab import cli
+
+CONE_KINDS = ("orthant", "polyhedral", "second_order")
+
+
+def elementary_symmetric(n, k, coef=1):
+    return {"n": n, "d": k,
+            "terms": [{"exp": [int(i in S) for i in range(n)], "coef": coef}
+                      for S in itertools.combinations(range(n), k)]}
+
+
+def product_of_linear_forms(forms):
+    poly = {(0,) * len(forms[0]): 1}
+    for lin in forms:
+        nxt = {}
+        for exp, c in poly.items():
+            for i, a in enumerate(lin):
+                e = list(exp)
+                e[i] += 1
+                nxt[tuple(e)] = nxt.get(tuple(e), 0) + c * a
+        poly = nxt
+    return {"n": len(forms[0]), "d": len(forms),
+            "terms": [{"exp": list(e), "coef": c} for e, c in sorted(poly.items())]}
+
+
+def diagonal_form(coefs):
+    n = len(coefs)
+    return {"n": n, "d": 2,
+            "terms": [{"exp": [2 * (j == i) for j in range(n)], "coef": c}
+                      for i, c in enumerate(coefs)]}
+
+
+# name -> (form, cone or None for the default orthant, mode)
+CATALOGUE = {
+    "e2_4": (elementary_symmetric(4, 2), None, "auto"),
+    "e3_4": (elementary_symmetric(4, 3), None, "auto"),
+    "e3_5": (elementary_symmetric(5, 3), None, "auto"),
+    "e4_5": (elementary_symmetric(5, 4), None, "auto"),
+    "e2_4_float": (elementary_symmetric(4, 2, 1.0), None, "float"),
+    "linear_product": (product_of_linear_forms(
+        [[1, 2, 1], [2, 1, 3], [1, 1, 1]]), None, "auto"),
+    "sum_of_squares": (diagonal_form([1, 1, 1]), None, "auto"),
+    "e3_4_polyhedral": (elementary_symmetric(4, 3),
+                        {"type": "polyhedral", "n": 4,
+                         "generators": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1],
+                                        [1, 1, 0, 0], [0, 1, 1, 1]]}, "auto"),
+    "lorentz_soc4": (diagonal_form([-1, -1, -1, 1]),
+                     {"type": "second_order", "n": 4}, "auto"),
+}
+
+
+def scalar(rng, lo, hi):
+    """A small integer, or in a quarter of draws a float literal with a
+    binary fraction (exact in auto mode, a float in float mode)."""
+    v = rng.randint(lo, hi)
+    return v + rng.choice([0.25, 0.5, -0.5]) if rng.random() < 0.25 else v
+
+
+def random_form(rng, n):
+    d = rng.randint(1, 3)
+    family = rng.randrange(4)
+    if family == 0:
+        return elementary_symmetric(n, min(d, n), rng.choice([1, 2, 1.5]))
+    if family == 1:
+        return product_of_linear_forms(
+            [[rng.randint(0, 3) + (i == j) for i in range(n)] for j in range(d)])
+    if family == 2:
+        return diagonal_form([-1] * (n - 1) + [rng.choice([1, 2, 0.5])])
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        exp = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+        terms[exp] = scalar(rng, -3, 5)
+    return {"n": n, "d": d,
+            "terms": [{"exp": list(e), "coef": c} for e, c in terms.items()]}
+
+
+def random_cone(rng, kind, n):
+    if kind != "polyhedral":
+        return {"type": kind, "n": n}
+    # a simplicial cone (triangular rows with a positive diagonal are
+    # independent), plus a redundant positive combination of two rows
+    gens = [[rng.randint(-1, 3) if i > j else 2 * (i == j) for i in range(n)]
+            for j in range(n)]
+    a, b = rng.sample(range(n), 2)
+    gens.append([x + y for x, y in zip(gens[a], gens[b])])
+    if rng.random() < 0.3:
+        # the same ray, written with float literals
+        gens[0] = [x * 0.5 for x in gens[0]]
+    return {"type": "polyhedral", "n": n, "generators": gens}
+
+
+def random_matrix(rng, n, lo, hi, shift=0):
+    return {"n": n, "rows": [[scalar(rng, lo, hi) - shift * (i == j)
+                              for j in range(n)] for i in range(n)]}
+
+
+def corpus():
+    """(name, subcommand, payload, cone, extra CLI arguments)."""
+    for seed in range(10):
+        for name, (form, cone, mode) in CATALOGUE.items():
+            yield (f"forms/{name}/seed{seed}", "form", form, cone,
+                   ["--mode", mode, "--seed", str(seed), "--trials", "50"])
+    rng = random.Random("report_digests/form")
+    for kind in CONE_KINDS:
+        for i in range(100):
+            n = rng.randint(2, 4)
+            form, cone = random_form(rng, n), random_cone(rng, kind, n)
+            for mode in ("auto", "float"):
+                args = ["--mode", mode, "--seed", str(i), "--trials", "20"]
+                yield f"form/{kind}/{i:03d}/{mode}", "form", form, cone, args
+                if kind == "orthant":
+                    yield (f"form/{kind}/{i:03d}/{mode}/no-cone", "form",
+                           form, None, args)
+    rng = random.Random("report_digests/matrix-cone")
+    for kind in CONE_KINDS:
+        for i in range(100):
+            n = rng.randint(2, 4)
+            A = random_matrix(rng, n, -1, 3, shift=-rng.randint(0, 3))
+            cone = random_cone(rng, kind, n)
+            for mode in ("auto", "float"):
+                yield (f"matrix-cone/{kind}/{i:03d}/{mode}", "matrix", A, cone,
+                       ["--mode", mode])
+    rng = random.Random("report_digests/lti")
+    for i in range(112):
+        n = 2 + i % 8
+        A = random_matrix(rng, n, -3, 3, shift=rng.randint(0, n))
+        for mode in ("auto", "float"):
+            yield f"lti/{i:03d}/{mode}", "matrix", A, None, ["--mode", mode]
+    rng = random.Random("report_digests/unipoly")
+    for i in range(300):
+        d = rng.randint(1, 10)
+        coeffs = [rng.randint(1, 9) if rng.random() < 0.6 else rng.randint(-9, 9)
+                  for _ in range(d)] + [rng.randint(1, 9)]
+        yield f"unipoly/{i:03d}", "unipoly", {"coeffs": coeffs}, None, []
+    for i in range(50):
+        coeffs = [scalar(rng, 1, 9) for _ in range(rng.randint(2, 8))]
+        yield (f"unipoly/float/{i:03d}", "unipoly", {"coeffs": coeffs}, None,
+               ["--mode", "float"])
+    rng = random.Random("report_digests/restrict")
+    for i in range(30):
+        n = rng.randint(2, 4)
+        payload = {"form": random_form(rng, n),
+                   "x": [scalar(rng, 0, 3) for _ in range(n)],
+                   "v": [scalar(rng, -2, 2) for _ in range(n)]}
+        yield f"restrict/{i:03d}", "restrict", payload, None, []
+
+
+def report_bytes(workdir: Path, command, payload, cone, extra) -> bytes:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    (workdir / "input.json").write_text(json.dumps(payload))
+    argv = [command, str(workdir / "input.json"), *extra]
+    if cone is not None:
+        (workdir / "cone.json").write_text(json.dumps(cone))
+        argv += ["--cone", str(workdir / "cone.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as e:  # a crash is digested like any other output
+            code = f"raised {type(e).__name__}: {e}"
+    return f"{code}\n{out.getvalue()}{err.getvalue()}".encode()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, payload, cone, extra in corpus():
+            digest = hashlib.sha256(
+                report_bytes(Path(tmp), command, payload, cone, extra)).hexdigest()
+            print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,8 +25,8 @@ from .forms import (clc_necessary_check, form_from_json,
                     lorentzian_sample_check, restrict_line)
 from .hurwitz import stability_report
 from .lti import lti_report
-from .numerics import (SquareMatrix, Tolerance, all_roots, scalar_from_json,
-                       scalar_to_json)
+from .numerics import (SquareMatrix, Tolerance, all_roots, scalar_to_json,
+                       vector_from_json)
 from .sequences import is_univariate_clc, newton_chain_report
 from .unipoly import UniPoly, unipoly_from_json, unipoly_to_json
 from .verdict import FAILS, Verdict
@@ -191,8 +191,12 @@ def matrix_from_json(payload, exact: bool) -> SquareMatrix:
     rows = payload["rows"]
     if not isinstance(rows, list) or not rows:
         raise ParseError('"rows" must be a nonempty list of lists')
-    parsed = [[scalar_from_json(v, exact) for v in r] for r in rows]
-    if "n" in payload and int(payload["n"]) != len(parsed):
+    parsed = [vector_from_json(r, exact, "a matrix row") for r in rows]
+    try:
+        n = int(payload.get("n", len(parsed)))
+    except (TypeError, ValueError) as e:
+        raise ParseError('"n" must be an integer') from e
+    if n != len(parsed):
         raise ParseError('"n" does not match the number of rows')
     try:
         return SquareMatrix.from_rows(parsed)
@@ -223,8 +227,8 @@ def cmd_restrict(payload, cfg: RunConfig) -> dict:
         raise ParseError("expected an object with form/x/v")
     try:
         f = form_from_json(payload["form"], cfg.exact)
-        x = tuple(scalar_from_json(v, cfg.exact) for v in payload["x"])
-        v = tuple(scalar_from_json(w, cfg.exact) for w in payload["v"])
+        x = vector_from_json(payload["x"], cfg.exact, '"x"')
+        v = vector_from_json(payload["v"], cfg.exact, '"v"')
     except KeyError as e:
         raise ParseError(f"missing field {e}") from e
     try:

@@ -2,7 +2,10 @@
 
 Three cone variants: the nonnegative orthant, polyhedral cones given by
 generators (facet normals are computed exactly for ambient dimension
-n <= 6, or may be supplied), and the second-order (ice cream) cone.
+n <= 6, or may be supplied), and the second-order (ice cream) cone.  The
+orthant is the polyhedral cone whose generators and facet normals are
+both the standard basis e_1..e_n, stored as that data, so every
+polyhedral code path serves it.
 
 Membership and matrix tests over orthant/polyhedral cones are exact on
 rational data.  Second-order-cone matrix tests are refutation-by-sampling
@@ -24,7 +27,7 @@ from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
                        all_exact, classify_sign, matrix_power,
-                       scalar_from_json)
+                       vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
@@ -36,8 +39,12 @@ _FACET_ENUM_MAX_DIM = 6
 
 
 def _unit(v) -> tuple:
-    norm = math.sqrt(sum(float(x) ** 2 for x in v))
+    norm = _float_norm(v)
     return tuple(float(x) / norm for x in v)
+
+
+def _float_norm(v) -> float:
+    return math.sqrt(sum(float(x) ** 2 for x in v))
 
 
 def _primitive(v):
@@ -74,6 +81,13 @@ def _rref(vectors, n):
     return rows[:len(pivots)], pivots
 
 
+def _rank(vectors, n) -> int:
+    """Rank of vectors in R^n: exact when every entry is rational."""
+    if all(all_exact(v) for v in vectors):
+        return len(_rref(vectors, n)[1])
+    return int(np.linalg.matrix_rank(np.array(vectors, dtype=float)))
+
+
 def _nullspace_1d(vectors, n):
     """The (unique up to scale) vector orthogonal to n-1 independent
     rational vectors, or None if they are dependent."""
@@ -101,7 +115,8 @@ class Cone:
     def orthant(cls, n: int) -> "Cone":
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        return cls(ORTHANT, n)
+        basis = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+        return cls(ORTHANT, n, generators=basis, facet_normals=basis)
 
     @classmethod
     def second_order(cls, n: int) -> "Cone":
@@ -117,18 +132,14 @@ class Cone:
         n = len(gens[0])
         if any(len(g) != n for g in gens):
             raise DimensionMismatch("generators of mixed dimension")
-        exact = all(all_exact(g) for g in gens)
-        if exact:
-            if len(_rref(gens, n)[1]) != n:
-                raise ValueError("generators do not span R^n (cone not solid)")
-        else:
-            if np.linalg.matrix_rank(np.array(gens, dtype=float)) != n:
-                raise ValueError("generators do not span R^n (cone not solid)")
+        if _rank(gens, n) != n:
+            raise ValueError("generators do not span R^n (cone not solid)")
         if facet_normals is None:
             if n > _FACET_ENUM_MAX_DIM:
                 raise Unsupported(
                     f"facet enumeration is limited to n <= {_FACET_ENUM_MAX_DIM}; "
                     "supply facet_normals")
+            exact = all(all_exact(g) for g in gens)
             facets = _enumerate_facets(gens, n, exact)
         else:
             facets = tuple(tuple(h) for h in facet_normals)
@@ -139,10 +150,7 @@ class Cone:
                     if classify_sign(_dot(h, g), DEFAULT_TOL,
                                      scale=_float_norm(h) * _float_norm(g)) is Sign.NEG:
                         raise ValueError("facet normals inconsistent with generators")
-        pointed_rank = (
-            len(_rref(facets, n)[1]) if all(all_exact(h) for h in facets)
-            else np.linalg.matrix_rank(np.array(facets, dtype=float)))
-        if pointed_rank != n:
+        if _rank(facets, n) != n:
             raise ValueError("cone is not pointed (facet normals do not span)")
         return cls(POLYHEDRAL, n, generators=gens, facet_normals=facets)
 
@@ -152,7 +160,7 @@ class Cone:
 
     @property
     def is_exact(self) -> bool:
-        if self.kind != POLYHEDRAL:
+        if self.generators is None:
             return True
         return (all(all_exact(g) for g in self.generators)
                 and all(all_exact(h) for h in self.facet_normals))
@@ -161,10 +169,6 @@ class Cone:
     def _extreme_ray_reps(self) -> tuple:
         # a cone is immutable, so its rays are enumerated once
         return tuple(_enumerate_extreme_rays(self))
-
-
-def _float_norm(v) -> float:
-    return math.sqrt(sum(float(x) ** 2 for x in v))
 
 
 def _enumerate_facets(gens, n, exact) -> tuple:
@@ -224,40 +228,34 @@ def _soc_slack(x):
     return x[-1] * x[-1] - sum(h * h for h in head)
 
 
+def _signs(K: Cone, x, tol: Tolerance) -> list:
+    """Signs of the inequalities defining K at x: one per facet normal h
+    (h.x >= 0), or the head x_n >= 0 and the slack x_n^2 - ||head||^2 >= 0
+    for a second-order cone."""
+    _check_dim(K, x)
+    scale = max(_float_norm(x), 1.0)
+    if K.kind == SECOND_ORDER:
+        return [classify_sign(x[-1], tol, scale),
+                classify_sign(_soc_slack(x), tol, scale * scale)]
+    return [classify_sign(_dot(h, x), tol, scale * _float_norm(h))
+            for h in K.facet_normals]
+
+
 def contains(K: Cone, x, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Closed-cone membership (float comparisons use the tolerance band
     inclusively)."""
-    _check_dim(K, x)
-    scale = max(_float_norm(x), 1.0)
-    if K.kind == ORTHANT:
-        return all(classify_sign(v, tol, scale) is not Sign.NEG for v in x)
-    if K.kind == SECOND_ORDER:
-        if classify_sign(x[-1], tol, scale) is Sign.NEG:
-            return False
-        return classify_sign(_soc_slack(x), tol, scale * scale) is not Sign.NEG
-    return all(
-        classify_sign(_dot(h, x), tol, scale * _float_norm(h)) is not Sign.NEG
-        for h in K.facet_normals)
+    return Sign.NEG not in _signs(K, x, tol)
 
 
 def interior_contains(K: Cone, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-    _check_dim(K, x)
-    scale = max(_float_norm(x), 1.0)
-    if K.kind == ORTHANT:
-        return all(classify_sign(v, tol, scale) is Sign.POS for v in x)
-    if K.kind == SECOND_ORDER:
-        return (classify_sign(x[-1], tol, scale) is Sign.POS
-                and classify_sign(_soc_slack(x), tol, scale * scale) is Sign.POS)
-    return all(
-        classify_sign(_dot(h, x), tol, scale * _float_norm(h)) is Sign.POS
-        for h in K.facet_normals)
+    return all(s is Sign.POS for s in _signs(K, x, tol))
 
 
 def dual_contains(K: Cone, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership of y in the dual cone, tested against the generators."""
     _check_dim(K, y)
     scale = max(_float_norm(y), 1.0)
-    if K.kind in (ORTHANT, SECOND_ORDER):
+    if K.is_self_dual:
         return contains(K, y, tol)
     return all(
         classify_sign(_dot(y, g), tol, scale * _float_norm(g)) is not Sign.NEG
@@ -276,9 +274,8 @@ def extreme_ray_reps(K: Cone) -> list:
 
 
 def _enumerate_extreme_rays(K: Cone) -> list:
-    if K.kind == ORTHANT:
-        return [tuple(1 if j == i else 0 for j in range(K.n))
-                for i in range(K.n)]
+    if K.kind == ORTHANT:  # in basis order, which sorting would reverse
+        return list(K.generators)
     if K.kind == SECOND_ORDER:
         raise Unsupported("second-order cones have infinitely many extreme rays")
     if K.n == 1:
@@ -288,15 +285,12 @@ def _enumerate_extreme_rays(K: Cone) -> list:
     for g in K.generators:
         if exact:
             active = [h for h in K.facet_normals if _dot(h, g) == 0]
-            if active and len(_rref(active, K.n)[1]) == K.n - 1:
-                reps.setdefault(_primitive(g), None)
         else:
             thr = DEFAULT_TOL.threshold(_float_norm(g))
             active = [h for h in K.facet_normals
                       if abs(_dot(h, g)) <= thr * _float_norm(h)]
-            if active and np.linalg.matrix_rank(
-                    np.array(active, dtype=float)) == K.n - 1:
-                reps.setdefault(_unit(g), None)
+        if active and _rank(active, K.n) == K.n - 1:
+            reps.setdefault(_primitive(g) if exact else _unit(g), None)
     return sorted(reps)
 
 
@@ -326,25 +320,29 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(flatten_seed(seed))
 
 
+def _combine(weights, gens) -> tuple:
+    """The float point sum_i w_i g_i, for a numpy array of weights w_i."""
+    point = [0.0] * len(gens[0])
+    for w, g in zip(weights.tolist(), gens):
+        for i, v in enumerate(g):
+            if v:  # a zero entry adds nothing; the orthant's are mostly zeros
+                point[i] += w * float(v)
+    return tuple(point)
+
+
 def sample_interior(K: Cone, seed=0) -> tuple:
     """Deterministic strictly-interior point: positive (exponential) weights
-    on the generators for polyhedral cones, componentwise exponentials for
-    the orthant, and a norm-dominating last coordinate for second-order."""
+    on the generators for polyhedral cones and the orthant, and a
+    norm-dominating last coordinate for second-order."""
     rng = _rng(seed)
-    if K.kind == ORTHANT:
-        return tuple(float(v) for v in rng.exponential(1.0, K.n) + 1e-12)
     if K.kind == SECOND_ORDER:
         if K.n == 1:
             return (float(rng.exponential(1.0) + 1e-12),)
         head = rng.standard_normal(K.n - 1)
         tail = float(np.linalg.norm(head)) * (1.0 + float(rng.exponential(1.0))) + 1e-9
         return tuple(float(h) for h in head) + (tail,)
-    weights = rng.exponential(1.0, len(K.generators)) + 1e-12
-    point = [0.0] * K.n
-    for w, g in zip(weights, K.generators):
-        for i, v in enumerate(g):
-            point[i] += float(w) * float(v)
-    return tuple(point)
+    return _combine(rng.exponential(1.0, len(K.generators)) + 1e-12,
+                    K.generators)
 
 
 def sample_cone(K: Cone, seed=0) -> tuple:
@@ -363,23 +361,15 @@ def sample_cone(K: Cone, seed=0) -> tuple:
         if mode == 1:  # exactly on the boundary
             return tuple(float(h) for h in head) + (norm,)
         return tuple(float(h) for h in head) + (norm * (1.0 + float(rng.exponential(0.2))),)
-    if K.kind == ORTHANT:
-        gens = [tuple(1.0 if j == i else 0.0 for j in range(K.n))
-                for i in range(K.n)]
-    else:
-        gens = [tuple(float(v) for v in g) for g in K.generators]
+    gens = K.generators
     if mode == 1:
         g = gens[int(rng.integers(len(gens)))]
         s = float(rng.exponential(1.0)) + 1e-9
-        return tuple(s * v for v in g)
+        return tuple(s * float(v) for v in g)
     weights = rng.exponential(1.0, len(gens)) * (rng.random(len(gens)) < 0.5)
     if not weights.any():
         weights[int(rng.integers(len(gens)))] = 1.0
-    point = [0.0] * K.n
-    for w, g in zip(weights, gens):
-        for i, v in enumerate(g):
-            point[i] += float(w) * v
-    return tuple(point)
+    return _combine(weights, gens)
 
 
 def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,
@@ -458,12 +448,10 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
                 return Verdict(FAILS, witness=("point", x))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
     led = InequalityLedger(tol)
-    facets = ([tuple(1 if j == i else 0 for j in range(K.n)) for i in range(K.n)]
-              if K.kind == ORTHANT else K.facet_normals)
     for g in extreme_ray_reps(K):
         y = A.mul_vec(g)
         ys = _float_norm(y)
-        for h in facets:
+        for h in K.facet_normals:
             scale = ys * _float_norm(h)
             led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
                         strict=interior,
@@ -551,9 +539,7 @@ class ConeMatrixReport:
 def _orientation(K: Cone, u, tol: Tolerance):
     """Sign-normalize an eigenvector: pick the sign with more positive facet
     products (falling back to the first sizable entry)."""
-    if K.kind == ORTHANT:
-        products = list(u)
-    elif K.kind == SECOND_ORDER:
+    if K.kind == SECOND_ORDER:
         products = [u[-1]]
     else:
         products = [_dot(h, u) for h in K.facet_normals]
@@ -650,26 +636,25 @@ def cone_from_json(obj, exact: bool = True) -> Cone:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError('expected a cone descriptor with a "type" field')
     kind = obj["type"]
-    if kind == ORTHANT:
-        return Cone.orthant(int(obj["n"]))
-    if kind == SECOND_ORDER:
-        return Cone.second_order(int(obj["n"]))
+    if kind in (ORTHANT, SECOND_ORDER):
+        try:
+            n = int(obj["n"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f'{kind} cone needs an integer "n"') from e
+        return Cone.orthant(n) if kind == ORTHANT else Cone.second_order(n)
     if kind == POLYHEDRAL:
         gens = obj.get("generators")
-        if not gens:
-            raise ParseError("polyhedral cone needs generators")
-        parsed = [[scalar_from_json(v, exact) for v in g] for g in gens]
+        if not gens or not isinstance(gens, list):
+            raise ParseError("polyhedral cone needs a list of generators")
+        parsed = [vector_from_json(g, exact, "a generator") for g in gens]
         facets = obj.get("facets")
         if facets is not None:
-            facets = [[scalar_from_json(v, exact) for v in h] for h in facets]
-        return Cone.polyhedral(parsed, facets)
+            if not isinstance(facets, list):
+                raise ParseError('"facets" must be a list of facet normals')
+            facets = [vector_from_json(h, exact, "a facet normal")
+                      for h in facets]
+        try:
+            return Cone.polyhedral(parsed, facets)
+        except (DimensionMismatch, Unsupported) as e:
+            raise ParseError(str(e)) from e
     raise ParseError(f"unknown cone type {kind!r}")
-
-
-def cone_to_json(K: Cone) -> dict:
-    from .numerics import scalar_to_json
-    out = {"type": K.kind, "n": K.n}
-    if K.kind == POLYHEDRAL:
-        out["generators"] = [[scalar_to_json(v) for v in g] for g in K.generators]
-        out["facets"] = [[scalar_to_json(v) for v in h] for h in K.facet_normals]
-    return out

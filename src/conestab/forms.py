@@ -201,7 +201,7 @@ class FormReport:
 
 
 def _eig_positive_count(Q: SquareMatrix, tol: Tolerance):
-    vals, _ = sym_eigs(Q, tol)
+    vals, _ = sym_eigs(Q)
     scale = max((abs(v) for v in vals), default=1.0)
     thr = tol.threshold(max(scale, 1.0))
     pos = sum(1 for v in vals if v > thr)
@@ -551,6 +551,8 @@ def form_from_json(obj, exact: bool = True) -> MultiForm:
         raw = obj["terms"]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad form descriptor: {e}") from e
+    if not isinstance(raw, list):
+        raise ParseError('"terms" must be a list of terms')
     terms = {}
     for item in raw:
         try:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NonConvergence, WrongDegree, ZeroPolynomial
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, all_roots,
                        exact_div, is_exact, leading_minors)
-from .sequences import quintic_cross_inequality
+from .sequences import is_univariate_clc, quintic_cross_inequality
 from .unipoly import UniPoly, hb_parts
 from .verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger, Verdict,
                       combine_verdicts)
@@ -314,13 +314,7 @@ def clc_d_le_4_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """
     if p.is_zero or not 1 <= p.degree <= 4:
         raise WrongDegree("criterion applies to degrees 1..4")
-    led = InequalityLedger(tol)
-    _require_positive_coeffs(led, p)
-    a = p.coeffs
-    for k in range(1, p.degree):
-        led.require(k * a[k] * a[k], (k + 1) * a[k - 1] * a[k + 1],
-                    witness=("weighted-newton", k), strict=True)
-    return led.verdict()
+    return is_univariate_clc(p, True, tol)
 
 
 def quintic_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
@@ -329,13 +323,8 @@ def quintic_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     inequality (a1 a4 - a0 a5)^2 < (a1 a2 - a0 a3)(a3 a4 - a2 a5)."""
     if p.is_zero or p.degree != 5:
         raise WrongDegree("criterion applies to degree 5 only")
-    led = InequalityLedger(tol)
-    _require_positive_coeffs(led, p)
-    a = p.coeffs
-    for k in range(1, 5):
-        led.require(k * a[k] * a[k], (k + 1) * a[k - 1] * a[k + 1],
-                    witness=("weighted-newton", k), strict=True)
-    return combine_verdicts([led.verdict(), quintic_cross_inequality(p, tol)])
+    return combine_verdicts([is_univariate_clc(p, True, tol),
+                             quintic_cross_inequality(p, tol)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,27 +371,21 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
     if not _require_positive_coeffs(led, p):
         return led.verdict()
     a = p.coeffs
-    d = p.degree
     if p.is_exact:
-        _, alpha_hi = _alpha_bracket()
-        for k in range(1, d):
-            if mode == "product":
-                led.require(a[k] * a[k + 1],
-                            alpha_hi * a[k - 1] * p.coeff(k + 2),
-                            witness=("alpha-product", k))
-            else:
-                led.require(a[k] ** 4,
-                            alpha_hi * (a[k - 1] * a[k + 1]) ** 2,
-                            witness=("alpha-square", k))
-        return led.verdict()
-    alpha = alpha_constant()
-    sqrt_alpha = math.sqrt(alpha)
-    for k in range(1, d):
+        # the square test is compared squared, so the rational bracket of
+        # alpha needs no square root
+        alpha = _alpha_bracket()[1]
+        power, square_factor = 2, alpha
+    else:
+        alpha = alpha_constant()
+        power, square_factor = 1, math.sqrt(alpha)
+    for k in range(1, p.degree):
         if mode == "product":
             led.require(a[k] * a[k + 1], alpha * a[k - 1] * p.coeff(k + 2),
                         witness=("alpha-product", k))
         else:
-            led.require(a[k] * a[k], sqrt_alpha * a[k - 1] * a[k + 1],
+            led.require((a[k] * a[k]) ** power,
+                        square_factor * a[k - 1] ** power * a[k + 1] ** power,
                         witness=("alpha-square", k))
     return led.verdict()
 

@@ -69,6 +69,13 @@ def scalar_from_json(value, exact: bool) -> Scalar:
     raise ParseError(f"not a scalar: {value!r}")
 
 
+def vector_from_json(value, exact: bool, what: str) -> tuple:
+    """Parse a JSON list of scalars; ``what`` names it in the error."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of scalars, not {value!r}")
+    return tuple(scalar_from_json(v, exact) for v in value)
+
+
 def scalar_to_json(value):
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -313,13 +320,13 @@ def leading_minors(M: SquareMatrix) -> list:
         return [float(np.linalg.det(A[:k, :k])) for k in range(1, n + 1)]
 
 
-def sym_eigs(M: SquareMatrix, tol: Tolerance = DEFAULT_TOL):
+def sym_eigs(M: SquareMatrix):
     """Eigendecomposition of a (nearly) symmetric matrix by LAPACK ``eigh``.
 
     The matrix is symmetrized by averaging first.  Returns eigenvalues
     sorted descending and the matching orthonormal eigenvector columns.
     A LAPACK failure raises NonConvergence rather than returning a partial
-    answer.  ``tol`` is accepted for interface stability and unused.
+    answer.
     """
     n = M.n
     A = M.to_numpy().reshape(n, n)
@@ -396,51 +403,16 @@ def _unscaled(x: float, e: int) -> float:
         return math.inf
 
 
-def _hessenberg(A: SquareMatrix) -> list:
-    """Upper Hessenberg form of a float matrix by elimination similarities.
-
-    For each column, the largest pivot (partial pivoting) is brought to
-    the subdiagonal by a row and column swap; then every row operation
-    R_i -= u R_m below it is paired with the inverse column operation
-    C_m += u C_i, so the result is similar to ``A``.  A column that is
-    already zero below the subdiagonal is skipped.
-    """
-    H = [[float(v) for v in r] for r in A.rows]
-    n = len(H)
-    for m in range(1, n - 1):
-        col = m - 1
-        piv = max(range(m, n), key=lambda i: abs(H[i][col]))
-        if not H[piv][col]:
-            continue
-        if piv != m:
-            H[m], H[piv] = H[piv], H[m]
-            for row in H:
-                row[m], row[piv] = row[piv], row[m]
-        row_m = H[m]
-        pivot = row_m[col]
-        for i in range(m + 1, n):
-            row_i = H[i]
-            if not row_i[col]:
-                continue
-            u = row_i[col] / pivot
-            row_i[col] = 0.0
-            for j in range(m, n):
-                if row_m[j]:
-                    row_i[j] -= u * row_m[j]
-            for row in H:
-                if row[i]:
-                    row[m] += u * row[i]
-    return H
-
-
 def _berkowitz(a) -> list:
-    """Descending coefficients of det(tI - a) for a square int matrix.
+    """Descending coefficients of det(tI - a) for a square int or float
+    matrix.
 
     Berkowitz's algorithm: with a_r the leading r x r block, R and C the
     row and column that border it and a_rr the new diagonal entry, the
     characteristic polynomial of the next block is the Toeplitz product
     T p_r, where p_r holds those of a_r and T has first column
-    (1, -a_rr, -R C, -R a_r C, ..., -R a_r^(r-1) C).  No step divides.
+    (1, -a_rr, -R C, -R a_r C, ..., -R a_r^(r-1) C).  No step divides, so
+    int entries give int coefficients.
     """
     p = [1]
     for r in range(len(a)):
@@ -457,24 +429,15 @@ def _berkowitz(a) -> list:
 
 
 def char_poly(A: SquareMatrix):
-    """Characteristic polynomial det(tI - A), monic, ascending coefficients.
+    """Characteristic polynomial det(tI - A), monic, ascending coefficients,
+    computed by :func:`_berkowitz` on every input.
 
     Exact ``A`` is scaled by its common denominator D to the int matrix
-    B = D A (:func:`_integer_rows`) and chi_B is computed division-free by
-    :func:`_berkowitz`; then chi_A(t) = D^-n chi_B(D t), so coefficient k
-    is the Fraction c_k(B) / D^(n-k).  Every coefficient below the leading
-    int 1 is a Fraction.
-
-    Float ``A`` is reduced to upper Hessenberg form H by similarity
-    (:func:`_hessenberg`), then chi is read off H with the recurrence
-
-        p_0 = 1,
-        p_m = (t - h_mm) p_{m-1}
-              - sum_{i<m} h_{m,m-1} ... h_{m-i+1,m-i} h_{m-i,m} p_{m-i-1},
-
-    with chi = p_n (Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.2.9), giving float coefficients: O(n^3) operations,
-    against O(n^4) int operations for Berkowitz.
+    B = D A (:func:`_integer_rows`) and chi_B is computed division-free;
+    then chi_A(t) = D^-n chi_B(D t), so coefficient k is the Fraction
+    c_k(B) / D^(n-k).  Every coefficient below the leading int 1 is a
+    Fraction.  Any other ``A`` runs on its entries converted to float,
+    which gives float coefficients below the leading int 1.
     """
     from .unipoly import UniPoly
 
@@ -482,25 +445,9 @@ def char_poly(A: SquareMatrix):
     if A.is_exact:
         B, D = _integer_rows(A.rows)
         D = D or 1
-        c = _berkowitz(B)
-        return UniPoly(tuple(Fraction(c[n - k], D ** (n - k)) for k in range(n))
-                       + (1,))
-    H = _hessenberg(A)
-    p = [[1]]
-    for k in range(len(H)):
-        prev = p[k]
-        h = H[k][k]
-        cur = [0] + prev
-        for j, c in enumerate(prev):
-            cur[j] -= h * c
-        prod = 1
-        for i in range(1, k + 1):
-            prod *= H[k - i + 1][k - i]
-            if not prod:
-                break
-            coef = prod * H[k - i][k]
-            if coef:
-                for j, c in enumerate(p[k - i]):
-                    cur[j] -= coef * c
-        p.append(cur)
-    return UniPoly(tuple(p[-1]))
+    else:
+        B, D = [[float(v) for v in r] for r in A.rows], None
+    c = _berkowitz(B)[:0:-1]  # ascending, without the leading 1
+    if D is not None:
+        c = [Fraction(ck, D ** (n - k)) for k, ck in enumerate(c)]
+    return UniPoly(tuple(c) + (1,))

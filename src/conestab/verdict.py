@@ -43,7 +43,7 @@ class Verdict:
         return self.status == UNKNOWN
 
 
-def combine_verdicts(verdicts, sampled=False) -> Verdict:
+def combine_verdicts(verdicts) -> Verdict:
     """Conjunction of verdicts: any failure wins, then any unknown."""
     verdicts = list(verdicts)
     margins = [v.margin for v in verdicts if v.margin is not None]
@@ -54,7 +54,7 @@ def combine_verdicts(verdicts, sampled=False) -> Verdict:
     for v in verdicts:
         if v.is_unknown:
             return Verdict(UNKNOWN, margin=margin, witness=v.witness, note=v.note)
-    status = HOLDS_SAMPLED if sampled or any(
+    status = HOLDS_SAMPLED if any(
         v.status == HOLDS_SAMPLED for v in verdicts) else HOLDS
     binding = min((v for v in verdicts if v.margin is not None),
                   key=lambda v: v.margin, default=None)

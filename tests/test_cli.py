@@ -224,6 +224,37 @@ class TestRestrictCommand:
         assert rep["restriction"]["coeffs"] == [4, 8, 4]
 
 
+LINEAR_FORM = {"n": 2, "d": 1, "terms": [{"exp": [1, 0], "coef": 1}]}
+
+
+@pytest.mark.parametrize("command,payload,cone", [
+    ("form", {"n": 2, "d": 1, "terms": 5}, None),
+    ("form", LINEAR_FORM, {"type": "orthant"}),
+    ("form", LINEAR_FORM, {"type": "second_order", "n": None}),
+    ("form", LINEAR_FORM, {"type": "polyhedral", "generators": [1, 2]}),
+    ("form", LINEAR_FORM, {"type": "polyhedral", "generators": [[1, 0], [1]]}),
+    ("form", LINEAR_FORM, {"type": "polyhedral", "facets": 3,
+                           "generators": [[1, 0], [0, 1]]}),
+    ("matrix", {"rows": [1, 2]}, None),
+    ("matrix", {"rows": [1, 2]}, {"type": "orthant", "n": 2}),
+    ("matrix", {"n": None, "rows": [[1]]}, None),
+    ("restrict", {"form": LINEAR_FORM, "x": 1, "v": [1, 0]}, None),
+], ids=["terms-not-a-list", "cone-without-n", "cone-null-n", "generators-not-vectors",
+        "generators-mixed-dimension", "facets-not-a-list", "rows-not-vectors",
+        "rows-not-vectors-with-cone", "null-n", "restrict-x-not-a-vector"])
+def test_malformed_input_shapes_are_input_errors(tmp_path, command, payload,
+                                                 cone):
+    args = [command]
+    if cone is not None:
+        cone_file = tmp_path / "cone.json"
+        cone_file.write_text(json.dumps(cone))
+        args += ["--cone", str(cone_file)]
+    proc = run_cli(args, payload)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert set(json.loads(proc.stderr)) == {"error"}
+
+
 class TestDeterminismAndConfig:
     @pytest.mark.parametrize("args,payload", [
         (["unipoly", "--seed", "11"], STABLE_QUINTIC),

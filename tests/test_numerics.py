@@ -319,6 +319,27 @@ def exact_matrices(draw, max_n):
     return SquareMatrix.from_rows(rows)
 
 
+@st.composite
+def float_matrices(draw, max_n):
+    """Float matrices with non-integer entries, in four families: Gaussian,
+    Gaussian scaled by 10^6 or 10^-6, 10^3 times a Gaussian upper
+    Hessenberg matrix with 1e-8-sized entries below the subdiagonal, and
+    P D P^-1 with a Gaussian diagonal D."""
+    n = draw(st.integers(2, max_n))
+    family = draw(st.sampled_from(["gaussian", "scaled", "near_hessenberg",
+                                   "similar"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.standard_normal((n, n))
+    if family == "scaled":
+        G *= 10.0 ** draw(st.sampled_from([-6, 6]))
+    elif family == "near_hessenberg":
+        G = 1e3 * (np.triu(G, -1) + 1e-8 * np.tril(G, -2))
+    elif family == "similar":
+        P = rng.standard_normal((n, n)) + n * np.eye(n)
+        G = P @ np.diag(rng.standard_normal(n)) @ np.linalg.inv(P)
+    return SquareMatrix.from_numpy(G)
+
+
 def hessenberg_char_poly(A: SquareMatrix) -> UniPoly:
     """Reference oracle for exact char_poly: reduction to upper Hessenberg
     form on Fractions (first nonzero pivot), then Cohen's recurrence
@@ -439,7 +460,14 @@ class TestCharPoly:
         exact = char_poly(A).coeffs
         floats = char_poly(SquareMatrix.from_rows(
             [[float(v) for v in r] for r in A.rows])).coeffs
-        assert all(isinstance(c, float) for c in floats[:-1])
+        # one float entry makes the whole matrix run in floats
+        mixed = char_poly(SquareMatrix.from_rows(
+            [[float(v) if (i + j) % 2 == 0 else v for j, v in enumerate(r)]
+             for i, r in enumerate(A.rows)])).coeffs
+        for coeffs in (floats, mixed):
+            assert all(isinstance(c, float) for c in coeffs[:-1])
+            assert type(coeffs[-1]) is int and coeffs[-1] == 1
+        assert mixed == floats
         n = A.n
         # every |eigenvalue| is at most the largest absolute row sum, so
         # |coefficient of t^j| is at most C(n, n-j) * rho^(n-j)
@@ -447,6 +475,20 @@ class TestCharPoly:
         for j, (e, f) in enumerate(zip(exact, floats)):
             scale = math.comb(n, n - j) * float(rho) ** (n - j)
             assert abs(f - float(e)) <= 1e-9 * scale
+
+    @given(float_matrices(12))
+    @settings(max_examples=100, deadline=None)
+    def test_property_float_matrices_match_exact_of_their_floats(self, A):
+        # the float result against the exact characteristic polynomial of
+        # the same binary fractions, on the scale of the test above
+        floats = char_poly(A).coeffs
+        exact = char_poly(SquareMatrix.from_rows(
+            [[Fraction(v) for v in r] for r in A.rows])).coeffs
+        n = A.n
+        rho = max(sum(abs(v) for v in r) for r in A.rows)
+        for j, (e, f) in enumerate(zip(exact, floats)):
+            scale = math.comb(n, n - j) * rho ** (n - j)
+            assert abs(f - float(e)) <= 1e-12 * scale
 
     def test_small_at_float_eigenvalues(self, rng):
         for _ in range(10):

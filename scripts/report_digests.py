@@ -13,7 +13,12 @@ in the same order.  It covers every subcommand:
 * ``lti/``         112 matrices without a cone, in auto and float mode;
 * ``unipoly/``     300 integer polynomials, and 50 with float literals in
                    float mode;
-* ``restrict/``    30 line restrictions.
+* ``restrict/``    30 line restrictions;
+* ``cone-facets/`` 40 float-mode ``matrix --cone`` runs over polyhedral
+                   cones given by float-literal generators and explicit
+                   facets, and a matrix that maps the second-order cone
+                   into the float band of its boundary, in auto and float
+                   mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Diff the output of two commits to check that a
@@ -126,6 +131,25 @@ def random_cone(rng, kind, n):
     return {"type": "polyhedral", "n": n, "generators": gens}
 
 
+def cone_with_facets(rng, n):
+    """A simplicial cone written with float literals: its generators are
+    the columns of a unit lower-triangular integer matrix L, halved, plus a
+    redundant sum of two of them; its facet normals are the rows of L^-1,
+    which is integer too, halved or as written."""
+    L = [[1 if i == j else rng.randint(-2, 2) if i > j else 0
+          for j in range(n)] for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):  # forward substitution: row i of L^-1
+        for j in range(i):
+            inv[i] = [a - L[i][j] * b for a, b in zip(inv[i], inv[j])]
+    gens = [[L[i][j] * 0.5 for i in range(n)] for j in range(n)]
+    a, b = rng.sample(range(n), 2)
+    gens.append([x + y for x, y in zip(gens[a], gens[b])])
+    scale = rng.choice([0.5, 1.0])
+    return {"type": "polyhedral", "n": n, "generators": gens,
+            "facets": [[x * scale for x in h] for h in inv]}
+
+
 def random_matrix(rng, n, lo, hi, shift=0):
     return {"n": n, "rows": [[scalar(rng, lo, hi) - shift * (i == j)
                               for j in range(n)] for i in range(n)]}
@@ -180,6 +204,18 @@ def corpus():
                    "x": [scalar(rng, 0, 3) for _ in range(n)],
                    "v": [scalar(rng, -2, 2) for _ in range(n)]}
         yield f"restrict/{i:03d}", "restrict", payload, None, []
+    rng = random.Random("report_digests/cone-facets")
+    for i in range(40):
+        n = rng.randint(2, 4)
+        A = random_matrix(rng, n, -1, 3, shift=-rng.randint(0, 3))
+        yield (f"cone-facets/{i:03d}", "matrix", A, cone_with_facets(rng, n),
+               ["--mode", "float"])
+    # diag(1, 1 + 10^-12) maps the second-order cone into its interior,
+    # and the images of sampled boundary points into the float band
+    band = {"rows": [[1, 0], [0, "1000000000001/1000000000000"]]}
+    for mode in ("auto", "float"):
+        yield (f"cone-facets/second-order-band/{mode}", "matrix", band,
+               {"type": "second_order", "n": 2}, ["--mode", mode])
 
 
 def report_bytes(workdir: Path, command, payload, cone, extra) -> bytes:

@@ -25,8 +25,8 @@ from .forms import (clc_necessary_check, form_from_json,
                     lorentzian_sample_check, restrict_line)
 from .hurwitz import stability_report
 from .lti import lti_report
-from .numerics import (SquareMatrix, Tolerance, all_roots, scalar_to_json,
-                       vector_from_json)
+from .numerics import (SquareMatrix, Tolerance, all_roots, int_from_json,
+                       scalar_to_json, vector_from_json)
 from .sequences import is_univariate_clc, newton_chain_report
 from .unipoly import UniPoly, unipoly_from_json, unipoly_to_json
 from .verdict import FAILS, Verdict
@@ -55,6 +55,7 @@ class RunConfig:
     @property
     def exact(self) -> bool:
         # auto reads JSON numerals as exact decimals; float mode opts out
+        # for form, matrix and polynomial data (cone data is always exact)
         return self.mode in ("exact", "auto")
 
     def echo(self) -> dict:
@@ -162,7 +163,7 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
 
 def cmd_form(payload, cone_payload, cfg: RunConfig) -> dict:
     f = form_from_json(payload, cfg.exact)
-    K = (cone_from_json(cone_payload, cfg.exact) if cone_payload is not None
+    K = (cone_from_json(cone_payload) if cone_payload is not None
          else Cone.orthant(f.n))
     if K.n != f.n:
         raise ParseError(f"form in {f.n} variables but cone in R^{K.n}")
@@ -192,10 +193,7 @@ def matrix_from_json(payload, exact: bool) -> SquareMatrix:
     if not isinstance(rows, list) or not rows:
         raise ParseError('"rows" must be a nonempty list of lists')
     parsed = [vector_from_json(r, exact, "a matrix row") for r in rows]
-    try:
-        n = int(payload.get("n", len(parsed)))
-    except (TypeError, ValueError) as e:
-        raise ParseError('"n" must be an integer') from e
+    n = int_from_json(payload.get("n", len(parsed)), '"n" of a matrix')
     if n != len(parsed):
         raise ParseError('"n" does not match the number of rows')
     try:
@@ -207,7 +205,7 @@ def matrix_from_json(payload, exact: bool) -> SquareMatrix:
 def cmd_matrix(payload, cone_payload, cfg: RunConfig) -> dict:
     A = matrix_from_json(payload, cfg.exact)
     if cone_payload is not None:
-        K = cone_from_json(cone_payload, cfg.exact)
+        K = cone_from_json(cone_payload)
         if K.n != A.n:
             raise ParseError(f"matrix is {A.n}x{A.n} but cone is in R^{K.n}")
         report = perron_frobenius_check(A, K, cfg.tol)

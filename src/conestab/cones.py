@@ -7,10 +7,11 @@ orthant is the polyhedral cone whose generators and facet normals are
 both the standard basis e_1..e_n, stored as that data, so every
 polyhedral code path serves it.
 
-Membership and matrix tests over orthant/polyhedral cones are exact on
-rational data.  Second-order-cone matrix tests are refutation-by-sampling
-only; their non-refuted verdicts are labeled "holds-sampled", never
-"holds".
+Cone data is exact in every mode (a float entry is its exact value), so
+facets and extreme rays are decided without a tolerance.  Membership and
+matrix tests over orthant/polyhedral cones are exact on rational data.
+Second-order-cone matrix tests are refutation-by-sampling only; their
+non-refuted verdicts are labeled "holds-sampled", never "holds".
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       all_exact, classify_sign, matrix_power,
+                       classify_sign, int_from_json, matrix_power,
                        vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
@@ -81,13 +82,6 @@ def _rref(vectors, n):
     return rows[:len(pivots)], pivots
 
 
-def _rank(vectors, n) -> int:
-    """Rank of vectors in R^n: exact when every entry is rational."""
-    if all(all_exact(v) for v in vectors):
-        return len(_rref(vectors, n)[1])
-    return int(np.linalg.matrix_rank(np.array(vectors, dtype=float)))
-
-
 def _nullspace_1d(vectors, n):
     """The (unique up to scale) vector orthogonal to n-1 independent
     rational vectors, or None if they are dependent."""
@@ -126,31 +120,27 @@ class Cone:
 
     @classmethod
     def polyhedral(cls, generators, facet_normals=None) -> "Cone":
-        gens = tuple(tuple(g) for g in generators)
+        gens = tuple(_exact_vector(g) for g in generators)
         if not gens:
             raise ValueError("a polyhedral cone needs generators")
         n = len(gens[0])
         if any(len(g) != n for g in gens):
             raise DimensionMismatch("generators of mixed dimension")
-        if _rank(gens, n) != n:
+        if len(_rref(gens, n)[1]) != n:
             raise ValueError("generators do not span R^n (cone not solid)")
         if facet_normals is None:
             if n > _FACET_ENUM_MAX_DIM:
                 raise Unsupported(
                     f"facet enumeration is limited to n <= {_FACET_ENUM_MAX_DIM}; "
                     "supply facet_normals")
-            exact = all(all_exact(g) for g in gens)
-            facets = _enumerate_facets(gens, n, exact)
+            facets = _enumerate_facets(gens, n)
         else:
-            facets = tuple(tuple(h) for h in facet_normals)
+            facets = tuple(_exact_vector(h) for h in facet_normals)
             if any(len(h) != n for h in facets):
                 raise DimensionMismatch("facet normals of mixed dimension")
-            for h in facets:
-                for g in gens:
-                    if classify_sign(_dot(h, g), DEFAULT_TOL,
-                                     scale=_float_norm(h) * _float_norm(g)) is Sign.NEG:
-                        raise ValueError("facet normals inconsistent with generators")
-        if _rank(facets, n) != n:
+            if any(_dot(h, g) < 0 for h in facets for g in gens):
+                raise ValueError("facet normals inconsistent with generators")
+        if len(_rref(facets, n)[1]) != n:
             raise ValueError("cone is not pointed (facet normals do not span)")
         return cls(POLYHEDRAL, n, generators=gens, facet_normals=facets)
 
@@ -158,74 +148,39 @@ class Cone:
     def is_self_dual(self) -> bool:
         return self.kind in (ORTHANT, SECOND_ORDER)
 
-    @property
-    def is_exact(self) -> bool:
-        if self.generators is None:
-            return True
-        return (all(all_exact(g) for g in self.generators)
-                and all(all_exact(h) for h in self.facet_normals))
-
     @functools.cached_property
     def _extreme_ray_reps(self) -> tuple:
         # a cone is immutable, so its rays are enumerated once
         return tuple(_enumerate_extreme_rays(self))
 
 
-def _enumerate_facets(gens, n, exact) -> tuple:
-    """Facet normals of cone(gens): for each (n-1)-subset of generators
-    spanning a hyperplane, keep its normal if the whole generator set sits
-    on one side.  Exhaustive for pointed solid cones."""
-    if n == 1:
-        signs = {1 if g[0] > 0 else -1 for g in gens if g[0] != 0}
-        if len(signs) != 1:
-            raise ValueError("cone in R^1 is not pointed")
-        return ((next(iter(signs)),),)
-    found = {}
+def _exact_vector(v) -> tuple:
+    """v with each float entry replaced by its exact Fraction."""
+    return tuple(Fraction(x) if isinstance(x, float) else x for x in v)
+
+
+def _enumerate_facets(gens, n) -> tuple:
+    """Facet normals of cone(gens), exactly: for each (n-1)-subset of
+    generators spanning a hyperplane, keep its primitive normal if the whole
+    generator set sits on one side.  Exhaustive for pointed solid cones."""
+    found = set()
     for subset in itertools.combinations(gens, n - 1):
-        if exact:
-            h = _nullspace_1d(subset, n)
-        else:
-            h = _float_nullspace_1d(subset, n)
+        h = _nullspace_1d(subset, n)
         if h is None:
             continue
         sides = [_dot(h, g) for g in gens]
-        if exact:
-            nonneg = all(s >= 0 for s in sides)
-            nonpos = all(s <= 0 for s in sides)
-        else:
-            thr = DEFAULT_TOL.threshold(max(_float_norm(g) for g in gens))
-            nonneg = all(s >= -thr for s in sides)
-            nonpos = all(s <= thr for s in sides)
-        if nonneg:
-            found[h] = h
-        elif nonpos:
-            neg = tuple(-x for x in h)
-            found[neg] = neg
+        if all(s >= 0 for s in sides):
+            found.add(h)
+        elif all(s <= 0 for s in sides):
+            found.add(tuple(-x for x in h))
     if not found:
         raise ValueError("no facets found; generators may not span a pointed cone")
     return tuple(sorted(found))
 
 
-def _float_nullspace_1d(subset, n):
-    A = np.array(subset, dtype=float)
-    _, s, vt = np.linalg.svd(A)
-    if len(s) >= n - 1 and n >= 2 and s.min() < 1e-10 * max(s.max(), 1.0):
-        return None
-    h = vt[-1]
-    h = h / np.max(np.abs(h))
-    return tuple(round(float(x), 12) for x in h)
-
-
 def _check_dim(K: Cone, x):
     if len(x) != K.n:
         raise DimensionMismatch(f"point of dimension {len(x)}, cone in R^{K.n}")
-
-
-def _soc_slack(x):
-    """x_n^2 - ||head||^2, with the sign of x_n tracked separately; exact on
-    rational input."""
-    head = x[:-1]
-    return x[-1] * x[-1] - sum(h * h for h in head)
 
 
 def _signs(K: Cone, x, tol: Tolerance) -> list:
@@ -235,8 +190,9 @@ def _signs(K: Cone, x, tol: Tolerance) -> list:
     _check_dim(K, x)
     scale = max(_float_norm(x), 1.0)
     if K.kind == SECOND_ORDER:
+        slack = x[-1] * x[-1] - sum(h * h for h in x[:-1])
         return [classify_sign(x[-1], tol, scale),
-                classify_sign(_soc_slack(x), tol, scale * scale)]
+                classify_sign(slack, tol, scale * scale)]
     return [classify_sign(_dot(h, x), tol, scale * _float_norm(h))
             for h in K.facet_normals]
 
@@ -278,19 +234,11 @@ def _enumerate_extreme_rays(K: Cone) -> list:
         return list(K.generators)
     if K.kind == SECOND_ORDER:
         raise Unsupported("second-order cones have infinitely many extreme rays")
-    if K.n == 1:
-        return [K.facet_normals[0]]
-    exact = K.is_exact
-    reps = {}
+    reps = set()
     for g in K.generators:
-        if exact:
-            active = [h for h in K.facet_normals if _dot(h, g) == 0]
-        else:
-            thr = DEFAULT_TOL.threshold(_float_norm(g))
-            active = [h for h in K.facet_normals
-                      if abs(_dot(h, g)) <= thr * _float_norm(h)]
-        if active and _rank(active, K.n) == K.n - 1:
-            reps.setdefault(_primitive(g) if exact else _unit(g), None)
+        active = [h for h in K.facet_normals if _dot(h, g) == 0]
+        if len(_rref(active, K.n)[1]) == K.n - 1:
+            reps.add(_primitive(g))
     return sorted(reps)
 
 
@@ -396,24 +344,22 @@ def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,
     return led.verdict()
 
 
-def _soc_probe_points(K: Cone, trials: int, seed) -> tuple:
-    return _soc_probe_points_of(K, trials, tuple(flatten_seed(seed)))
-
-
 # One entry: the K-positivity of (I + A)^(n-1) probes the points that the
-# K-nonnegativity of A has just probed under the same trials and seed.
+# K-nonnegativity of A has just probed under the same trials and seed
+# (``seed`` is the flattened, hashable seed).
 @functools.lru_cache(maxsize=1)
-def _soc_probe_points_of(K: Cone, trials: int, seed: tuple) -> tuple:
+def _soc_probe_points(K: Cone, trials: int, seed: tuple) -> tuple:
     pts = [sample_cone(K, [seed, t]) for t in range(trials)]
-    # axis ray and a few canonical boundary rays help catch easy refutations
-    pts.append(tuple([0.0] * (K.n - 1) + [1.0]))
+    # axis ray and a few canonical boundary rays help catch easy refutations;
+    # they are int cone data, so an exact image on the boundary refutes
+    pts.append(tuple([0] * (K.n - 1) + [1]))
     for i in range(min(K.n - 1, 4)):
-        e = [0.0] * K.n
-        e[i] = 1.0
-        e[-1] = 1.0
+        e = [0] * K.n
+        e[i] = 1
+        e[-1] = 1
         pts.append(tuple(e))
         e2 = list(e)
-        e2[i] = -1.0
+        e2[i] = -1
         pts.append(tuple(e2))
     return tuple(pts)
 
@@ -434,18 +380,26 @@ def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
 def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
                trials: int, seed) -> Verdict:
     """Does A map nonzero points of K into K, or into its interior when
-    ``interior``?  Second-order cones are probed at sampled points; other
-    cones pair the image of every extreme ray with every facet normal,
-    strictly (with the ray's own norm as a floor on the scale) when
-    ``interior``."""
+    ``interior``?  Second-order cones are probed at sampled points, where
+    an interior test with a sign in the tolerance band and no refutation is
+    ``unknown``; other cones pair the image of every extreme ray with every
+    facet normal, strictly (with the ray's own norm as a floor on the
+    scale) when ``interior``."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     if K.kind == SECOND_ORDER:
-        inside = interior_contains if interior else contains
-        for x in _soc_probe_points(K, trials, seed):
+        undecided = None
+        for x in _soc_probe_points(K, trials, tuple(flatten_seed(seed))):
             # A maps 0 to 0, which lies in K but not in its interior
-            if any(x) and not inside(K, A.mul_vec(x), tol):
+            if not any(x):
+                continue
+            signs = _signs(K, A.mul_vec(x), tol)
+            if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
+            if interior and undecided is None and Sign.INDETERMINATE in signs:
+                undecided = x
+        if undecided is not None:
+            return Verdict(UNKNOWN, witness=("point", undecided))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
     led = InequalityLedger(tol)
     for g in extreme_ray_reps(K):
@@ -631,27 +585,29 @@ def perron_report(A: SquareMatrix, K: Cone,
     )
 
 
-def cone_from_json(obj, exact: bool = True) -> Cone:
-    """Parse ``{"type": ..., "n": ..., "generators": ..., "facets": ...}``."""
+def cone_from_json(obj) -> Cone:
+    """Parse ``{"type": ..., "n": ..., "generators": ..., "facets": ...}``
+    exactly in every mode: a float literal is its decimal value."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError('expected a cone descriptor with a "type" field')
     kind = obj["type"]
     if kind in (ORTHANT, SECOND_ORDER):
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f'{kind} cone needs an integer "n"') from e
+        n = int_from_json(obj.get("n"), f'"n" of the {kind} cone')
         return Cone.orthant(n) if kind == ORTHANT else Cone.second_order(n)
     if kind == POLYHEDRAL:
         gens = obj.get("generators")
         if not gens or not isinstance(gens, list):
             raise ParseError("polyhedral cone needs a list of generators")
-        parsed = [vector_from_json(g, exact, "a generator") for g in gens]
+        parsed = [vector_from_json(g, True, "a generator") for g in gens]
+        if "n" in obj:
+            n = int_from_json(obj["n"], '"n" of the polyhedral cone')
+            if any(len(g) != n for g in parsed):
+                raise ParseError('"n" does not match the generator length')
         facets = obj.get("facets")
         if facets is not None:
             if not isinstance(facets, list):
                 raise ParseError('"facets" must be a list of facet normals')
-            facets = [vector_from_json(h, exact, "a facet normal")
+            facets = [vector_from_json(h, True, "a facet normal")
                       for h in facets]
         try:
             return Cone.polyhedral(parsed, facets)

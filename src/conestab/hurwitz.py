@@ -435,8 +435,7 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
     hb = hermite_biehler_stable(p_norm, tol)
     dr = degree_reduction_stable(p_norm, tol)
     oracle = root_oracle_verdict(p_norm, tol)
-    d = p_norm.degree
-    report = StabilityReport(
+    return StabilityReport(
         poly=p,
         minors=minors,
         minor_margins=margins,
@@ -445,13 +444,12 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
         hermite_biehler=hb,
         degree_reduction=dr,
         root_oracle=oracle,
-        clc_d_le_4=_gated(clc_d_le_4_criterion, p, tol) if d <= 4 else None,
-        quintic=_gated(quintic_criterion, p, tol) if d == 5 else None,
+        clc_d_le_4=_gated(clc_d_le_4_criterion, p, tol),
+        quintic=_gated(quintic_criterion, p, tol),
         alpha_product=_gated(alpha_criterion, p, "product", tol),
         alpha_square=_gated(alpha_criterion, p, "square", tol),
         consistent=_consistent([rh, *lc.values(), hb, dr, oracle]),
     )
-    return report
 
 
 def _consistent(verdicts) -> bool:

@@ -103,13 +103,12 @@ def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
         spectral_abscissa=abscissa,
         eigen_stable=eigen_stable,
         routh_hurwitz=rh,
-        clc_d_le_4=(_gated(clc_d_le_4_criterion, chi, tol)
-                    if d is not None and d <= 4 else None),
-        quintic=_gated(quintic_criterion, chi, tol) if d == 5 else None,
+        clc_d_le_4=_gated(clc_d_le_4_criterion, chi, tol),
+        quintic=_gated(quintic_criterion, chi, tol),
         alpha_product=(_gated(alpha_criterion, chi, "product", tol)
-                       if d is not None and d >= 5 else None),
+                       if d >= 5 else None),
         alpha_square=(_gated(alpha_criterion, chi, "square", tol)
-                      if d is not None and d >= 5 else None),
+                      if d >= 5 else None),
         conclusion=conclusion,
     )
 

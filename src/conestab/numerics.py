@@ -69,6 +69,14 @@ def scalar_from_json(value, exact: bool) -> Scalar:
     raise ParseError(f"not a scalar: {value!r}")
 
 
+def int_from_json(value, what: str) -> int:
+    """Parse a JSON integer: not a bool, a float such as ``2.0`` or a
+    string; ``what`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def vector_from_json(value, exact: bool, what: str) -> tuple:
     """Parse a JSON list of scalars; ``what`` names it in the error."""
     if not isinstance(value, list):

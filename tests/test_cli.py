@@ -205,6 +205,23 @@ class TestMatrixCommand:
         assert cm["k_irreducible"]["status"] == "holds"
         assert cm["perron"]["eigenvector_interior"] is True
 
+    def test_float_mode_reads_cone_data_exactly(self, tmp_path):
+        # float mode governs the matrix, not the cone: the float literal
+        # generator is read exactly, so the rays and facets are decided
+        # exactly and the verdicts are those of auto mode
+        cone_file = tmp_path / "cone.json"
+        cone_file.write_text(json.dumps({
+            "type": "polyhedral", "generators": [[1.0, 0.0], [0, 2], [2, 2]]}))
+        reports = [run_json(["matrix", "--mode", mode, "--cone", str(cone_file)],
+                            {"rows": [[3, 0], [3, 2]]})["cone_matrix_report"]
+                   for mode in ("float", "auto")]
+        for key in ("k_nonnegative", "k_positive", "k_irreducible"):
+            assert reports[0][key] == reports[1][key]
+        assert reports[0]["k_nonnegative"]["status"] == "holds"
+        assert reports[0]["k_positive"]["status"] == "fails"
+        assert reports[0]["k_positive"]["witness"] == ["ray", [0, 1],
+                                                       "facet", [1, 0]]
+
     def test_cone_route_block_diagonal_reducible(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 3}))
@@ -239,9 +256,27 @@ LINEAR_FORM = {"n": 2, "d": 1, "terms": [{"exp": [1, 0], "coef": 1}]}
     ("matrix", {"rows": [1, 2]}, {"type": "orthant", "n": 2}),
     ("matrix", {"n": None, "rows": [[1]]}, None),
     ("restrict", {"form": LINEAR_FORM, "x": 1, "v": [1, 0]}, None),
+    # descriptor integers are JSON integers, and a polyhedral "n" is the
+    # generator length
+    ("form", {**LINEAR_FORM, "n": 2.9}, None),
+    ("form", {**LINEAR_FORM, "d": True}, None),
+    ("form", {**LINEAR_FORM, "n": "2"}, None),
+    ("form", {"n": 2, "d": 1, "terms": [{"exp": [1.5, 0.9], "coef": 1}]},
+     None),
+    ("form", {"n": 2, "d": 1, "terms": [{"exp": 10, "coef": 1}]}, None),
+    ("matrix", {"n": 2.7, "rows": [[1, 0], [0, 1]]}, None),
+    ("form", LINEAR_FORM, {"type": "orthant", "n": 2.5}),
+    ("form", LINEAR_FORM, {"type": "polyhedral", "n": 5,
+                           "generators": [[1, 0], [0, 1]]}),
+    ("form", LINEAR_FORM, {"type": "polyhedral", "n": 2.0,
+                           "generators": [[1, 0], [0, 1]]}),
 ], ids=["terms-not-a-list", "cone-without-n", "cone-null-n", "generators-not-vectors",
         "generators-mixed-dimension", "facets-not-a-list", "rows-not-vectors",
-        "rows-not-vectors-with-cone", "null-n", "restrict-x-not-a-vector"])
+        "rows-not-vectors-with-cone", "null-n", "restrict-x-not-a-vector",
+        "form-float-n", "form-bool-d", "form-string-n", "form-float-exp",
+        "form-exp-not-a-list", "matrix-float-n", "orthant-float-n",
+        "polyhedral-n-not-generator-length",
+        "polyhedral-float-n"])
 def test_malformed_input_shapes_are_input_errors(tmp_path, command, payload,
                                                  cone):
     args = [command]

@@ -16,8 +16,26 @@ from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       sample_interior)
 from conestab.cones import (_nullspace_1d, _rref, cone_from_json,
                             extreme_ray_reps)
+from conestab.numerics import all_exact
 
 SMALL_INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
+# floats with a binary fraction, so each is exactly a small dyadic rational
+BINARY = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def binary_generators(draw):
+    """Generators of a solid pointed cone with binary-fraction float
+    entries: triangular rows with a positive diagonal, plus redundant
+    positive combinations of pairs of them."""
+    n = draw(st.integers(2, 4))
+    gens = [[draw(BINARY) if i > j else draw(BINARY.filter(lambda x: x > 0))
+             if i == j else 0.0 for i in range(n)] for j in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.permutations(range(n)))[:2]
+        w = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        gens.append([x + w * y for x, y in zip(gens[a], gens[b])])
+    return gens
 
 
 def support_digraph(A: SquareMatrix) -> nx.DiGraph:
@@ -73,7 +91,7 @@ class TestExtremeRays:
         K = Cone.orthant(3)
         basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert K.generators == K.facet_normals == basis
-        assert K.is_exact and K.is_self_dual
+        assert K.is_self_dual
         assert extreme_ray_reps(K) == list(basis)
 
     def test_redundant_generator_eliminated(self):
@@ -122,6 +140,21 @@ class TestConeConstruction:
                              "facets": [["2/1", -1], [0, 1]]})
         assert K2.generators == K.generators
         assert sorted(K2.facet_normals) == sorted(K.facet_normals)
+
+    @given(binary_generators())
+    @settings(max_examples=150, deadline=None)
+    def test_float_cone_data_is_read_exactly(self, gens):
+        # a float generator or facet normal is its exact binary value
+        exact = [[Fraction(x) for x in g] for g in gens]
+        K = Cone.polyhedral(exact)
+        halved = [[x / 2 for x in h] for h in K.facet_normals]
+        supplied = Cone.polyhedral(exact, [[Fraction(x) for x in h]
+                                           for h in halved])
+        for F, E in ((Cone.polyhedral(gens), K),
+                     (Cone.polyhedral(gens, halved), supplied)):
+            assert F == E
+            assert all(all_exact(v) for v in F.generators + F.facet_normals)
+            assert extreme_ray_reps(F) == extreme_ray_reps(E)
 
 
 class TestExactRref:
@@ -287,6 +320,26 @@ class TestMatrixKPositive:
         assert matrix_k_positive(A, K).status == "holds"
         B = SquareMatrix.from_rows([[1, 0], [3, 4]])
         assert matrix_k_positive(B, K).status == "fails"
+
+    def test_soc_band_image_is_unknown_not_fails(self):
+        # diag(1, 1 + 10^-12) maps SOC(2) into its interior; the images of
+        # sampled boundary points sit inside the float band of the boundary
+        K = Cone.second_order(2)
+        A = SquareMatrix.from_rows([[1, 0], [0, 1 + Fraction(1, 10 ** 12)]])
+        v = matrix_k_positive(A, K, trials=8, seed=0)
+        assert v.status == "unknown" and v.witness[0] == "point"
+        assert matrix_k_irreducible(A, K, trials=8, seed=0).status == "unknown"
+        # the report of `conestab matrix --cone`, at its default trials
+        rep = perron_frobenius_check(A, K)
+        assert rep.k_positive.status == rep.k_irreducible.status == "unknown"
+
+    def test_soc_exact_boundary_image_refutes(self):
+        # the identity keeps the canonical boundary ray (1, 0, 1) on the
+        # boundary, exactly
+        v = matrix_k_positive(SquareMatrix.identity(3), Cone.second_order(3),
+                              trials=8, seed=0)
+        assert v.status == "fails" and v.witness == ("point", (1, 0, 1))
+        assert all(type(x) is int for x in v.witness[1])
 
 
 class TestCopositiveRefutation:

@@ -506,12 +506,14 @@ def tallies(nonsingular, singular):
             "singular_nonnegative": singular}
 
 
-# No input reaches the Hessian notes "nonsingular Hessian is not
-# K-irreducible" and "generalized Perron-Frobenius property fails", nor an
-# indeterminate K-positivity of (I + H)^(n-1): on the orthant and the
-# second-order cone a K-nonnegative nonsingular symmetric matrix with one
-# positive eigenvalue is K-irreducible, and Perron-Frobenius holds for it.
-# A zero direction in strict mode is pinned by substituting sample_cone.
+# No input reaches the Hessian note "nonsingular Hessian is not
+# K-irreducible", nor an indeterminate K-positivity of (I + H)^(n-1): on
+# the orthant and the second-order cone a K-nonnegative nonsingular
+# symmetric matrix with one positive eigenvalue is K-irreducible.  The
+# Perron property of such a Hessian is the generalized Perron-Frobenius
+# theorem, which the check relies on and which
+# test_irreducible_hessians_have_the_perron_property re-checks.  A zero
+# direction in strict mode is pinned by substituting sample_cone.
 #
 # name, (check, form, cone, strict), (status, note, trials_run, witness keys,
 # detail keys, tallies); every check runs 8 trials at seed 0.  A dict
@@ -606,6 +608,12 @@ BRANCHES = [
 ]
 
 
+# the self-dual Hessian rows that tally nonsingular, K-irreducible points
+IRREDUCIBLE_HESSIANS = [c for c in BRANCHES
+                        if c[1][0] == HES and c[1][2].is_self_dual
+                        and c[2][5]["nonsingular_irreducible"]]
+
+
 class TestFormCheckBranches:
     """One row per branch of the four sampled form checks that an input
     can reach."""
@@ -623,6 +631,18 @@ class TestFormCheckBranches:
                rep.details.get("trials_run"), witness,
                tuple(sorted(rep.details)), rep.details.get("tallies"))
         assert got == expected
+
+    @pytest.mark.parametrize("case", [c[1] for c in IRREDUCIBLE_HESSIANS],
+                             ids=[c[0] for c in IRREDUCIBLE_HESSIANS])
+    def test_irreducible_hessians_have_the_perron_property(self, case):
+        # the float spectral oracle agrees with the theorem at every point
+        # the check tallied as nonsingular and K-irreducible
+        _, f, K, _ = case
+        for t in range(8):
+            H = f.hessian_at(cones.sample_interior(K, [0, t]))
+            perron = cones.perron_report(H, K)
+            assert perron.rho_positive and perron.simple
+            assert perron.eigenvector_interior
 
     def test_refuted_reduction_carries_the_dichotomy(self):
         rep = lorentzian_sample_check(CUBIC, O2, trials=8, seed=0)

@@ -208,7 +208,8 @@ def cmd_matrix(payload, cone_payload, cfg: RunConfig) -> dict:
         K = cone_from_json(cone_payload)
         if K.n != A.n:
             raise ParseError(f"matrix is {A.n}x{A.n} but cone is in R^{K.n}")
-        report = perron_frobenius_check(A, K, cfg.tol)
+        report = perron_frobenius_check(A, K, cfg.tol, trials=cfg.trials,
+                                        seed=cfg.seed)
         return {"input": jsonable(payload), "cone": {"type": K.kind, "n": K.n},
                 "config": cfg.echo(), "cone_matrix_report": jsonable(report)}
     report = lti_report(A, cfg.tol)

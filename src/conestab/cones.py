@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       classify_sign, int_from_json, matrix_power,
-                       vector_from_json)
+                       _integer_rows, classify_sign, int_from_json,
+                       matrix_power, vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
@@ -153,6 +153,12 @@ class Cone:
         # a cone is immutable, so its rays are enumerated once
         return tuple(_enumerate_extreme_rays(self))
 
+    @functools.cached_property
+    def _int_generator_columns(self) -> tuple:
+        """The columns of the generators times their common denominator:
+        int vectors in the same proportions, for sampling."""
+        return tuple(zip(*_integer_rows(self.generators)[0]))
+
 
 def _exact_vector(v) -> tuple:
     """v with each float entry replaced by its exact Fraction."""
@@ -249,8 +255,9 @@ def extreme_rays(K: Cone) -> list:
 
 def flatten_seed(seed) -> list:
     """Normalize an int or arbitrarily nested int sequence into the flat
-    nonnegative-int entropy list numpy seeding expects.  Used to split seed
-    streams per trial index so sampled verdicts are reproducible."""
+    nonnegative-int entropy list numpy seeding expects.  Nested seeds such
+    as ``[seed, t, 1]`` give the inner sampling loops of trial t their own
+    reproducible streams."""
     out = []
 
     def walk(s):
@@ -265,6 +272,10 @@ def flatten_seed(seed) -> list:
 
 
 def _rng(seed) -> np.random.Generator:
+    """A generator seeded by ``seed``, or ``seed`` itself when it is one,
+    so a sampling loop can draw every point from one generator."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.default_rng(flatten_seed(seed))
 
 
@@ -278,29 +289,47 @@ def _combine(weights, gens) -> tuple:
     return tuple(point)
 
 
+def _scaled_int(x: float) -> int:
+    """The positive int weight max(1, round(1024 x)) for a float draw x."""
+    return max(1, round(1024 * x))
+
+
 def sample_interior(K: Cone, seed=0) -> tuple:
-    """Deterministic strictly-interior point: positive (exponential) weights
-    on the generators for polyhedral cones and the orthant, and a
-    norm-dominating last coordinate for second-order."""
+    """Deterministic strictly-interior point with int entries.
+
+    Polyhedral cones and the orthant weight their generators, times
+    their common denominator, by ints max(1, round(1024 e)) for
+    exponential draws e.  A second-order cone gets an int head of about
+    1024 times a standard normal draw and an int tail of about its norm
+    times 1 + e, doubled until tail^2 > |head|^2 holds exactly.  Forms
+    are homogeneous and cones are cones, so the scale changes no sign,
+    and an exact form is evaluated exactly.  ``seed`` is a seed or a
+    numpy Generator to draw from.
+    """
     rng = _rng(seed)
     if K.kind == SECOND_ORDER:
-        if K.n == 1:
-            return (float(rng.exponential(1.0) + 1e-12),)
         head = rng.standard_normal(K.n - 1)
-        tail = float(np.linalg.norm(head)) * (1.0 + float(rng.exponential(1.0))) + 1e-9
-        return tuple(float(h) for h in head) + (tail,)
-    return _combine(rng.exponential(1.0, len(K.generators)) + 1e-12,
-                    K.generators)
+        norm = float(np.linalg.norm(head))
+        tail = _scaled_int(norm * (1.0 + float(rng.exponential(1.0))))
+        head = [round(1024 * h) for h in head.tolist()]
+        square = sum(h * h for h in head)
+        while tail * tail <= square:
+            tail *= 2
+        return tuple(head) + (tail,)
+    weights = [_scaled_int(e) for e in
+               rng.exponential(1.0, len(K.generators)).tolist()]
+    return tuple(_dot(weights, column) for column in K._int_generator_columns)
 
 
 def sample_cone(K: Cone, seed=0) -> tuple:
     """Deterministic point of K, biased toward the boundary: a third are
     interior samples, a third single extreme rays (boundary for the
-    second-order cone), a third sparse nonnegative combinations."""
+    second-order cone), a third sparse nonnegative combinations.
+    ``seed`` is a seed or a numpy Generator to draw from."""
     rng = _rng(seed)
     mode = int(rng.integers(3))
     if mode == 0:
-        return sample_interior(K, rng.integers(2 ** 32))
+        return sample_interior(K, rng)
     if K.kind == SECOND_ORDER:
         if K.n == 1:
             return (float(rng.exponential(1.0)),)
@@ -349,7 +378,8 @@ def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,
 # (``seed`` is the flattened, hashable seed).
 @functools.lru_cache(maxsize=1)
 def _soc_probe_points(K: Cone, trials: int, seed: tuple) -> tuple:
-    pts = [sample_cone(K, [seed, t]) for t in range(trials)]
+    rng = _rng(seed)
+    pts = [sample_cone(K, rng) for _ in range(trials)]
     # axis ray and a few canonical boundary rays help catch easy refutations;
     # they are int cone data, so an exact image on the boundary refutes
     pts.append(tuple([0] * (K.n - 1) + [1]))
@@ -402,14 +432,14 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
             return Verdict(UNKNOWN, witness=("point", undecided))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
     led = InequalityLedger(tol)
+    facets = [(h, _float_norm(h)) for h in K.facet_normals]
     for g in extreme_ray_reps(K):
         y = A.mul_vec(g)
         ys = _float_norm(y)
-        for h in K.facet_normals:
-            scale = ys * _float_norm(h)
+        floor = _float_norm(g) if interior else 0.0
+        for h, hs in facets:
             led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
-                        strict=interior,
-                        scale=max(scale, _float_norm(g)) if interior else scale)
+                        strict=interior, scale=max(ys * hs, floor))
     return led.verdict()
 
 
@@ -453,7 +483,8 @@ def matrix_k_copositive_refute(Q: SquareMatrix, K: Cone, strict: bool = False,
     points = []
     if K.kind != SECOND_ORDER:
         points.extend(extreme_ray_reps(K))
-    points.extend(sample_cone(K, [seed, t]) for t in range(trials))
+    rng = _rng(seed)
+    points.extend(sample_cone(K, rng) for _ in range(trials))
     for x in points:
         if not any(x):
             continue
@@ -508,15 +539,17 @@ def _orientation(K: Cone, u, tol: Tolerance):
 
 
 def perron_frobenius_check(A: SquareMatrix, K: Cone,
-                           tol: Tolerance = DEFAULT_TOL) -> ConeMatrixReport:
+                           tol: Tolerance = DEFAULT_TOL, trials: int = 200,
+                           seed=0) -> ConeMatrixReport:
     """Cone-nonnegativity/positivity/irreducibility verdicts plus the
-    spectral-radius diagnostics of ``perron_report``."""
+    spectral-radius diagnostics of ``perron_report``; ``trials`` and
+    ``seed`` drive the probes of a second-order cone."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
-    kn = matrix_k_nonnegative(A, K, tol)
-    kp = matrix_k_positive(A, K, tol)
+    kn = matrix_k_nonnegative(A, K, tol, trials=trials, seed=seed)
+    kp = matrix_k_positive(A, K, tol, trials=trials, seed=seed)
     try:
-        ki = _k_irreducible_given(A, K, kn, tol)
+        ki = _k_irreducible_given(A, K, kn, tol, trials=trials, seed=seed)
     except Inapplicable as e:
         ki = Verdict(UNKNOWN, witness=e.witness,
                      note="irreducibility inapplicable: not K-nonnegative")

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 # matrix_k_irreducible and perron_frobenius_check are unused here but stay
 # bound: perfbench/tracing.py wraps them by this module's name.
 from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
-                    extreme_ray_reps, interior_contains, matrix_k_irreducible,
-                    matrix_k_nonnegative, perron_frobenius_check, sample_cone,
-                    sample_interior)
+                    _rng, extreme_ray_reps, interior_contains,
+                    matrix_k_irreducible, matrix_k_nonnegative,
+                    perron_frobenius_check, sample_cone, sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _dot, all_exact,
                        exact_div, int_from_json, scalar_from_json, sym_eigs)
@@ -142,21 +142,18 @@ class MultiForm:
 
 
 def quadratic_matrix(f: MultiForm) -> SquareMatrix:
-    """Symmetric matrix Q with f(x) = x^T Q x, for a degree-2 form."""
+    """Symmetric matrix Q with f(x) = x^T Q x, for a degree-2 form: half
+    its constant Hessian 2Q."""
     if f.d != 2:
         raise ValueError("quadratic_matrix needs a degree-2 form")
-    n = f.n
-    Q = [[0] * n for _ in range(n)]
-    for exp, c in f.terms.items():
-        idx = [i for i, e in enumerate(exp) if e]
-        if len(idx) == 1:
-            Q[idx[0]][idx[0]] = c
-        else:
-            i, j = idx
-            half = exact_div(c, 2)
-            Q[i][j] = half
-            Q[j][i] = half
-    return SquareMatrix.from_rows(Q)
+    return _halved(f.hessian_at((0,) * f.n))
+
+
+def _halved(M: SquareMatrix) -> SquareMatrix:
+    """M / 2, entry by entry; an even int entry stays an int."""
+    return SquareMatrix(tuple(
+        tuple(v // 2 if type(v) is int and v % 2 == 0 else exact_div(v, 2)
+              for v in r) for r in M.rows))
 
 
 def restrict_line(f: MultiForm, x, v) -> UniPoly:
@@ -200,13 +197,13 @@ class FormReport:
     details: dict = field(default_factory=dict)
 
 
-def _eig_positive_count(Q: SquareMatrix, tol: Tolerance):
-    vals, _ = sym_eigs(Q)
+def _eig_positive_count(vals, tol: Tolerance):
+    """The numbers of eigenvalues above and inside the zero band."""
     scale = max((abs(v) for v in vals), default=1.0)
     thr = tol.threshold(max(scale, 1.0))
     pos = sum(1 for v in vals if v > thr)
     band = sum(1 for v in vals if abs(v) <= thr)
-    return vals, pos, band, thr
+    return pos, band
 
 
 def quadratic_lorentzian_check(Q: SquareMatrix, K: Cone,
@@ -220,21 +217,33 @@ def quadratic_lorentzian_check(Q: SquareMatrix, K: Cone,
     the report additionally carries the K-nonnegativity of Q and the
     nonsingular-irreducible / singular-nonnegative dichotomy.
     """
-    Q = Q.symmetrized()
-    report, band = _quadratic_verdict(Q, K, tol, trials, seed)
-    _add_dichotomy(report, Q, K, band, tol, trials, seed)
+    return _quadratic_check(Q.add(Q.transpose()), K, tol, trials, seed)
+
+
+def _quadratic_check(Q2: SquareMatrix, K: Cone, tol: Tolerance, trials: int,
+                     seed) -> FormReport:
+    """``quadratic_lorentzian_check`` of the quadratic x^T Q x given by
+    the symmetric matrix Q2 = 2Q, which is int for an int form."""
+    report, band = _quadratic_verdict(Q2, K, tol, trials, seed)
+    _add_dichotomy(report, Q2, K, band, tol, trials, seed)
     return report
 
 
-def _quadratic_verdict(Q: SquareMatrix, K: Cone, tol: Tolerance,
+def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
                        trials: int, seed):
-    """``quadratic_lorentzian_check`` on a symmetric Q without the self-dual
-    details, which no verdict reads.  Also returns the number of
-    eigenvalues in the zero band, or None when the eigenvalue count alone
-    decided (no pairing was computed)."""
-    if Q.n != K.n:
+    """``_quadratic_check`` without the self-dual details, which no
+    verdict reads.  Also returns the number of eigenvalues in the zero
+    band, or None when the eigenvalue count alone decided (no pairing was
+    computed).
+
+    The report carries Q's values: the eigenvalues of 2Q are halved
+    (exactly, in binary), and the pairing ledger reads x^T 2Q y against a
+    doubled absolute tolerance and a doubled scale, so each sign and
+    margin is that of x^T Q y."""
+    if Q2.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
-    vals, pos, band, thr = _eig_positive_count(Q, tol)
+    vals = [v / 2 for v in sym_eigs(Q2)[0]]
+    pos, band = _eig_positive_count(vals, tol)
     details = {"eigenvalues": vals}
     if pos > 1:
         return FormReport("quadratic-lorentzian",
@@ -246,24 +255,24 @@ def _quadratic_verdict(Q: SquareMatrix, K: Cone, tol: Tolerance,
         return FormReport("quadratic-lorentzian",
                           Verdict(status, witness=("positive-eigenvalues", 0)),
                           details), None
-    sampled = False
-    if K.kind == SECOND_ORDER:
-        sampled = True
-        led = InequalityLedger(tol)
-        for t in range(trials):
-            x = sample_interior(K, [seed, t])
-            val = _dot(x, Q.mul_vec(x))
-            led.require(val, 0, witness=("interior-point", x), strict=True,
-                        scale=sum(abs(c) for c in x) ** 2)
-        pairing = led.verdict()
+    sampled = K.kind == SECOND_ORDER
+    led = InequalityLedger(Tolerance(2 * tol.abs, tol.rel))
+    if sampled:
+        rng = _rng(seed)
+        for _ in range(trials):
+            x = sample_interior(K, rng)
+            led.require(_dot(x, Q2.mul_vec(x)), 0,
+                        witness=("interior-point", x), strict=True,
+                        scale=2 * sum(abs(c) for c in x) ** 2)
     else:
-        led = InequalityLedger(tol)
         reps = extreme_ray_reps(K)
         for gx in reps:
-            qx = Q.mul_vec(gx)
+            qx = Q2.mul_vec(gx)
             for gy in reps:
-                led.require(_dot(gy, qx), 0, witness=("ray-pair", gx, gy))
-        pairing = led.verdict()
+                val = _dot(gy, qx)
+                led.require(val, 0, witness=("ray-pair", gx, gy),
+                            scale=max(abs(val), 2))
+    pairing = led.verdict()
     details["pairing"] = pairing
     if pairing.is_fails:
         verdict = Verdict(FAILS, margin=pairing.margin, witness=pairing.witness)
@@ -280,15 +289,15 @@ def _quadratic_verdict(Q: SquareMatrix, K: Cone, tol: Tolerance,
     return FormReport("quadratic-lorentzian", verdict, details), band
 
 
-def _add_dichotomy(report: FormReport, Q: SquareMatrix, K: Cone, band,
+def _add_dichotomy(report: FormReport, Q2: SquareMatrix, K: Cone, band,
                    tol: Tolerance, trials: int, seed) -> None:
-    """Add the self-dual K-nonnegativity of the symmetric Q and its
-    dichotomy to the details of ``_quadratic_verdict``'s report, when the
-    pairing was computed (``band`` is not None) and K is self-dual."""
+    """Add the self-dual K-nonnegativity of Q = Q2 / 2 and its dichotomy
+    to the details of ``_quadratic_verdict``'s report, when the pairing
+    was computed (``band`` is not None) and K is self-dual."""
     if band is None or not K.is_self_dual:
         return
     singular = band > 0
-    kn, verdict = _dichotomy(Q, K, singular, tol, trials, seed)
+    kn, verdict = _dichotomy(_halved(Q2), K, singular, tol, trials, seed)
     report.details.update(
         k_nonnegative=kn, singular=singular, dichotomy=verdict,
         dichotomy_branch=("singular-nonnegative" if singular
@@ -300,13 +309,17 @@ def _dichotomy(Q: SquareMatrix, K: Cone, singular: bool, tol: Tolerance,
     """The self-dual dichotomy of the symmetric Q: ``(kn, verdict)``, with
     kn the K-nonnegativity of Q and verdict that of its branch -- kn itself
     when Q is singular, the K-irreducibility of Q when it is nonsingular.
-    A nonsingular Q that is not verifiably K-nonnegative fails its branch."""
+    A nonsingular Q that is not K-nonnegative fails its branch; one whose
+    K-nonnegativity is undecided leaves it undecided."""
     kn = matrix_k_nonnegative(Q, K, tol, trials=trials, seed=seed)
     if singular:
         return kn, kn
     try:
         return kn, _k_irreducible_given(Q, K, kn, tol, trials=trials, seed=seed)
     except Inapplicable as e:
+        if kn.is_unknown:
+            return kn, Verdict(UNKNOWN, witness=e.witness,
+                               note="K-nonnegativity undecided")
         return kn, Verdict(FAILS, witness=e.witness, note="not K-nonnegative")
 
 
@@ -346,8 +359,9 @@ def _nonnegative_on_cone(f: MultiForm, K: Cone, tol: Tolerance,
     led = InequalityLedger(tol)
     sampled = K.kind == SECOND_ORDER
     if sampled:
-        for t in range(trials):
-            x = sample_cone(K, [seed, t])
+        rng = _rng(seed)
+        for _ in range(trials):
+            x = sample_cone(K, rng)
             led.require(f.eval(x), 0, witness=("point", x),
                         scale=max(1.0, sum(abs(c) for c in x)) ** max(f.d, 1))
     else:
@@ -370,21 +384,24 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
     if f.d <= 1:
         return _nonnegative_on_cone(f, K, tol, trials, seed)
     if f.d == 2:
-        inner = quadratic_lorentzian_check(quadratic_matrix(f), K, tol,
-                                           trials=trials, seed=seed)
+        # a quadratic's constant Hessian is 2Q, an int matrix for an int f
+        inner = _quadratic_check(f.hessian_at((0,) * f.n), K, tol, trials,
+                                 seed)
         return FormReport("lorentzian-sampled", inner.verdict, inner.details)
 
+    rng = _rng(seed)
+
     def trial(t):
-        dirs = tuple(sample_interior(K, [seed, t, j]) for j in range(f.d - 2))
+        dirs = tuple(sample_interior(K, rng) for _ in range(f.d - 2))
         q = f
         for a in dirs:
             q = q.dir_derivative(a)
-        Q = quadratic_matrix(q).symmetrized()
+        Q2 = q.hessian_at((0,) * q.n)
         inner_trials, inner_seed = max(8, trials // 10), [seed, t, 1]
-        inner, band = _quadratic_verdict(Q, K, tol, inner_trials, inner_seed)
+        inner, band = _quadratic_verdict(Q2, K, tol, inner_trials, inner_seed)
         if inner.verdict.is_fails:
             # the dichotomy is reported for the refuted reduction only
-            _add_dichotomy(inner, Q, K, band, tol, inner_trials, inner_seed)
+            _add_dichotomy(inner, Q2, K, band, tol, inner_trials, inner_seed)
             return (Verdict(FAILS, witness={"directions": dirs,
                                             "inner": inner.verdict.witness}),
                     {"inner_details": inner.details})
@@ -409,16 +426,14 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         raise DimensionMismatch("form/cone dimension mismatch")
     details = {"note": "boundary coverage is sampled and incomplete"}
     boundary_flagged = []
+    rng = _rng(seed)
+    sample = sample_cone if strict else sample_interior
 
     def trial(t):
-        if strict:
-            x = sample_cone(K, [seed, t, 0])
-            v = sample_cone(K, [seed, t, 1])
-            if not any(v):
-                return None
-        else:
-            x = sample_interior(K, [seed, t, 0])
-            v = sample_interior(K, [seed, t, 1])
+        x = sample(K, rng)
+        v = sample(K, rng)
+        if not any(v):
+            return None
         p = restrict_line(f, x, v)
         weighted = [math.factorial(k) * p.coeff(k) for k in range(f.d + 1)]
         verdict = is_log_concave(weighted, strict=strict, tol=tol)
@@ -457,10 +472,13 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     def refuted(witness, note=None):
         return Verdict(FAILS, witness=witness, note=note), {"tallies": tallies}
 
+    rng = _rng(seed)
+
     def trial(t):
-        a = sample_interior(K, [seed, t])
+        a = sample_interior(K, rng)
         H = f.hessian_at(a)
-        vals, pos, band, _ = _eig_positive_count(H, tol)
+        vals = sym_eigs(H)[0]
+        pos, band = _eig_positive_count(vals, tol)
         if pos != 1:
             if pos == 0 and band:
                 return UNKNOWN
@@ -496,9 +514,11 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
     if f.d < 1:
         raise ValueError("stability over the cone needs degree >= 1")
 
+    rng = _rng(seed)
+
     def trial(t):
-        x = sample_interior(K, [seed, t, 0])
-        v = sample_interior(K, [seed, t, 1])
+        x = sample_interior(K, rng)
+        v = sample_interior(K, rng)
         p = restrict_line(f, x, v)
         if p.is_zero or p.degree < 1:
             return UNKNOWN

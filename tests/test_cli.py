@@ -222,6 +222,20 @@ class TestMatrixCommand:
         assert reports[0]["k_positive"]["witness"] == ["ray", [0, 1],
                                                        "facet", [1, 0]]
 
+    def test_cone_route_honours_trials_and_seed(self):
+        # the second-order probes run at the given trials and seed
+        payload = {"rows": [[2, 0.3], [0.1, 2]]}
+        cone = {"type": "second_order", "n": 2}
+        A = cli.matrix_from_json(payload, True)
+        reports = []
+        for trials, seed in ((1, 0), (200, 0), (7, 5)):
+            rep = cli.cmd_matrix(payload, cone, cli.RunConfig(
+                trials=trials, seed=seed))["cone_matrix_report"]
+            assert rep == cli.jsonable(cli.perron_frobenius_check(
+                A, cli.cone_from_json(cone), trials=trials, seed=seed))
+            reports.append(rep["k_nonnegative"]["witness"])
+        assert len({json.dumps(w) for w in reports}) == 3
+
     def test_cone_route_block_diagonal_reducible(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 3}))

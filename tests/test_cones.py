@@ -211,6 +211,34 @@ class TestSampling:
         assert sample_interior(K, 123) == sample_interior(K, 123)
         assert sample_cone(K, [1, 2]) == sample_cone(K, [1, 2])
 
+    @pytest.mark.parametrize("K", [
+        Cone.orthant(3), Cone.second_order(1), Cone.second_order(4),
+        # rational and float-literal generators are read exactly
+        Cone.polyhedral([(Fraction(1, 2), 0), (1, Fraction(2, 3))]),
+        Cone.polyhedral([(1.5, 0.0), (0.25, 0.5), (1, 1)])])
+    def test_interior_samples_are_int_points(self, K):
+        for t in range(300):
+            x = sample_interior(K, [3, t])
+            assert all(type(c) is int for c in x)
+            assert interior_contains(K, x)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_second_order_tail_dominates_exactly(self, seed, n):
+        x = sample_interior(Cone.second_order(n), seed)
+        assert x[-1] > 0 and x[-1] ** 2 > sum(c * c for c in x[:-1])
+
+    def test_one_generator_draws_a_reproducible_sequence(self):
+        K = Cone.polyhedral([(1, 0), (1, 3)])
+        rng = np.random.default_rng(7)
+        points = [sample_interior(K, rng), sample_cone(K, rng),
+                  sample_interior(K, rng)]
+        rng = np.random.default_rng(7)
+        assert points == [sample_interior(K, rng), sample_cone(K, rng),
+                          sample_interior(K, rng)]
+        # the generator advances: a seed gives the first point only
+        assert points[0] == sample_interior(K, 7) != points[2]
+
 
 class TestDualContainment:
     def test_orthant_self_dual_both_directions(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conestab import cli, cones, forms
+import numpy as np
+
+from conestab import cli, cones, forms, hurwitz
 from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       UniPoly, clc_necessary_check, hessian_signature_check,
                       hurwitz_over_cone_check, is_log_concave,
@@ -13,18 +16,18 @@ from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       quadratic_matrix, restrict_line, sym_eigs,
                       verify_sum_condition)
 from conestab.numerics import exact_div
+from conestab.verdict import UNKNOWN, Verdict
 
 from conftest import form_through_line
 
 
+def elementary_symmetric(n, k):
+    return MultiForm(n, k, {tuple(int(i in S) for i in range(n)): 1
+                            for S in itertools.combinations(range(n), k)})
+
+
 def elementary_symmetric_2(n=3):
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i] = e[j] = 1
-            terms[tuple(e)] = 1
-    return MultiForm(n, 2, terms)
+    return elementary_symmetric(n, 2)
 
 
 def power_of_sum(n, d, coeff=1):
@@ -401,8 +404,7 @@ class TestConeMatrixVerdictsComputedOnce:
         assert calls == {"matrix_k_nonnegative": 1, "matrix_k_positive": 1}
 
 
-E3_4 = MultiForm(4, 3, {tuple(0 if i == j else 1 for i in range(4)): 1
-                        for j in range(4)})
+E3_4 = elementary_symmetric(4, 3)
 # x1^3 - 3 x1 x2^2, refuted at its first reduction over the orthant
 CUBIC = MultiForm(2, 3, {(3, 0): 1, (1, 2): -3})
 LORENTZ_4 = MultiForm(4, 2, {(2, 0, 0, 0): -1, (0, 2, 0, 0): -1,
@@ -482,11 +484,17 @@ NEG_DEF = MultiForm(2, 2, {(2, 0): -1, (0, 2): -1})
 NEG_SQ = MultiForm(2, 2, {(2, 0): -1, (1, 1): -2, (0, 2): -1})
 DIFF_SQ = MultiForm(2, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
 DIAG_CUBIC = MultiForm(2, 3, {(3, 0): 1, (0, 3): 1})
-# (x1 + x2)^2 x3: a singular Hessian whose zero entry is a float 0.0
+# (x1 + x2)^2 x3: a singular Hessian with a structural zero entry, which
+# is an exact 0 at the int sample points
 SQ_X3 = MultiForm(3, 3, {(2, 0, 1): 1, (1, 1, 1): 2, (0, 2, 1): 1})
-# coefficients inside the float tolerance band
-TINY = MultiForm(2, 3, {(2, 1): 1e-12, (1, 2): 1e-12})
+# float coefficients small enough that the reductions and line
+# restrictions stay inside the tolerance band at int sample points of
+# size about 10^3
+TINY = MultiForm(2, 3, {(2, 1): 1e-21, (1, 2): 1e-21})
 ZERO = MultiForm(2, 2, {})
+# x1 x2 - x2^2 / 2e12: a nonsingular Hessian with one positive eigenvalue
+# whose K-nonnegativity is undecided on its float band entry -1e-12
+KN_BAND = MultiForm(2, 2, {(1, 1): 1, (0, 2): -0.5e-12})
 E2 = elementary_symmetric_2()
 CUBE_2, CUBE_3 = power_of_sum(2, 3), power_of_sum(3, 3)
 
@@ -560,9 +568,9 @@ BRANCHES = [
     ("clc/cube2/orthant", (CLC, CUBE_2, O2, False),
      ("holds-sampled", NONE_FOUND, 8, None, LINE, None)),
     ("clc/cubic/orthant/strict", (CLC, CUBIC, O2, True),
-     ("fails", None, 3, HIT, ("trials_run",), None)),
+     ("fails", None, 7, HIT, ("trials_run",), None)),
     ("clc/tiny/orthant/strict", (CLC, TINY, O2, True),
-     ("unknown", "3/8 lines indeterminate", 8, None, BOUNDARY, None)),
+     ("unknown", "2/8 lines indeterminate", 8, None, BOUNDARY, None)),
     ("clc/e3-4/orthant/strict", (CLC, E3_4, Cone.orthant(4), True),
      ("holds-sampled", NONE_FOUND, 8, None, BOUNDARY, None)),
     ("clc/cube2/orthant/strict", (CLC, CUBE_2, O2, True),
@@ -583,9 +591,12 @@ BRANCHES = [
     # no positive eigenvalue, one in the zero band
     ("hessian/neg-sq/orthant", (HES, NEG_SQ, O2, False),
      ("unknown", "8/8 points indeterminate", 8, None, TALLY, tallies(0, 0))),
-    # singular, K-nonnegativity unknown on the float 0.0 entry
-    ("hessian/sq-x3/orthant", (HES, SQ_X3, O3, False),
+    # nonsingular, K-nonnegativity unknown: the branch is undecided
+    ("hessian/kn-band/orthant", (HES, KN_BAND, O2, False),
      ("unknown", "8/8 points indeterminate", 8, None, TALLY, tallies(0, 0))),
+    # singular and K-nonnegative, decided exactly at int points
+    ("hessian/sq-x3/orthant", (HES, SQ_X3, O3, False),
+     ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(0, 8))),
     ("hessian/cube2/orthant", (HES, CUBE_2, O2, False),
      ("holds-sampled", NONE_FOUND, 8, None, TALLY, tallies(0, 8))),
     ("hessian/e2/orthant", (HES, E2, O3, False),
@@ -638,8 +649,9 @@ class TestFormCheckBranches:
         # the float spectral oracle agrees with the theorem at every point
         # the check tallied as nonsingular and K-irreducible
         _, f, K, _ = case
-        for t in range(8):
-            H = f.hessian_at(cones.sample_interior(K, [0, t]))
+        rng = cones._rng(0)
+        for _ in range(8):
+            H = f.hessian_at(cones.sample_interior(K, rng))
             perron = cones.perron_report(H, K)
             assert perron.rho_positive and perron.simple
             assert perron.eigenvector_interior
@@ -652,15 +664,228 @@ class TestFormCheckBranches:
 
     def test_strict_zero_direction_is_skipped(self, monkeypatch):
         # sample_cone never draws the zero vector; a zero direction counts
-        # neither as a refutation nor as indeterminate
+        # neither as a refutation nor as indeterminate.  Each trial draws
+        # its point x, then its direction v, from one generator.
+        calls = itertools.count()
         monkeypatch.setattr(
             forms, "sample_cone",
-            lambda K, seed: (0,) * K.n if seed[2] else (1,) * K.n)
+            lambda K, rng: (0,) * K.n if next(calls) % 2 else (1,) * K.n)
         rep = clc_necessary_check(CUBIC, O2, trials=8, seed=0, strict=True)
         assert rep.verdict.status == "holds-sampled"
         assert rep.details == {
             "trials_run": 8,
             "note": "boundary coverage is sampled and incomplete"}
+
+
+def product_of_linear_forms(rows):
+    """The form prod_r (sum_i rows[r][i] x_i)."""
+    n = len(rows[0])
+    terms = {(0,) * n: 1}
+    for row in rows:
+        nxt = {}
+        for exp, c in terms.items():
+            for i, a in enumerate(row):
+                e = list(exp)
+                e[i] += 1
+                nxt[tuple(e)] = nxt.get(tuple(e), 0) + c * a
+        terms = nxt
+    return MultiForm(n, len(rows), terms)
+
+
+def form_checks(f, K, trials, seed):
+    """Every check ``conestab form`` runs, by its report name."""
+    checks = {"lorentzian_sampled": lorentzian_sample_check(
+        f, K, trials=trials, seed=seed),
+        "clc_necessary": clc_necessary_check(f, K, trials=trials, seed=seed)}
+    if f.d >= 2:
+        checks["hessian_signature"] = hessian_signature_check(
+            f, K, trials=trials, seed=seed)
+    if f.d >= 1:
+        checks["hurwitz_over_cone"] = hurwitz_over_cone_check(
+            f, K, trials=trials, seed=seed)
+    return checks
+
+
+@st.composite
+def positive_linear_products(draw):
+    """A product of 2..4 linear forms in 2..4 variables with positive int
+    coefficients."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(1, 5), min_size=n, max_size=n)
+    return product_of_linear_forms(draw(st.lists(row, min_size=2,
+                                                 max_size=4)))
+
+
+@st.composite
+def orthants(draw, n):
+    """The orthant of R^n, as identity cone data or as the polyhedral cone
+    of the basis and up to three redundant 0/1 generators."""
+    extra = draw(st.lists(st.lists(st.integers(0, 1), min_size=n,
+                                   max_size=n).filter(any), max_size=3))
+    if not extra:
+        return Cone.orthant(n)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    return Cone.polyhedral(basis + extra)
+
+
+@st.composite
+def small_forms(draw, n):
+    d = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=d,
+                               max_size=d)):
+            e[i] += 1
+        terms[tuple(e)] = draw(st.integers(-3, 3))
+    return MultiForm(n, d, terms)
+
+
+@st.composite
+def forms_and_cones(draw):
+    n = draw(st.integers(2, 3))
+    cones_of_n = [Cone.orthant(n), Cone.second_order(n),
+                  WEDGE_3 if n == 3 else Cone.polyhedral([(1, 0), (1, 2)])]
+    return draw(small_forms(n)), draw(st.sampled_from(cones_of_n))
+
+
+def positive_count(M):
+    """The number of eigenvalues of the symmetric M above a relative zero
+    band, by numpy's symmetric eigensolver, or None when none is above
+    and one is inside it."""
+    vals = np.linalg.eigvalsh(np.array([[float(v) for v in r] for r in M]))
+    band = 1e-7 * max(1.0, max(abs(vals)))
+    pos = int(sum(vals > band))
+    return None if pos == 0 and max(vals) >= -band else pos
+
+
+def image_outside(K, y):
+    """y is outside the self-dual cone K."""
+    if K.kind == "second_order":
+        return y[-1] < 0 or y[-1] ** 2 < sum(c * c for c in y[:-1])
+    return min(y) < 0
+
+
+def reverify(name, f, K, verdict):
+    """Re-derive a ``fails`` witness without the code path that found it:
+    values by MultiForm.eval and dir_derivative, line restrictions by
+    iterated derivatives, and eigenvalue counts by numpy's eigvalsh."""
+    w = verdict.witness
+    if name == "lorentzian_sampled":
+        if f.d <= 1:
+            assert f.eval(w[1]) < 0
+            return
+        q, inner = f, w
+        if f.d >= 3:
+            for a in w["directions"]:
+                q = q.dir_derivative(a)
+            inner = w["inner"]
+        if inner[0] == "positive-eigenvalues":
+            assert positive_count(q.hessian_at((0,) * q.n).rows) == inner[1]
+        elif inner[0] == "ray-pair":
+            gx, gy = inner[1:]
+            both = tuple(a + b for a, b in zip(gx, gy))
+            assert q.eval(both) - q.eval(gx) - q.eval(gy) < 0
+        else:
+            assert inner[0] == "interior-point" and q.eval(inner[1]) <= 0
+    elif name == "hessian_signature":
+        a = w["point"]
+        if "positive_count" in w:
+            assert positive_count(f.hessian_at(a).rows) == w["positive_count"]
+            return
+        assert verdict.note.endswith("not K-nonnegative")
+        # the K-nonnegativity witness: a ray of the orthant, or a point of
+        # the second-order cone, that H maps out of K; the nonsingular
+        # branch wraps it in the K-nonnegativity verdict
+        inner = w["inner"]
+        x = (inner.witness if isinstance(inner, Verdict) else inner)[1]
+
+        def hx(i):
+            e = tuple(int(j == i) for j in range(f.n))
+            return f.dir_derivative(x).dir_derivative(e).eval(a)
+
+        assert image_outside(K, [hx(i) for i in range(f.n)])
+    else:
+        p = restrict_by_derivatives(f, w["x"], w["v"])
+        if name == "clc_necessary":
+            b = [math.factorial(k) * p.coeff(k) for k in range(f.d + 1)]
+            assert (min(b) <= 0 or any(b[k] ** 2 < b[k - 1] * b[k + 1]
+                                       for k in range(1, f.d)))
+        else:
+            coeffs = [float(p.coeff(k)) for k in range(f.d + 1)]
+            roots = np.roots(coeffs[::-1])
+            scale = max(1.0, max(abs(roots)))
+            assert (min(p.coeffs) <= 0
+                    or max(r.real for r in roots) > -1e-7 * scale)
+
+
+class TestFormCheckProperties:
+    """Properties of the four form checks over drawn forms and cones."""
+
+    # e_k(n) and products of positive linear forms are Lorentzian
+    # (Branden-Huh, arXiv:1902.03719)
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6)
+                                      for k in range(2, n + 1)])
+    @given(data=st.data(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=6, deadline=None)
+    def test_elementary_symmetric_forms_are_never_refuted(self, n, k, data,
+                                                          seed):
+        f = elementary_symmetric(n, k)
+        K = data.draw(orthants(n))
+        for name, rep in form_checks(f, K, trials=4, seed=seed).items():
+            assert not rep.verdict.is_fails, (name, rep.verdict)
+
+    @given(positive_linear_products(), st.data(), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_positive_linear_products_are_never_refuted(self, f, data, seed):
+        K = data.draw(orthants(f.n))
+        for name, rep in form_checks(f, K, trials=4, seed=seed).items():
+            assert not rep.verdict.is_fails, (name, rep.verdict)
+
+    @given(forms_and_cones(), st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_every_refutation_reverifies(self, case, seed):
+        f, K = case
+        for name, rep in form_checks(f, K, trials=4, seed=seed).items():
+            if rep.verdict.is_fails:
+                reverify(name, f, K, rep.verdict)
+
+    @given(forms_and_cones(), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_an_unknown_inner_verdict_never_refutes(self, case, seed):
+        f, K = case
+        undecided = Verdict(UNKNOWN)
+
+        def undecided_quadratic(Q2, *args):
+            return forms.FormReport("quadratic-lorentzian", undecided), 0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "matrix_k_nonnegative",
+                       lambda *args, **kwargs: undecided)
+            mp.setattr(forms, "is_log_concave",
+                       lambda *args, **kwargs: undecided)
+            mp.setattr(hurwitz, "routh_hurwitz_stable",
+                       lambda *args, **kwargs: undecided)
+            mp.setattr(forms, "_quadratic_verdict", undecided_quadratic)
+            checks = form_checks(f, K, trials=4, seed=seed)
+            if f.d == 2 and K.is_self_dual:
+                details = checks["lorentzian_sampled"].details
+                assert not details["dichotomy"].is_fails
+        for name, rep in checks.items():
+            if name == "lorentzian_sampled" and f.d <= 1:
+                continue  # nonnegativity on K rests on no inner verdict
+            if name == "hessian_signature" and rep.verdict.is_fails:
+                # the eigenvalue count itself refutes
+                assert "positive_count" in rep.verdict.witness
+                continue
+            assert not rep.verdict.is_fails, (name, rep.verdict)
+
+    def test_undecided_k_nonnegativity_leaves_the_dichotomy_undecided(self):
+        Q = SquareMatrix.from_rows([[0, 1], [1, -1e-12]])
+        rep = quadratic_lorentzian_check(Q, O2)
+        assert rep.details["k_nonnegative"].is_unknown
+        assert rep.details["dichotomy"].status == "unknown"
+        assert rep.details["dichotomy"].note == "K-nonnegativity undecided"
 
 
 class TestHurwitzOverCone:

@@ -4,9 +4,15 @@ second-order cones and over polyhedral cones.
 Every exact field (ints, strings, booleans, nulls, the shape of the
 report) must match the checked-in output exactly; every float field must
 match within 1e-9 relative to max(1, |value|).  After a deliberate change
-of output, regenerate the fixtures with
+of output, regenerate the fixtures it moves by name, or all of them with
+no name:
 
+    PYTHONPATH=src python tests/test_golden.py form_lorentz_soc4 ...
     PYTHONPATH=src python tests/test_golden.py
+
+Regenerating all of them can also rewrite the last bits of floats that
+the change did not move (the eigenvalues of ``form_e2`` differ between
+machines), so name the cases where you can.
 """
 
 import json
@@ -144,8 +150,13 @@ def test_tolerance_is_enforced():
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}; "
+                 f"the cases are {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in names:
             (GOLDEN / f"{case}.json").write_text(run_case(case, Path(tmp)))
             print(f"wrote {GOLDEN / case}.json", file=sys.stderr)

@@ -8,7 +8,8 @@ both the standard basis e_1..e_n, stored as that data, so every
 polyhedral code path serves it.
 
 Cone data is exact in every mode (a float entry is its exact value), so
-facets and extreme rays are decided without a tolerance.  Membership and
+facets and extreme rays are decided without a tolerance, by the int
+sweep that gives numerics its determinants and ranks.  Membership and
 matrix tests over orthant/polyhedral cones are exact on rational data.
 Second-order-cone matrix tests are refutation-by-sampling only; their
 non-refuted verdicts are labeled "holds-sampled", never "holds".
@@ -27,8 +28,8 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       _integer_rows, classify_sign, int_from_json,
-                       matrix_power, vector_from_json)
+                       _integer_rows, _rank, classify_sign, determinant,
+                       int_from_json, matrix_power, vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
@@ -51,49 +52,19 @@ def _float_norm(v) -> float:
 def _primitive(v):
     """Canonical representative of a rational ray: integer entries with
     gcd 1, orientation preserved."""
-    fracs = [Fraction(x) for x in v]
-    denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*(abs(i) for i in ints)) if any(ints) else 1
+    ints = _integer_rows([v])[0][0]
+    g = math.gcd(*ints) or 1
     return tuple(i // g for i in ints)
 
 
-def _rref(vectors, n):
-    """Reduced row echelon form of rational vectors in R^n, exactly.
-
-    Returns ``(rows, pivots)``: the nonzero reduced rows, each with a 1 in
-    its pivot column and 0 in every other pivot column, and their pivot
-    columns in increasing order; the rank is ``len(pivots)``.
-    """
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        pr = rows[r] = [x / lead for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col] != 0:
-                rows[i] = [a - row[col] * b for a, b in zip(row, pr)]
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
-
-
-def _nullspace_1d(vectors, n):
-    """The (unique up to scale) vector orthogonal to n-1 independent
-    rational vectors, or None if they are dependent."""
-    rows, pivots = _rref(vectors, n)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    sol = [0] * n
-    sol[free] = 1
-    for row, col in zip(rows, pivots):
-        sol[col] = -row[free]
-    return _primitive(sol)
+def _normal(vectors):
+    """The primitive normal of the hyperplane spanned by n-1 rational
+    vectors in R^n, or None if they are dependent: the cofactors
+    h_j = (-1)^j det(M without column j) of their int-scaled matrix M."""
+    M = _integer_rows(vectors)[0]
+    h = [(-1) ** j * determinant(SquareMatrix([r[:j] + r[j + 1:] for r in M]))
+         for j in range(len(M) + 1)]
+    return _primitive(h) if any(h) else None
 
 
 @dataclass(frozen=True)
@@ -126,7 +97,7 @@ class Cone:
         n = len(gens[0])
         if any(len(g) != n for g in gens):
             raise DimensionMismatch("generators of mixed dimension")
-        if len(_rref(gens, n)[1]) != n:
+        if _rank(gens) != n:
             raise ValueError("generators do not span R^n (cone not solid)")
         if facet_normals is None:
             if n > _FACET_ENUM_MAX_DIM:
@@ -140,7 +111,7 @@ class Cone:
                 raise DimensionMismatch("facet normals of mixed dimension")
             if any(_dot(h, g) < 0 for h in facets for g in gens):
                 raise ValueError("facet normals inconsistent with generators")
-        if len(_rref(facets, n)[1]) != n:
+        if _rank(facets) != n:
             raise ValueError("cone is not pointed (facet normals do not span)")
         return cls(POLYHEDRAL, n, generators=gens, facet_normals=facets)
 
@@ -171,7 +142,7 @@ def _enumerate_facets(gens, n) -> tuple:
     generator set sits on one side.  Exhaustive for pointed solid cones."""
     found = set()
     for subset in itertools.combinations(gens, n - 1):
-        h = _nullspace_1d(subset, n)
+        h = _normal(subset)
         if h is None:
             continue
         sides = [_dot(h, g) for g in gens]
@@ -243,7 +214,7 @@ def _enumerate_extreme_rays(K: Cone) -> list:
     reps = set()
     for g in K.generators:
         active = [h for h in K.facet_normals if _dot(h, g) == 0]
-        if len(_rref(active, K.n)[1]) == K.n - 1:
+        if _rank(active) == K.n - 1:
             reps.add(_primitive(g))
     return sorted(reps)
 
@@ -459,9 +430,11 @@ def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
                          tol: Tolerance = DEFAULT_TOL, trials: int = 200,
                          seed=0) -> Verdict:
     """``matrix_k_irreducible`` for a caller that already holds ``kn``,
-    the K-nonnegativity verdict of A under the same tol, trials and seed."""
+    the K-nonnegativity verdict of A under the same tol, trials and seed.
+    The Inapplicable it raises says whether kn failed or is undecided."""
     if not kn.is_holds:
-        raise Inapplicable("matrix is not K-nonnegative", witness=kn)
+        raise Inapplicable("K-nonnegativity undecided" if kn.is_unknown
+                           else "not K-nonnegative", witness=kn)
     B = matrix_power(SquareMatrix.identity(A.n).add(A), A.n - 1)
     verdict = matrix_k_positive(B, K, tol, trials=trials, seed=seed)
     if verdict.status == HOLDS and kn.status == HOLDS_SAMPLED:
@@ -552,7 +525,7 @@ def perron_frobenius_check(A: SquareMatrix, K: Cone,
         ki = _k_irreducible_given(A, K, kn, tol, trials=trials, seed=seed)
     except Inapplicable as e:
         ki = Verdict(UNKNOWN, witness=e.witness,
-                     note="irreducibility inapplicable: not K-nonnegative")
+                     note=f"irreducibility inapplicable: {e}")
     return ConeMatrixReport(k_nonnegative=kn, k_positive=kp,
                             k_irreducible=ki, perron=perron_report(A, K, tol))
 

@@ -317,10 +317,8 @@ def _dichotomy(Q: SquareMatrix, K: Cone, singular: bool, tol: Tolerance,
     try:
         return kn, _k_irreducible_given(Q, K, kn, tol, trials=trials, seed=seed)
     except Inapplicable as e:
-        if kn.is_unknown:
-            return kn, Verdict(UNKNOWN, witness=e.witness,
-                               note="K-nonnegativity undecided")
-        return kn, Verdict(FAILS, witness=e.witness, note="not K-nonnegative")
+        return kn, Verdict(UNKNOWN if kn.is_unknown else FAILS,
+                           witness=e.witness, note=str(e))
 
 
 def _sampled_check(check: str, trials: int, trial, noun: str,

@@ -295,15 +295,21 @@ def root_oracle_verdict(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
         roots = all_roots(p.coeffs, tol)
     except NonConvergence as e:
         return Verdict(UNKNOWN, note=f"root solver did not converge: {e}")
-    worst = max(roots, key=lambda r: r.real)
-    scale = max(1.0, max(abs(r) for r in roots))
+    return _left_half_plane_verdict(roots, "root", tol)
+
+
+def _left_half_plane_verdict(values, label: str, tol: Tolerance) -> Verdict:
+    """Do the complex ``values``, sorted by (real, imag), lie in the open
+    left half-plane, up to ``tol`` at scale max(1, max |z|)?  The witness
+    ``(label, z)`` names the rightmost value."""
+    worst = max(values, key=lambda z: z.real)
+    scale = max(1.0, max(abs(z) for z in values))
     thr = tol.threshold(scale)
     margin = -worst.real / scale
     if worst.real < -thr:
         return Verdict(HOLDS, margin=margin)
-    if worst.real > thr:
-        return Verdict(FAILS, margin=margin, witness=("root", worst))
-    return Verdict(UNKNOWN, margin=margin, witness=("root", worst))
+    return Verdict(FAILS if worst.real > thr else UNKNOWN, margin=margin,
+                   witness=(label, worst))
 
 
 def clc_d_le_4_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:

@@ -17,8 +17,9 @@ import numpy as np
 from .cones import Cone, interior_contains
 from .errors import DegreeMismatch, NotInterior
 from .forms import MultiForm, restrict_line
-from .hurwitz import (_gated, alpha_criterion, clc_d_le_4_criterion,
-                      quintic_criterion, routh_hurwitz_stable)
+from .hurwitz import (_gated, _left_half_plane_verdict, alpha_criterion,
+                      clc_d_le_4_criterion, quintic_criterion,
+                      routh_hurwitz_stable)
 from .numerics import DEFAULT_TOL, SquareMatrix, Tolerance, char_poly
 from .unipoly import UniPoly
 from .verdict import FAILS, HOLDS, UNKNOWN, Verdict
@@ -54,18 +55,12 @@ def _eigen_ground_truth(A: SquareMatrix, tol: Tolerance):
         vals = np.linalg.eig(M)[0]
     except np.linalg.LinAlgError as e:
         return None, None, Verdict(UNKNOWN, note=f"eigensolver failed: {e}")
-    abscissa = float(max(v.real for v in vals))
-    scale = max(1.0, float(max(abs(v) for v in vals)))
-    thr = tol.threshold(scale)
     eigs = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
-    if abscissa < -thr:
-        verdict = Verdict(HOLDS, margin=-abscissa / scale)
-    elif abscissa > thr:
-        verdict = Verdict(FAILS, margin=-abscissa / scale,
-                          witness=("eigenvalue", max(eigs, key=lambda z: z.real)))
-    else:
-        verdict = Verdict(UNKNOWN, margin=-abscissa / scale)
-    return eigs, abscissa, verdict
+    verdict = _left_half_plane_verdict(eigs, "eigenvalue", tol)
+    if verdict.is_unknown:
+        # the LTI report witnesses only a refutation by an eigenvalue
+        verdict = Verdict(UNKNOWN, margin=verdict.margin)
+    return eigs, max(z.real for z in eigs), verdict
 
 
 def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:

@@ -1,10 +1,11 @@
 """Scalar tower and dense linear-algebra kernel.
 
-Sign decisions (determinants, leading minors, coefficient tests) run on
-exact rationals whenever the inputs are rational, because they drive
-stability verdicts and must not flip from rounding.  Floating point is
-reserved for eigenproblems, and every float comparison against zero goes
-through a named :class:`Tolerance`.
+Sign decisions (determinants, leading minors, ranks, coefficient tests)
+run on exact rationals whenever the inputs are rational, because they
+drive stability verdicts and must not flip from rounding; one int
+elimination sweep gives determinants, leading minors and ranks.  Floating
+point is reserved for eigenproblems, and every float comparison against
+zero goes through a named :class:`Tolerance`.
 """
 
 from __future__ import annotations
@@ -249,59 +250,72 @@ def _integer_rows(rows):
 
 
 def _bareiss(rows, pivoting: bool):
-    """One fraction-free (Bareiss) elimination sweep over exact entries.
+    """One fraction-free (Bareiss) elimination sweep over exact rows.
 
-    Returns ``(sign, pivots)``: after step k the k-th pivot is the k-th
-    leading principal minor of the row-permuted matrix (Sylvester's
-    identity), and ``sign`` is the parity of the row swaps.  The sweep
-    stops at the first zero pivot; with ``pivoting`` a zero pivot is first
-    swapped for a nonzero entry below it, so a zero pivot then means a
-    singular matrix.
+    Returns ``(sign, pivots)``, with ``sign`` the parity of the row swaps.
+    Each step's entries are minors of the pivot rows and columns so far
+    (Sylvester's identity), so every division is exact.  Without
+    ``pivoting`` the rows are square, pivot k is the k-th leading
+    principal minor, and the sweep stops at (and returns) the first zero
+    pivot.  With ``pivoting`` the rows may be rectangular: a zero pivot is
+    swapped for a nonzero entry below it, a column with none is skipped,
+    and every pivot returned is nonzero, so their number is the rank.
 
-    The sweep runs on ints, where every division is exact: rational
-    entries are first scaled by their common denominator D
-    (:func:`_integer_rows`).  That scales the k-th leading minor by D^k,
-    so pivot k is returned as the Fraction pivot / D^k, the same value at
-    the same step; int entries give int pivots.
+    Rational entries are first scaled by their common denominator D
+    (:func:`_integer_rows`); pivot k, a k x k minor, is then returned as
+    the Fraction pivot / D^k.  Int entries give int pivots.
     """
     a, D = _integer_rows(rows)
-    n = len(a)
+    m, n = len(a), len(a[0]) if a else 0
     sign = 1
     pivots = []
     prev = 1
     scale = 1
-    for k in range(n):
-        if pivoting and a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][k] != 0), k)
-            if i != k:
-                a[k], a[i] = a[i], a[k]
-                sign = -sign
-        pkk = a[k][k]
+    for c in range(n):
+        k = len(pivots)  # the pivot row
+        if k == m:
+            break
+        if pivoting and a[k][c] == 0:
+            i = next((i for i in range(k + 1, m) if a[i][c] != 0), None)
+            if i is None:
+                continue
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pkc = a[k][c]
         if D is None:
-            pivots.append(pkk)
+            pivots.append(pkc)
         else:
             scale *= D
-            pivots.append(Fraction(pkk, scale))
-        if pkk == 0:
+            pivots.append(Fraction(pkc, scale))
+        if pkc == 0:
             break
         rowk = a[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, m):
             rowi = a[i]
-            aik = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pkk * rowi[j] - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pkk
+            aic = rowi[c]
+            for j in range(c + 1, n):
+                rowi[j] = (pkc * rowi[j] - aic * rowk[j]) // prev
+        prev = pkc
     return sign, pivots
+
+
+def _rank(vectors) -> int:
+    """The rank of exact vectors: the number of pivots of their sweep."""
+    return len(_bareiss(vectors, pivoting=True)[1])
 
 
 def determinant(M: SquareMatrix):
     """Determinant: Bareiss on exact entries, LU with pivoting otherwise.
 
-    The empty (0 x 0) matrix has determinant 1.
+    The empty (0 x 0) matrix has determinant 1.  A singular exact matrix
+    has the zero of its entries' ring: ``Fraction(0)`` when any entry is a
+    Fraction, int 0 otherwise.
     """
     if M.is_exact:
         sign, pivots = _bareiss(M.rows, pivoting=True)
+        if len(pivots) < M.n:
+            return Fraction(0) if any(isinstance(v, Fraction)
+                                      for r in M.rows for v in r) else 0
         return sign * pivots[-1] if pivots else 1
     return float(np.linalg.det(M.to_numpy()))
 

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
@@ -14,11 +15,15 @@ from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       matrix_k_nonnegative, matrix_k_positive,
                       perron_frobenius_check, perron_report, sample_cone,
                       sample_interior)
-from conestab.cones import (_nullspace_1d, _rref, cone_from_json,
-                            extreme_ray_reps)
-from conestab.numerics import all_exact
+from conestab import cones
+from conestab.cones import _normal, cone_from_json, extreme_ray_reps
+from conestab.numerics import _rank, all_exact
 
 SMALL_INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
+SMALL_FRACTIONS = st.sampled_from([Fraction(0), Fraction(1, 2),
+                                   Fraction(-2, 3), Fraction(3),
+                                   Fraction(-1, 6)])
+SMALL_EXACT = st.one_of(SMALL_INTS, SMALL_FRACTIONS)
 # floats with a binary fraction, so each is exactly a small dyadic rational
 BINARY = st.integers(-12, 12).map(lambda k: k / 4)
 
@@ -34,6 +39,78 @@ def binary_generators(draw):
     for _ in range(draw(st.integers(0, 2))):
         a, b = draw(st.permutations(range(n)))[:2]
         w = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        gens.append([x + w * y for x, y in zip(gens[a], gens[b])])
+    return gens
+
+
+def _rref(vectors, n):
+    """Reduced row echelon form of rational vectors in R^n by Fraction
+    Gauss-Jordan elimination: ``(rows, pivots)``, the nonzero reduced rows
+    and their pivot columns.  The independent oracle for the Bareiss rank."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        pr = rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [a - row[col] * b for a, b in zip(row, pr)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _nullspace_1d(vectors, n):
+    """The primitive int vector orthogonal to n-1 independent rational
+    vectors, read off their RREF, or None if they are dependent.  The
+    independent oracle for the cofactor normal."""
+    rows, pivots = _rref(vectors, n)
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    sol = [Fraction(0)] * n
+    sol[free] = Fraction(1)
+    for row, col in zip(rows, pivots):
+        sol[col] = -row[free]
+    denom = math.lcm(*(f.denominator for f in sol))
+    ints = [int(f * denom) for f in sol]
+    g = math.gcd(*ints)
+    return tuple(i // g for i in ints)
+
+
+def _oracle_polyhedral(gens, facet_normals=None):
+    """``Cone.polyhedral`` with its ranks and facet normals taken from
+    the RREF oracles."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_rank", lambda vectors: len(
+            _rref(vectors, len(vectors[0]) if vectors else 0)[1]))
+        mp.setattr(cones, "_normal",
+                   lambda vectors: _nullspace_1d(vectors, len(vectors) + 1))
+        K = Cone.polyhedral(gens, facet_normals)
+        return K, extreme_ray_reps(K)
+
+
+@st.composite
+def generator_sets(draw):
+    """Int and Fraction generator sets in R^n, n <= 5: random vectors,
+    often on top of a triangular basis (a solid pointed cone), with
+    redundant positive combinations of pairs of them."""
+    n = draw(st.integers(1, 5))
+    gens = []
+    if draw(st.booleans()):
+        gens = [[draw(SMALL_EXACT) if i > j else draw(st.sampled_from(
+            [1, 2, Fraction(1, 3)])) if i == j else 0 for i in range(n)]
+            for j in range(n)]
+    gens += draw(st.lists(st.lists(SMALL_EXACT, min_size=n, max_size=n),
+                          min_size=0 if gens else 1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        index = st.integers(0, len(gens) - 1)
+        a, b = draw(index), draw(index)
+        w = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
         gens.append([x + w * y for x, y in zip(gens[a], gens[b])])
     return gens
 
@@ -158,30 +235,65 @@ class TestConeConstruction:
 
 
 class TestExactRref:
+    """The Bareiss rank and the cofactor normal against the RREF oracles."""
+
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-        st.lists(SMALL_INTS, min_size=n, max_size=n), min_size=1, max_size=6))))
+        st.lists(SMALL_INTS, min_size=n, max_size=n), min_size=1, max_size=7),
+        st.integers(0, n - 1), st.booleans())))
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_numpy(self, case):
+        n, vectors, col, zero_column = case
+        if zero_column:
+            for v in vectors:
+                v[col] = 0
+        rank = _rank(vectors)
+        assert rank == np.linalg.matrix_rank(np.array(vectors, dtype=float))
+        assert rank == len(_rref(vectors, n)[1])
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(SMALL_EXACT, min_size=n, max_size=n), min_size=1, max_size=7))))
+    # m < n, m > n, a zero column, Fraction entries, an all-zero matrix
+    @example((4, [[1, Fraction(1, 2), 0, 3], [2, 1, 0, 6]]))
+    @example((2, [[Fraction(1, 3), 0], [1, 0], [Fraction(-2, 3), 0]]))
+    @example((3, [[0, Fraction(1, 2), 1], [0, 1, 2], [0, 0, Fraction(1, 5)],
+                  [0, 3, 0]]))
+    @example((3, [[0, 0, 0], [Fraction(0), 0, 0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_of_rational_rectangles_matches_rref(self, case):
         n, vectors = case
-        rows, pivots = _rref(vectors, n)
-        assert len(pivots) == np.linalg.matrix_rank(np.array(vectors, dtype=float))
-        assert len(rows) == len(pivots) and pivots == sorted(pivots)
-        for i, col in enumerate(pivots):
-            assert [r[col] for r in rows] == [int(j == i) for j in range(len(rows))]
+        assert _rank(vectors) == len(_rref(vectors, n)[1])
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-        st.lists(SMALL_INTS, min_size=n, max_size=n),
+        st.lists(SMALL_EXACT, min_size=n, max_size=n),
         min_size=n - 1, max_size=n - 1))))
+    @example((3, [[1, Fraction(1, 2), 0], [0, 0, 0]]))
+    @example((3, [[Fraction(1, 2), 0, 1], [0, Fraction(2, 3), 1]]))
     @settings(max_examples=300, deadline=None)
     def test_nullspace_is_primitive_and_orthogonal(self, case):
         n, vectors = case
-        h = _nullspace_1d(vectors, n)
-        dependent = np.linalg.matrix_rank(np.array(vectors, dtype=float)) < n - 1
-        assert (h is None) == dependent
+        h = _normal(vectors)
+        oracle = _nullspace_1d(vectors, n)
+        assert (h is None) == (oracle is None)
         if h is not None:
+            assert h in (oracle, tuple(-x for x in oracle))
             assert all(type(x) is int for x in h) and any(h)
             assert math.gcd(*h) == 1
             assert all(sum(a * b for a, b in zip(h, v)) == 0 for v in vectors)
+
+    @given(generator_sets())
+    @example([[1, 0], [-1, 0], [0, 1]])  # not pointed
+    @example([[1, 0, 0], [0, 1, 0], [1, 1, 0]])  # not solid
+    @settings(max_examples=200, deadline=None)
+    def test_polyhedral_cone_matches_rref_oracle(self, gens):
+        try:
+            K, rays = _oracle_polyhedral(gens)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                Cone.polyhedral(gens)
+            return
+        F = Cone.polyhedral(gens)
+        assert F.facet_normals == K.facet_normals
+        assert extreme_ray_reps(F) == rays
 
 
 class TestSampling:
@@ -427,6 +539,22 @@ class TestPerronFrobenius:
         rep = perron_frobenius_check(A, K)
         assert rep.k_irreducible.status == "fails"
         assert not rep.perron.eigenvector_interior
+
+    def test_irreducibility_note_says_whether_k_nonnegativity_failed(self):
+        K = Cone.orthant(2)
+        # float zeros off the diagonal sit in the tolerance band
+        undecided = perron_frobenius_check(
+            SquareMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]]), K)
+        assert undecided.k_nonnegative.status == "unknown"
+        assert undecided.k_irreducible.status == "unknown"
+        assert undecided.k_irreducible.note == (
+            "irreducibility inapplicable: K-nonnegativity undecided")
+        failed = perron_frobenius_check(
+            SquareMatrix.from_rows([[1, -1], [0, 1]]), K)
+        assert failed.k_nonnegative.status == "fails"
+        assert failed.k_irreducible.status == "unknown"
+        assert failed.k_irreducible.note == (
+            "irreducibility inapplicable: not K-nonnegative")
 
     def test_irreducible_instances_have_interior_eigenvector(self, rng):
         K_sizes = {}

@@ -456,21 +456,21 @@ class TestFormChecksComputeOnlyWhatTheyReport:
         form = {"n": 4, "d": 3,
                 "terms": [{"exp": list(e), "coef": c}
                           for e, c in E3_4.terms.items()]}
-        eliminations = 0
-        original = cones._rref
+        rank_sweeps = 0
+        original = cones._rank
 
         def counted(*args, **kwargs):
-            nonlocal eliminations
-            eliminations += 1
+            nonlocal rank_sweeps
+            rank_sweeps += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cones, "_rref", counted)
+        monkeypatch.setattr(cones, "_rank", counted)
         cones.cone_from_json(cone)
-        construction = eliminations
+        construction = rank_sweeps
         cli.cmd_form(form, cone, cli.RunConfig(trials=5, seed=0))
-        # cmd_form builds the cone again, then one elimination per
+        # cmd_form builds the cone again, then one rank sweep per
         # generator decides which generators are extreme
-        assert eliminations == 2 * construction + len(cone["generators"])
+        assert rank_sweeps == 2 * construction + len(cone["generators"])
 
 
 O2, O3 = Cone.orthant(2), Cone.orthant(3)

@@ -109,12 +109,34 @@ def stalling_matrices(draw):
     return rows
 
 
+@st.composite
+def singular_matrices(draw):
+    """``stalling_matrices`` made singular: one row becomes a multiple of
+    another, or one column becomes zero (each entry times 0 keeps its
+    type)."""
+    rows = draw(stalling_matrices())
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if i != j and draw(st.booleans()):
+        c = draw(st.sampled_from([0, 1, -2]))
+        rows[j] = [c * x for x in rows[i]]
+    else:
+        for r in rows:
+            r[j] *= 0
+    return rows
+
+
 def ring_of(rows):
     return int if all(isinstance(v, int) for r in rows for v in r) else Fraction
 
 
 class TestBareissKernel:
-    @given(stalling_matrices())
+    @given(st.one_of(stalling_matrices(), singular_matrices()))
+    # singular: the zero of the entries' ring, with no pivot or with some
+    @example([[0, 0], [0, 0]])
+    @example([[0, Fraction(0)], [0, 0]])
+    @example([[Fraction(1, 2), 1], [1, 2]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 3)]])
     @settings(max_examples=300, deadline=None)
     def test_determinant_matches_cofactor_oracle(self, rows):
         det = determinant(SquareMatrix.from_rows(rows))

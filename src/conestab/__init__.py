@@ -3,7 +3,27 @@
 Core objects are immutable values (polynomials, forms, cones, matrices);
 every check is a pure function of its inputs plus an explicit seed, so
 verdicts are reproducible and safe to evaluate concurrently.
+
+Importing the package loads numpy with OpenBLAS single-threaded, unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy
+was imported first; os.environ is left as it was.
 """
+
+import os
+
+# OpenBLAS starts its worker pool when numpy loads it, sized from these
+# variables, which it reads only then.  conestab hands LAPACK small
+# matrices (order 12 or less in its examples and benchmark), below
+# OpenBLAS's threading thresholds, so the pool gets no job, yet its idle
+# workers spin and compete with the main thread while the package
+# imports.  A count the caller chose wins.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .cones import (Cone, ConeMatrixReport, PerronReport, contains,
                     dual_contained_in, dual_contains, extreme_rays,

@@ -56,11 +56,8 @@ def _eigen_ground_truth(A: SquareMatrix, tol: Tolerance):
     except np.linalg.LinAlgError as e:
         return None, None, Verdict(UNKNOWN, note=f"eigensolver failed: {e}")
     eigs = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
-    verdict = _left_half_plane_verdict(eigs, "eigenvalue", tol)
-    if verdict.is_unknown:
-        # the LTI report witnesses only a refutation by an eigenvalue
-        verdict = Verdict(UNKNOWN, margin=verdict.margin)
-    return eigs, max(z.real for z in eigs), verdict
+    return (eigs, max(z.real for z in eigs),
+            _left_half_plane_verdict(eigs, "eigenvalue", tol))
 
 
 def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:

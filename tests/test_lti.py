@@ -48,6 +48,15 @@ class TestLtiReport:
         assert rep.conclusion == "unstable"
         assert rep.spectral_abscissa == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("one", [1, 1.0])
+    def test_undecided_eigenvalue_names_its_witness(self, one):
+        # eigenvalues 0 and -2, exact and float: the zero sits in the
+        # tolerance band, and the report names it
+        rep = lti_report(SquareMatrix.from_rows([[0, 0], [3 * one, -2]]))
+        assert rep.eigen_stable.status == "unknown"
+        assert rep.eigen_stable.margin == 0.0
+        assert rep.eigen_stable.witness == ("eigenvalue", 0j)
+
     def test_companion_of_stable_quintic(self):
         stable = UniPoly((5, 25, 50, 30, 10, 3))
         A = companion_of(stable)

@@ -46,3 +46,53 @@ def test_sufficiency_sweep_draws_the_same_polynomials_in_every_process():
     first = drawn_under(1)
     assert len(first) == 9
     assert drawn_under(2) == first
+
+
+def write_records(directory: Path, workload: str, metrics_by_seed: dict):
+    """Untraced records in the layout ``perfbench/run.py --out`` writes."""
+    directory.mkdir(exist_ok=True)
+    for seed, metrics in metrics_by_seed.items():
+        record = {"workload": workload, "seed": seed, "trace": 0,
+                  "seconds": 25, "correct": True, "failed": 0,
+                  "metrics": metrics, "machine": {"nproc": 2}}
+        (directory / f"{workload}-seed{seed}-trace0.json").write_text(
+            json.dumps(record))
+
+
+def test_bench_record_writes_quartiles_wins_and_verdicts(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    steady = {m["name"]: 10.0 for m in spec["end_to_end"]}
+    seeds = range(1, 11)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # the change halves latency_p50_ms on every seed; the parent's runs
+    # read 300, 301, ..., 309 ms
+    write_records(parent, "cli", {
+        s: dict(steady, latency_p50_ms=299.0 + s) for s in seeds})
+    write_records(change, "cli", {
+        s: dict(steady, latency_p50_ms=(299.0 + s) / 2) for s in seeds})
+    # a workload run on the parent alone
+    write_records(parent, "lti", {1: steady})
+    out = tmp_path / "BENCH_7.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"),
+         str(parent), str(change), "--pr", "7", "--parent-commit", "abc123",
+         "--out", str(out)], capture_output=True, text=True)
+    # a workload missing on one side reads bad, as in perfbench/compare.py
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(out.read_text())
+    assert (doc["pr"], doc["parent_commit"], doc["change_commit"]) == (
+        7, "abc123", None)
+    cli = doc["workloads"]["cli"]
+    assert cli["parent"] == cli["change"] == {
+        "seeds": list(seeds), "seconds": [25]}
+    p50 = cli["metrics"]["latency_p50_ms"]
+    assert p50["parent"] == {"q1": 301.75, "median": 304.5, "q3": 307.25}
+    assert p50["change"] == {"q1": 150.875, "median": 152.25, "q3": 153.625}
+    assert (p50["wins"], p50["pairs"], p50["verdict"]) == (10, 10, "better")
+    assert (p50["unit"], p50["better"], p50["bound"]) == ("ms", "lower", 0.25)
+    assert set(cli["metrics"]) == set(steady)
+    for name, m in cli["metrics"].items():
+        if name != "latency_p50_ms":
+            assert (m["wins"], m["verdict"]) == (0, "same"), name
+    assert doc["workloads"]["lti"]["metrics"] == {}
+    assert doc["workloads"]["lti"]["notes"] == ["missing on one side"]

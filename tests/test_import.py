@@ -19,6 +19,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # so with one CPU a count of 1 shows nothing
 COUNTS_THREADS = (sys.platform.startswith("linux")
                   and (os.cpu_count() or 1) >= 2)
+# only the pthreads OpenBLAS of numpy's wheels starts its workers when it
+# loads; an OpenMP OpenBLAS or MKL starts none at import
+POOL_AT_LOAD = "scipy-openblas"
 
 PROBE = """
 import json, os
@@ -28,6 +31,8 @@ print(json.dumps({{"environ_kept": dict(os.environ) == before,
                   "environ": dict(os.environ),
                   "tasks": len(os.listdir("/proc/self/task"))
                   if os.path.isdir("/proc/self/task") else None}}))
+import numpy
+print(json.dumps(numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]))
 """
 
 
@@ -45,7 +50,9 @@ def probe(module="conestab", **thread_vars) -> dict:
         [sys.executable, "-c", PROBE.format(module=module)],
         env=child_env(**thread_vars), capture_output=True, text=True,
         check=True)
-    return json.loads(out.stdout)
+    seen, blas = map(json.loads, out.stdout.splitlines())
+    seen["counts_threads"] = COUNTS_THREADS and blas == POOL_AT_LOAD
+    return seen
 
 
 @pytest.mark.parametrize("module", ["conestab", "conestab.numerics"])
@@ -53,7 +60,7 @@ def test_import_loads_one_thread_and_keeps_the_environment(module):
     seen = probe(module)
     assert seen["environ_kept"]
     assert not set(THREAD_VARS) & seen["environ"].keys()
-    if COUNTS_THREADS:
+    if seen["counts_threads"]:
         assert seen["tasks"] == 1
 
 
@@ -61,7 +68,7 @@ def test_caller_openblas_count_is_kept():
     seen = probe(OPENBLAS_NUM_THREADS="2")
     assert seen["environ_kept"]
     assert seen["environ"]["OPENBLAS_NUM_THREADS"] == "2"
-    if COUNTS_THREADS:
+    if seen["counts_threads"]:
         assert seen["tasks"] == 2
 
 
@@ -70,7 +77,7 @@ def test_caller_omp_count_alone_is_respected():
     assert seen["environ_kept"]
     assert "OPENBLAS_NUM_THREADS" not in seen["environ"]
     assert seen["environ"]["OMP_NUM_THREADS"] == "2"
-    if COUNTS_THREADS:
+    if seen["counts_threads"]:
         assert seen["tasks"] == 2
 
 

@@ -73,26 +73,35 @@ def test_bench_record_writes_quartiles_wins_and_verdicts(tmp_path):
     # a workload run on the parent alone
     write_records(parent, "lti", {1: steady})
     out = tmp_path / "BENCH_7.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_record.py"),
-         str(parent), str(change), "--pr", "7", "--parent-commit", "abc123",
-         "--out", str(out)], capture_output=True, text=True)
+    command = [sys.executable, str(ROOT / "scripts" / "bench_record.py"),
+               str(parent), str(change), "--pr", "7",
+               "--parent-commit", "abc123", "--out", str(out)]
+    proc = subprocess.run(command, capture_output=True, text=True)
     # a workload missing on one side reads bad, as in perfbench/compare.py
     assert proc.returncode == 1, proc.stderr
     doc = json.loads(out.read_text())
-    assert (doc["pr"], doc["parent_commit"], doc["change_commit"]) == (
-        7, "abc123", None)
+    assert (doc["pr"], doc["parent_commit"], doc["machine"]) == (
+        7, "abc123", {"nproc": 2})
     cli = doc["workloads"]["cli"]
-    assert cli["parent"] == cli["change"] == {
-        "seeds": list(seeds), "seconds": [25]}
+    assert cli["notes"] == []
     p50 = cli["metrics"]["latency_p50_ms"]
-    assert p50["parent"] == {"q1": 301.75, "median": 304.5, "q3": 307.25}
-    assert p50["change"] == {"q1": 150.875, "median": 152.25, "q3": 153.625}
-    assert (p50["wins"], p50["pairs"], p50["verdict"]) == (10, 10, "better")
-    assert (p50["unit"], p50["better"], p50["bound"]) == ("ms", "lower", 0.25)
+    assert p50 == {
+        "parent": {"q1": 301.75, "median": 304.5, "q3": 307.25},
+        "change": {"q1": 150.875, "median": 152.25, "q3": 153.625},
+        "wins": 10, "pairs": 10, "verdict": "better"}
     assert set(cli["metrics"]) == set(steady)
     for name, m in cli["metrics"].items():
         if name != "latency_p50_ms":
             assert (m["wins"], m["verdict"]) == (0, "same"), name
-    assert doc["workloads"]["lti"]["metrics"] == {}
-    assert doc["workloads"]["lti"]["notes"] == ["missing on one side"]
+    assert doc["workloads"]["lti"] == {
+        "metrics": {}, "notes": ["missing on one side"]}
+
+    # runs from two machines are not one comparison
+    out.unlink()
+    write_records(change, "cli", {1: dict(steady, latency_p50_ms=150.0)})
+    record = change / "cli-seed1-trace0.json"
+    record.write_text(record.read_text().replace('"nproc": 2', '"nproc": 4'))
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "2 machines" in proc.stderr
+    assert not out.exists()

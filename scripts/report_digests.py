@@ -18,10 +18,14 @@ in the same order.  It covers every subcommand:
                    cones given by float-literal generators and explicit
                    facets, and a matrix that maps the second-order cone
                    into the float band of its boundary, in auto and float
-                   mode.
+                   mode;
+* ``lti/overflow/`` a matrix whose float characteristic polynomial
+                   overflows to nan coefficients, in auto and float mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
-run in this process.  Diff the output of two commits to check that a
+run in this process.  Every report of a run that exits 0 must be standard
+JSON (no NaN or Infinity); the script stops with exit 1 at the first one
+that is not, naming it.  Diff the output of two commits to check that a
 change keeps the reports byte-identical, or of two ``PYTHONHASHSEED``
 values to check that identical input and seed give identical bytes:
 
@@ -216,9 +220,13 @@ def corpus():
     for mode in ("auto", "float"):
         yield (f"cone-facets/second-order-band/{mode}", "matrix", band,
                {"type": "second_order", "n": 2}, ["--mode", mode])
+    overflow = {"rows": [[1e200, 1e200, 0], [1e200, 1e200, 1e200],
+                         [0, 1e200, 1e200]]}
+    for mode in ("float", "auto"):
+        yield f"lti/overflow/{mode}", "matrix", overflow, None, ["--mode", mode]
 
 
-def report_bytes(workdir: Path, command, payload, cone, extra) -> bytes:
+def run_report(workdir: Path, command, payload, cone, extra) -> tuple:
     """Exit code, stdout and stderr of one in-process CLI run."""
     (workdir / "input.json").write_text(json.dumps(payload))
     argv = [command, str(workdir / "input.json"), *extra]
@@ -231,14 +239,26 @@ def report_bytes(workdir: Path, command, payload, cone, extra) -> bytes:
             code = cli.main(argv)
         except Exception as e:  # a crash is digested like any other output
             code = f"raised {type(e).__name__}: {e}"
-    return f"{code}\n{out.getvalue()}{err.getvalue()}".encode()
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, command, payload, cone, extra in corpus():
-            digest = hashlib.sha256(
-                report_bytes(Path(tmp), command, payload, cone, extra)).hexdigest()
+            code, out, err = run_report(Path(tmp), command, payload, cone,
+                                        extra)
+            if code == 0:
+                try:
+                    json.loads(out, parse_constant=reject)
+                except ValueError as e:
+                    print(f"{name}: report is not standard JSON: {e}",
+                          file=sys.stderr)
+                    return 1
+            digest = hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
             print(name, digest)
     return 0
 

@@ -32,9 +32,8 @@ from .cones import (Cone, ConeMatrixReport, PerronReport, contains,
                     matrix_k_positive, perron_frobenius_check, perron_report,
                     sample_cone, sample_interior)
 from .errors import (ConestabError, DegreeMismatch, DimensionMismatch,
-                     Inapplicable, InternalMismatch, NonConvergence,
-                     NotInterior, ParseError, Unsupported, WrongDegree,
-                     ZeroPolynomial)
+                     Inapplicable, NonConvergence, NotInterior, ParseError,
+                     Unsupported, WrongDegree, ZeroPolynomial)
 from .forms import (FormReport, MultiForm, clc_necessary_check,
                     hessian_signature_check, hurwitz_over_cone_check,
                     lorentzian_sample_check, quadratic_lorentzian_check,
@@ -62,8 +61,8 @@ __all__ = [
     "matrix_k_nonnegative", "matrix_k_positive", "perron_frobenius_check",
     "perron_report", "sample_cone", "sample_interior",
     "ConestabError", "DegreeMismatch", "DimensionMismatch", "Inapplicable",
-    "InternalMismatch", "NonConvergence", "NotInterior", "ParseError",
-    "Unsupported", "WrongDegree", "ZeroPolynomial",
+    "NonConvergence", "NotInterior", "ParseError", "Unsupported",
+    "WrongDegree", "ZeroPolynomial",
     "FormReport", "MultiForm", "clc_necessary_check",
     "hessian_signature_check", "hurwitz_over_cone_check",
     "lorentzian_sample_check", "quadratic_lorentzian_check",

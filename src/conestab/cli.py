@@ -5,7 +5,8 @@ that produced it, so any verdict can be reproduced from the report alone.
 Identical input plus identical seed gives byte-identical output.
 
 Exit codes: 0 = ran to completion (verdicts are inside the JSON),
-2 = input/parse error, 3 = internal numeric failure.
+2 = input/parse error (an unreadable input or cone file and an unwritable
+``--out`` included), 3 = internal numeric failure.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 
 from .cones import Cone, cone_from_json, perron_frobenius_check
-from .errors import (DimensionMismatch, Inapplicable, InternalMismatch,
-                     NonConvergence, ParseError, WrongDegree, ZeroPolynomial)
+from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
+                     ParseError, WrongDegree, ZeroPolynomial)
 from .forms import (clc_necessary_check, form_from_json,
                     hessian_signature_check, hurwitz_over_cone_check,
                     lorentzian_sample_check, restrict_line)
@@ -63,25 +63,18 @@ class RunConfig:
                 "trials": self.trials, "seed": self.seed, "mode": self.mode}
 
 
-def _finite(x: float):
-    """JSON has no NaN or Infinity: a non-finite float is written as null."""
-    return x if math.isfinite(x) else None
-
-
 def jsonable(obj):
     """Recursively convert reports/verdicts/scalars into JSON-fit values."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return _finite(obj)
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (float, Fraction)):
         return scalar_to_json(obj)
     if isinstance(obj, complex):
-        return [_finite(obj.real), _finite(obj.imag)]
+        return [scalar_to_json(obj.real), scalar_to_json(obj.imag)]
     if isinstance(obj, Verdict):
         out = {"status": obj.status}
         if obj.margin is not None:
-            out["margin"] = _finite(float(obj.margin))
+            out["margin"] = scalar_to_json(float(obj.margin))
         if obj.witness is not None:
             out["witness"] = jsonable(obj.witness)
         if obj.note:
@@ -239,7 +232,11 @@ def cmd_restrict(payload, cfg: RunConfig) -> dict:
 
 
 def _read_payload(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -288,18 +285,18 @@ def main(argv=None) -> int:
             report = cmd_matrix(payload, cone_payload, cfg)
         else:
             report = cmd_restrict(payload, cfg)
-    except (ParseError, ZeroPolynomial, WrongDegree, FileNotFoundError,
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except (ParseError, ZeroPolynomial, WrongDegree, OSError,
             ValueError) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
         return 2
-    except (NonConvergence, InternalMismatch, OverflowError) as e:
+    except (NonConvergence, OverflowError) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
         return 3
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

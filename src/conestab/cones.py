@@ -250,19 +250,15 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(flatten_seed(seed))
 
 
-def _combine(weights, gens) -> tuple:
-    """The float point sum_i w_i g_i, for a numpy array of weights w_i."""
-    point = [0.0] * len(gens[0])
-    for w, g in zip(weights.tolist(), gens):
-        for i, v in enumerate(g):
-            if v:  # a zero entry adds nothing; the orthant's are mostly zeros
-                point[i] += w * float(v)
-    return tuple(point)
-
-
 def _scaled_int(x: float) -> int:
     """The positive int weight max(1, round(1024 x)) for a float draw x."""
     return max(1, round(1024 * x))
+
+
+def _int_combination(K: Cone, weights) -> tuple:
+    """The int point sum_i w_i g_i of the int weights w_i on K's
+    generators times their common denominator."""
+    return tuple(_dot(weights, column) for column in K._int_generator_columns)
 
 
 def sample_interior(K: Cone, seed=0) -> tuple:
@@ -289,14 +285,17 @@ def sample_interior(K: Cone, seed=0) -> tuple:
         return tuple(head) + (tail,)
     weights = [_scaled_int(e) for e in
                rng.exponential(1.0, len(K.generators)).tolist()]
-    return tuple(_dot(weights, column) for column in K._int_generator_columns)
+    return _int_combination(K, weights)
 
 
 def sample_cone(K: Cone, seed=0) -> tuple:
     """Deterministic point of K, biased toward the boundary: a third are
-    interior samples, a third single extreme rays (boundary for the
-    second-order cone), a third sparse nonnegative combinations.
-    ``seed`` is a seed or a numpy Generator to draw from."""
+    interior samples, a third single generators (boundary points of a
+    second-order cone), a third sparse nonnegative combinations.  On the
+    orthant and polyhedral cones every point is an int combination of the
+    generators, as in ``sample_interior``; the boundary and sparse points
+    of a second-order cone are float.  ``seed`` is a seed or a numpy
+    Generator to draw from."""
     rng = _rng(seed)
     mode = int(rng.integers(3))
     if mode == 0:
@@ -309,15 +308,17 @@ def sample_cone(K: Cone, seed=0) -> tuple:
         if mode == 1:  # exactly on the boundary
             return tuple(float(h) for h in head) + (norm,)
         return tuple(float(h) for h in head) + (norm * (1.0 + float(rng.exponential(0.2))),)
-    gens = K.generators
+    m = len(K.generators)
     if mode == 1:
-        g = gens[int(rng.integers(len(gens)))]
-        s = float(rng.exponential(1.0)) + 1e-9
-        return tuple(s * float(v) for v in g)
-    weights = rng.exponential(1.0, len(gens)) * (rng.random(len(gens)) < 0.5)
-    if not weights.any():
-        weights[int(rng.integers(len(gens)))] = 1.0
-    return _combine(weights, gens)
+        weights = [0] * m
+        weights[int(rng.integers(m))] = 1
+        return _int_combination(K, weights)
+    draws = rng.exponential(1.0, m).tolist()
+    keep = (rng.random(m) < 0.5).tolist()
+    weights = [_scaled_int(e) if k else 0 for e, k in zip(draws, keep)]
+    if not any(weights):
+        weights[int(rng.integers(m))] = 1
+    return _int_combination(K, weights)
 
 
 def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,

@@ -25,10 +25,6 @@ class Unsupported(ConestabError):
     """Requested operation is not available for this cone variant."""
 
 
-class InternalMismatch(ConestabError):
-    """Two independent internal computations of the same quantity disagree."""
-
-
 class NotInterior(ConestabError):
     """A point required to be strictly interior to the cone is not."""
 

@@ -274,10 +274,8 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
                             scale=max(abs(val), 2))
     pairing = led.verdict()
     details["pairing"] = pairing
-    if pairing.is_fails:
-        verdict = Verdict(FAILS, margin=pairing.margin, witness=pairing.witness)
-    elif pairing.is_unknown:
-        verdict = Verdict(UNKNOWN, margin=pairing.margin, witness=pairing.witness)
+    if pairing.is_fails or pairing.is_unknown:
+        verdict = pairing
     elif band:
         # a tolerance-band eigenvalue keeps "exactly one positive" honest
         verdict = Verdict(HOLDS_SAMPLED if sampled else HOLDS,

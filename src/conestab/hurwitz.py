@@ -26,10 +26,10 @@ import numpy as np
 from .errors import NonConvergence, WrongDegree, ZeroPolynomial
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, all_roots,
                        exact_div, is_exact, leading_minors)
-from .sequences import is_univariate_clc, quintic_cross_inequality
+from .sequences import (_require_clc, _require_positive_coeffs,
+                        _require_quintic_cross, is_univariate_clc)
 from .unipoly import UniPoly, hb_parts
-from .verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger, Verdict,
-                      combine_verdicts)
+from .verdict import FAILS, HOLDS, UNKNOWN, InequalityLedger, Verdict
 
 
 def hurwitz_matrix(p: UniPoly) -> SquareMatrix:
@@ -43,10 +43,13 @@ def hurwitz_matrix(p: UniPoly) -> SquareMatrix:
 
 
 def _positive_leading(p: UniPoly) -> UniPoly:
+    """p or -p, whichever has a positive leading coefficient; stability is
+    defined from degree 1."""
     if p.is_zero:
         raise ZeroPolynomial("stability is undefined for the zero polynomial")
-    lead = p.leading
-    return p.scale(-1) if lead < 0 else p
+    if p.degree < 1:
+        raise ZeroPolynomial("stability needs degree >= 1")
+    return p.scale(-1) if p.leading < 0 else p
 
 
 _BOUND_MAX_EXP = 1000
@@ -99,11 +102,22 @@ def _minor_data(p: UniPoly):
     return minors, _scaled_minors(H, minors)
 
 
-def _require_positive_coeffs(led: InequalityLedger, p: UniPoly) -> bool:
-    ok = True
-    for k, a in enumerate(p.coeffs):
-        ok = led.require(a, 0, witness=("coefficient", k), strict=True) and ok
-    return ok
+def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
+                 minor_data) -> Verdict:
+    """Require a_k > 0 for k in ``coeffs``, in order, then, unless one
+    failed, Delta_k > 0 for k in ``minors`` up to the first failed minor."""
+    led = InequalityLedger(tol)
+    for k in coeffs:
+        led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
+    if led.has_violation:
+        return led.verdict()
+    _, scaled = minor_data if minor_data is not None else _minor_data(p)
+    for k in minors:
+        minor, scale = scaled[k - 1]
+        if not led.require(minor, 0, witness=("minor", k),
+                           strict=True, scale=scale):
+            break
+    return led.verdict()
 
 
 def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL,
@@ -111,15 +125,8 @@ def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL,
     """Stability via positive coefficients plus positive leading principal
     minors Delta_1..Delta_{d-1}; exact when the coefficients are rational."""
     p = _positive_leading(p)
-    led = InequalityLedger(tol)
-    if not _require_positive_coeffs(led, p):
-        return led.verdict()
-    _, scaled = minor_data if minor_data is not None else _minor_data(p)
-    for k, (minor, scale) in enumerate(scaled[:p.degree - 1]):
-        if not led.require(minor, 0, witness=("minor", k + 1),
-                           strict=True, scale=scale):
-            break
-    return led.verdict()
+    return _minor_chain(p, range(p.degree + 1), range(1, p.degree), tol,
+                        minor_data)
 
 
 def lienard_chipart_stable(p: UniPoly, variant: int = 1,
@@ -136,26 +143,12 @@ def lienard_chipart_stable(p: UniPoly, variant: int = 1,
         raise ValueError("variant must be 1..4")
     p = _positive_leading(p)
     d = p.degree
-    if d < 1:
-        raise ZeroPolynomial("stability needs degree >= 1")
-    led = InequalityLedger(tol)
-    led.require(p.coeff(0), 0, witness=("coefficient", 0), strict=True)
     if variant in (1, 2):
-        idxs = range(d, -1, -2)
+        coeffs = [0, *range(d, -1, -2)]
     else:
-        idxs = [d] + list(range(d - 1, -1, -2))
-    for k in idxs:
-        led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
-    if led.has_violation:
-        return led.verdict()
-    _, scaled = minor_data if minor_data is not None else _minor_data(p)
-    start = 1 if variant in (1, 3) else 2
-    for k in range(start, d + 1, 2):
-        minor, scale = scaled[k - 1]
-        if not led.require(minor, 0, witness=("minor", k),
-                           strict=True, scale=scale):
-            break
-    return led.verdict()
+        coeffs = [0, d, *range(d - 1, -1, -2)]
+    minors = range(1 if variant in (1, 3) else 2, d + 1, 2)
+    return _minor_chain(p, coeffs, minors, tol, minor_data)
 
 
 def _real_positive_roots(q: UniPoly, tol: Tolerance):
@@ -195,8 +188,6 @@ def hermite_biehler_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     starting from the odd side's root at 0.
     """
     p = _positive_leading(p)
-    if p.degree < 1:
-        raise ZeroPolynomial("stability needs degree >= 1")
     led = InequalityLedger(tol)
     if not _require_positive_coeffs(led, p):
         return led.verdict()
@@ -268,8 +259,6 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
     coefficient, so a nonpositive coefficient already rules stability out).
     """
     p = _positive_leading(p)
-    if p.degree < 1:
-        raise ZeroPolynomial("stability needs degree >= 1")
     led = InequalityLedger(tol)
     current = p
     rounds = 0
@@ -289,8 +278,6 @@ def root_oracle_verdict(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Ground truth: all companion-matrix roots in the open left half-plane;
     unknown when the computed roots fail their residual check."""
     p = _positive_leading(p)
-    if p.degree < 1:
-        raise ZeroPolynomial("stability needs degree >= 1")
     try:
         roots = all_roots(p.coeffs, tol)
     except NonConvergence as e:
@@ -329,8 +316,10 @@ def quintic_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     inequality (a1 a4 - a0 a5)^2 < (a1 a2 - a0 a3)(a3 a4 - a2 a5)."""
     if p.is_zero or p.degree != 5:
         raise WrongDegree("criterion applies to degree 5 only")
-    return combine_verdicts([is_univariate_clc(p, True, tol),
-                             quintic_cross_inequality(p, tol)])
+    led = InequalityLedger(tol, strict=True)
+    _require_clc(led, p)
+    _require_quintic_cross(led, p)
+    return led.verdict()
 
 
 @functools.lru_cache(maxsize=None)

@@ -86,12 +86,14 @@ def vector_from_json(value, exact: bool, what: str) -> tuple:
 
 
 def scalar_to_json(value):
+    """An int, a "p/q" string for a non-integer Fraction, or a float; JSON
+    has no NaN or Infinity, so a non-finite float is written as null."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
-        return value
+        return value if math.isfinite(value) else None
     return int(value)
 
 

@@ -56,6 +56,32 @@ def is_ultra_log_concave(seq, strict: bool = False,
     return led.verdict()
 
 
+def _require_positive_coeffs(led: InequalityLedger, p: UniPoly) -> bool:
+    """Require a_k > 0 for every coefficient of p; False on a violation."""
+    ok = True
+    for k, a in enumerate(p.coeffs):
+        ok = led.require(a, 0, witness=("coefficient", k), strict=True) and ok
+    return ok
+
+
+def _require_clc(led: InequalityLedger, p: UniPoly) -> None:
+    """Require positive coefficients and i*a_i^2 >= (i+1)*a_{i-1}*a_{i+1}
+    for 1 <= i <= d-1 (> in a strict ledger)."""
+    _require_positive_coeffs(led, p)
+    a = p.coeffs
+    for i in range(1, p.degree):
+        led.require(i * a[i] * a[i], (i + 1) * a[i - 1] * a[i + 1],
+                    witness=("weighted-newton", i))
+
+
+def _require_quintic_cross(led: InequalityLedger, p: UniPoly) -> None:
+    """Require (a1 a4 - a0 a5)^2 <= (a1 a2 - a0 a3)(a3 a4 - a2 a5) of the
+    degree-5 p (< in a strict ledger)."""
+    a = p.coeffs
+    led.require((a[1] * a[2] - a[0] * a[3]) * (a[3] * a[4] - a[2] * a[5]),
+                (a[1] * a[4] - a[0] * a[5]) ** 2, witness=("quintic-cross",))
+
+
 def is_univariate_clc(p: UniPoly, strict: bool = False,
                       tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Complete log-concavity of p on t >= 0: all coefficients positive and
@@ -68,14 +94,8 @@ def is_univariate_clc(p: UniPoly, strict: bool = False,
             return Verdict(FAILS, witness=("zero-polynomial",),
                            note="zero polynomial is not strictly log-concave")
         return Verdict(HOLDS, note="zero polynomial convention")
-    d = p.degree
     led = InequalityLedger(tol, strict=strict)
-    for k, a in enumerate(p.coeffs):
-        led.require(a, 0, witness=("coefficient", k), strict=True)
-    for i in range(1, d):
-        led.require(i * p.coeffs[i] * p.coeffs[i],
-                    (i + 1) * p.coeffs[i - 1] * p.coeffs[i + 1],
-                    witness=("weighted-newton", i))
+    _require_clc(led, p)
     return led.verdict()
 
 
@@ -84,11 +104,8 @@ def quintic_cross_inequality(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdic
     (a1 a4 - a0 a5)^2 < (a1 a2 - a0 a3)(a3 a4 - a2 a5)."""
     if p.is_zero or p.degree != 5:
         raise WrongDegree("cross inequality is defined for degree 5 only")
-    a = p.coeffs
     led = InequalityLedger(tol, strict=True)
-    lhs = (a[1] * a[2] - a[0] * a[3]) * (a[3] * a[4] - a[2] * a[5])
-    rhs = (a[1] * a[4] - a[0] * a[5]) ** 2
-    led.require(lhs, rhs, witness=("quintic-cross",))
+    _require_quintic_cross(led, p)
     return led.verdict()
 
 
@@ -102,6 +119,42 @@ class NewtonChainReport:
     @property
     def all_hold(self) -> bool:
         return all(v.is_holds for v in self.families.values())
+
+
+def _rectangles(a, d):
+    for k in range(0, d + 1):
+        for i in range(k + 1, d + 1):
+            for j in range(i + 1, d + 1):
+                ell = i + j - k
+                if j < ell <= d:
+                    yield (i * a[i] * a[j], ell * a[k] * a[ell],
+                           ("rectangle", (k, i, j, ell)))
+
+
+# (name, strict, rows): rows(a, d) yields the (lhs, rhs, witness) of each
+# requirement lhs >= rhs of the family.  The ratio chains are strict
+# consequences even of the non-strict hypothesis.
+_FAMILIES = (
+    ("neighbor_product", False, lambda a, d: (
+        (k * a[k] * a[k + 1], (k + 2) * a[k - 1] * a[k + 2],
+         ("neighbor-product", k)) for k in range(1, d - 1))),
+    ("square_gap_two", False, lambda a, d: (
+        (k * (k - 1) * a[k] * a[k], (k + 2) * (k + 1) * a[k - 2] * a[k + 2],
+         ("square-gap-two", k)) for k in range(2, d - 1))),
+    ("product_gap_two", False, lambda a, d: (
+        (k * a[k] * a[k + 2], (k + 3) * a[k - 1] * a[k + 3],
+         ("product-gap-two", k)) for k in range(1, d - 2))),
+    ("top_anchor", False, lambda a, d: (
+        (k * a[k] * a[d - 1], d * a[k - 1] * a[d], ("top-anchor", k))
+        for k in range(1, d))),
+    ("rectangle", False, _rectangles),
+    ("ratio_chain_step_two", True, lambda a, d: (
+        (a[m + 1] * a[m + 2], a[m] * a[m + 3], ("ratio-step-two", m))
+        for m in range(0, d - 2))),
+    ("ratio_chain_alternating", True, lambda a, d: (
+        (a[m + 1] * a[m + 2], a[m] * a[m + 3], ("ratio-alternating", m))
+        for m in range(0, d - 2, 2))),
+)
 
 
 def newton_chain_report(seq, tol: Tolerance = DEFAULT_TOL) -> NewtonChainReport:
@@ -124,53 +177,9 @@ def newton_chain_report(seq, tol: Tolerance = DEFAULT_TOL) -> NewtonChainReport:
         raise Inapplicable("Newton hypothesis does not hold", witness=hv.witness)
 
     families = {}
-
-    led = InequalityLedger(tol)
-    for k in range(1, d - 1):
-        led.require(k * a[k] * a[k + 1], (k + 2) * a[k - 1] * a[k + 2],
-                    witness=("neighbor-product", k))
-    families["neighbor_product"] = led.verdict()
-
-    led = InequalityLedger(tol)
-    for k in range(2, d - 1):
-        led.require(k * (k - 1) * a[k] * a[k],
-                    (k + 2) * (k + 1) * a[k - 2] * a[k + 2],
-                    witness=("square-gap-two", k))
-    families["square_gap_two"] = led.verdict()
-
-    led = InequalityLedger(tol)
-    for k in range(1, d - 2):
-        led.require(k * a[k] * a[k + 2], (k + 3) * a[k - 1] * a[k + 3],
-                    witness=("product-gap-two", k))
-    families["product_gap_two"] = led.verdict()
-
-    led = InequalityLedger(tol)
-    for k in range(1, d):
-        led.require(k * a[k] * a[d - 1], d * a[k - 1] * a[d],
-                    witness=("top-anchor", k))
-    families["top_anchor"] = led.verdict()
-
-    led = InequalityLedger(tol)
-    for k in range(0, d + 1):
-        for i in range(k + 1, d + 1):
-            for j in range(i + 1, d + 1):
-                ell = i + j - k
-                if j < ell <= d:
-                    led.require(i * a[i] * a[j], ell * a[k] * a[ell],
-                                witness=("rectangle", (k, i, j, ell)))
-    families["rectangle"] = led.verdict()
-
-    # ratio chains are strict consequences even of the non-strict hypothesis
-    led = InequalityLedger(tol, strict=True)
-    for m in range(0, d - 2):
-        led.require(a[m + 1] * a[m + 2], a[m] * a[m + 3],
-                    witness=("ratio-step-two", m))
-    families["ratio_chain_step_two"] = led.verdict()
-
-    led = InequalityLedger(tol, strict=True)
-    for m in range(0, d - 2, 2):
-        led.require(a[m + 1] * a[m + 2], a[m] * a[m + 3],
-                    witness=("ratio-alternating", m))
-    families["ratio_chain_alternating"] = led.verdict()
-
+    for name, strict, rows in _FAMILIES:
+        led = InequalityLedger(tol, strict=strict)
+        for lhs, rhs, witness in rows(a, d):
+            led.require(lhs, rhs, witness=witness)
+        families[name] = led.verdict()
     return NewtonChainReport(hypothesis=hv, families=families)

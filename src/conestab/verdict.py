@@ -43,25 +43,6 @@ class Verdict:
         return self.status == UNKNOWN
 
 
-def combine_verdicts(verdicts) -> Verdict:
-    """Conjunction of verdicts: any failure wins, then any unknown."""
-    verdicts = list(verdicts)
-    margins = [v.margin for v in verdicts if v.margin is not None]
-    margin = min(margins, default=None)
-    for v in verdicts:
-        if v.is_fails:
-            return Verdict(FAILS, margin=margin, witness=v.witness, note=v.note)
-    for v in verdicts:
-        if v.is_unknown:
-            return Verdict(UNKNOWN, margin=margin, witness=v.witness, note=v.note)
-    status = HOLDS_SAMPLED if any(
-        v.status == HOLDS_SAMPLED for v in verdicts) else HOLDS
-    binding = min((v for v in verdicts if v.margin is not None),
-                  key=lambda v: v.margin, default=None)
-    return Verdict(status, margin=margin,
-                   witness=binding.witness if binding else None)
-
-
 class InequalityLedger:
     """Accumulates ``lhs >= rhs`` (or ``>`` when strict) requirements.
 

@@ -16,6 +16,17 @@ E2_FORM = {"n": 3, "d": 2, "terms": [{"exp": [1, 1, 0], "coef": 1},
                                      {"exp": [0, 1, 1], "coef": 1}]}
 
 
+# float entries whose characteristic polynomial overflows to nan
+# coefficients in float mode
+OVERFLOW_MATRIX = {"rows": [[1e200, 1e200, 0], [1e200, 1e200, 1e200],
+                            [0, 1e200, 1e200]]}
+
+
+def reject(token):
+    """A ``parse_constant`` for strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def run_cli(args, payload=None):
     data = json.dumps(payload) if payload is not None else ""
     return subprocess.run(CLI + args, input=data, capture_output=True,
@@ -90,9 +101,6 @@ class TestUnipolyCommand:
         # JSON has no NaN or Infinity: the inf minors and their nan margins
         # are written as null, and the finite margin as computed (its float
         # bound rounds just below the minor, so it reads a hair above 1)
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         proc = run_cli(["unipoly", "--mode", "float"],
                        {"coeffs": [1, 1e200, 1e200, 1]})
         assert proc.returncode == 0
@@ -173,6 +181,13 @@ class TestMatrixCommand:
         rep = run_json(["matrix"], {"rows": [[-1, 0], [0, -2]]})
         assert rep["lti_report"]["conclusion"] == "stable"
         assert rep["lti_report"]["clc_d_le_4"]["status"] == "holds"
+
+    def test_float_mode_char_poly_overflow_writes_strict_json(self):
+        proc = run_cli(["matrix", "--mode", "float"], OVERFLOW_MATRIX)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout, parse_constant=reject)
+        assert rep["lti_report"]["char_poly"] == {
+            "coeffs": [None, None, -3e200, 1]}
 
     def test_huge_exact_entries_decide_exactly(self):
         # exact slacks near 1e600 are compared with 0, never cast to float
@@ -333,6 +348,36 @@ class TestDeterminismAndConfig:
         proc = run_cli(["unipoly", "--out", str(out)], STABLE_QUINTIC)
         assert proc.returncode == 0 and proc.stdout == ""
         assert json.loads(out.read_text())["consistent"] is True
+
+    @pytest.mark.parametrize("where", ["input", "cone", "out"])
+    def test_unreadable_or_unwritable_file_is_input_error(self, tmp_path,
+                                                          where):
+        # a directory cannot be read as input or cone; --out into a
+        # missing directory cannot be written
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "orthant", "n": 2}))
+        args = {"input": [str(tmp_path)],
+                "cone": [str(src), "--cone", str(tmp_path)],
+                "out": [str(src), "--cone", str(cone),
+                        "--out", str(tmp_path / "missing" / "o.json")]}[where]
+        proc = run_cli(["matrix", *args])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert set(json.loads(proc.stderr)) == {"error"}
+
+    def test_input_and_cone_files_are_closed(self, tmp_path):
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "orthant", "n": 2}))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", *CLI[1:],
+             "matrix", str(src), "--cone", str(cone)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_input_from_file(self, tmp_path):
         src = tmp_path / "poly.json"

@@ -318,6 +318,19 @@ class TestSampling:
             for t in range(300):
                 assert contains(K, sample_cone(K, [17, t]))
 
+    @pytest.mark.parametrize("K", [
+        Cone.orthant(4),
+        Cone.polyhedral([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 1)])])
+    def test_cone_samples_are_int_points(self, K):
+        # interior points, single generators and sparse combinations alike
+        points = [sample_cone(K, [5, t]) for t in range(300)]
+        for x in points:
+            assert all(type(c) is int for c in x)
+            assert contains(K, x)
+        assert any(interior_contains(K, x) for x in points)
+        assert any(0 in x for x in points)
+
     def test_deterministic(self):
         K = Cone.second_order(5)
         assert sample_interior(K, 123) == sample_interior(K, 123)

@@ -568,7 +568,7 @@ BRANCHES = [
     ("clc/cube2/orthant", (CLC, CUBE_2, O2, False),
      ("holds-sampled", NONE_FOUND, 8, None, LINE, None)),
     ("clc/cubic/orthant/strict", (CLC, CUBIC, O2, True),
-     ("fails", None, 7, HIT, ("trials_run",), None)),
+     ("fails", None, 3, HIT, ("trials_run",), None)),
     ("clc/tiny/orthant/strict", (CLC, TINY, O2, True),
      ("unknown", "2/8 lines indeterminate", 8, None, BOUNDARY, None)),
     ("clc/e3-4/orthant/strict", (CLC, E3_4, Cone.orthant(4), True),
@@ -834,6 +834,22 @@ class TestFormCheckProperties:
         K = data.draw(orthants(n))
         for name, rep in form_checks(f, K, trials=4, seed=seed).items():
             assert not rep.verdict.is_fails, (name, rep.verdict)
+
+    # strict mode draws its boundary points as ints on these cones, so an
+    # exact e_k(n) has no indeterminate line
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6)
+                                      for k in range(2, n + 1)])
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_strict_clc_of_elementary_symmetric_forms_holds(self, n, k,
+                                                            redundant):
+        K = Cone.orthant(n)
+        if redundant:
+            K = Cone.polyhedral([*K.generators, (1,) * n,
+                                 (1, 1) + (0,) * (n - 2)])
+        for seed in range(5):
+            rep = clc_necessary_check(elementary_symmetric(n, k), K,
+                                      trials=100, seed=seed, strict=True)
+            assert rep.verdict.status == "holds-sampled", (seed, rep.verdict)
 
     @given(positive_linear_products(), st.data(), st.integers(0, 2 ** 16))
     @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
@@ -15,8 +15,12 @@ from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
                       quintic_criterion,
                       root_oracle_verdict, routh_hurwitz_stable,
                       stability_report)
+from conestab import hurwitz
 from conestab.hurwitz import _alpha_bracket
-from conestab.verdict import InequalityLedger
+from conestab.numerics import DEFAULT_TOL
+from conestab.sequences import is_univariate_clc, quintic_cross_inequality
+from conestab.verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger,
+                              Verdict)
 
 from conftest import poly_from_roots
 
@@ -33,6 +37,76 @@ def random_signed_poly(rng, dmax=8):
 def random_positive_poly(rng, dmax=8):
     d = rng.randint(1, dmax)
     return UniPoly(tuple(rng.randint(1, 20) for _ in range(d + 1)))
+
+
+# int, Fraction and float coefficients; floats with a binary fraction make
+# exact equalities, which a float ledger reads as indeterminate
+COEFF = st.one_of(st.integers(-4, 40),
+                  st.fractions(-4, 40, max_denominator=6),
+                  st.integers(-16, 160).map(lambda k: k / 4))
+
+
+@st.composite
+def polys(draw, min_degree=1, max_degree=7):
+    d = draw(st.integers(min_degree, max_degree))
+    coeffs = draw(st.lists(COEFF, min_size=d, max_size=d))
+    return UniPoly((*coeffs, draw(COEFF.filter(bool))))
+
+
+def conjunction(verdicts):
+    """Reference conjunction of ledger verdicts, all with a margin: the
+    least margin; the witness of the first failure, else of the first
+    unknown, else of the first verdict with the least margin."""
+    margin = min(v.margin for v in verdicts)
+    for status in (FAILS, UNKNOWN):
+        for v in verdicts:
+            if v.status == status:
+                return Verdict(status, margin=margin, witness=v.witness)
+    binding = min(verdicts, key=lambda v: v.margin)
+    return Verdict(HOLDS, margin=margin, witness=binding.witness)
+
+
+def reference_routh_hurwitz(p):
+    """The Routh-Hurwitz decider's own loops, before the shared minor
+    chain."""
+    p = hurwitz._positive_leading(p)
+    led = InequalityLedger(DEFAULT_TOL)
+    ok = True
+    for k, a in enumerate(p.coeffs):
+        ok = led.require(a, 0, witness=("coefficient", k), strict=True) and ok
+    if not ok:
+        return led.verdict()
+    _, scaled = hurwitz._minor_data(p)
+    for k, (minor, scale) in enumerate(scaled[:p.degree - 1]):
+        if not led.require(minor, 0, witness=("minor", k + 1),
+                           strict=True, scale=scale):
+            break
+    return led.verdict()
+
+
+def reference_lienard_chipart(p, variant):
+    """The Lienard-Chipart decider's own loops, before the shared minor
+    chain."""
+    p = hurwitz._positive_leading(p)
+    d = p.degree
+    led = InequalityLedger(DEFAULT_TOL)
+    led.require(p.coeff(0), 0, witness=("coefficient", 0), strict=True)
+    if variant in (1, 2):
+        idxs = range(d, -1, -2)
+    else:
+        idxs = [d] + list(range(d - 1, -1, -2))
+    for k in idxs:
+        led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
+    if led.has_violation:
+        return led.verdict()
+    _, scaled = hurwitz._minor_data(p)
+    start = 1 if variant in (1, 3) else 2
+    for k in range(start, d + 1, 2):
+        minor, scale = scaled[k - 1]
+        if not led.require(minor, 0, witness=("minor", k),
+                           strict=True, scale=scale):
+            break
+    return led.verdict()
 
 
 class TestHurwitzMatrix:
@@ -221,6 +295,54 @@ class TestQuinticCriterion:
                 found += 1
                 assert root_oracle_verdict(p).status == "holds"
         assert found > 400
+
+
+class TestOneLedgerPerVerdict:
+    """The single ledgers of the quintic criterion and of the minor chain
+    give the verdicts of the separate ledgers they replace."""
+
+    # (10, 40, 75, 90, 75, 48): weighted Newton row 2 and the cross
+    # inequality both have margin 1/25, and it is the least; (3, 12, 4, 6,
+    # 8, 2) ties two violations at -23/27
+    @example(UniPoly((10, 40, 75, 90, 75, 48)))
+    @example(UniPoly((Fraction(2), 8, 15, 18, 15, Fraction(48, 5))))
+    @example(UniPoly((10.0, 40.0, 75.0, 90.0, 75.0, 48.0)))
+    @example(UniPoly((3, 12, 4, 6, 8, 2)))
+    # float weighted Newton row 2 is an equality (unknown) beside a
+    # holding and a failing cross inequality; then a failing row 3 beside
+    # an unknown cross inequality
+    @example(UniPoly((0.25, 5.5, 8.25, 8.25, 1.75, 0.25)))
+    @example(UniPoly((0.25, 5.5, 8.25, 8.25, 6.0, 3.25)))
+    @example(UniPoly((0.25, 5.5, 8.25, 8.25, 8.0, 2.75)))
+    @given(polys(5, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_quintic_criterion_is_the_conjunction(self, p):
+        expected = conjunction([is_univariate_clc(p, True),
+                                quintic_cross_inequality(p)])
+        got = quintic_criterion(p)
+        assert got == expected
+        assert type(got.margin) is type(expected.margin)
+
+    def test_tied_margins_bind_at_the_weighted_newton_row(self):
+        v = quintic_criterion(UniPoly((10, 40, 75, 90, 75, 48)))
+        assert v == Verdict(HOLDS, margin=Fraction(1, 25),
+                            witness=("weighted-newton", 2))
+
+    @given(polys())
+    @settings(max_examples=300, deadline=None)
+    def test_minor_chains_match_the_separate_loops(self, p):
+        assert routh_hurwitz_stable(p) == reference_routh_hurwitz(p)
+        for variant in (1, 2, 3, 4):
+            assert (lienard_chipart_stable(p, variant)
+                    == reference_lienard_chipart(p, variant)), variant
+
+    @pytest.mark.parametrize("decider", [
+        routh_hurwitz_stable, hermite_biehler_stable, degree_reduction_stable,
+        root_oracle_verdict, lambda p: lienard_chipart_stable(p, 3)])
+    def test_stability_needs_degree_one(self, decider):
+        for p in (UniPoly((0,)), UniPoly((2,)), UniPoly((-1.5,))):
+            with pytest.raises(ZeroPolynomial):
+                decider(p)
 
 
 class TestAlpha:

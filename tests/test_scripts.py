@@ -105,3 +105,24 @@ def test_bench_record_writes_quartiles_wins_and_verdicts(tmp_path):
     assert proc.returncode != 0
     assert "2 machines" in proc.stderr
     assert not out.exists()
+
+
+def test_report_digests_stops_at_the_first_non_standard_report(monkeypatch,
+                                                               capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import report_digests
+
+    entries = [(name, "unipoly", {"coeffs": [1, 1]}, None, [])
+               for name in ("first", "second", "third")]
+    monkeypatch.setattr(report_digests, "corpus", lambda: iter(entries))
+    reports = iter(['{"x": 1.5}', '{"x": NaN}', '{"x": 2}'])
+
+    def cli_main(argv):
+        print(next(reports))
+        return 0
+
+    monkeypatch.setattr(report_digests.cli, "main", cli_main)
+    assert report_digests.main() == 1
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["first"]
+    assert err.startswith("second: report is not standard JSON")

@@ -20,7 +20,9 @@ in the same order.  It covers every subcommand:
                    into the float band of its boundary, in auto and float
                    mode;
 * ``lti/overflow/`` a matrix whose float characteristic polynomial
-                   overflows to nan coefficients, in auto and float mode.
+                   overflows to nan coefficients, in auto and float mode;
+* ``unipoly/newton/`` 40 products of 4-10 factors t + r, r in 1..9, whose
+                   Newton families all have rows to check.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -224,6 +226,14 @@ def corpus():
                          [0, 1e200, 1e200]]}
     for mode in ("float", "auto"):
         yield f"lti/overflow/{mode}", "matrix", overflow, None, ["--mode", mode]
+    rng = random.Random("report_digests/newton")
+    for i in range(40):
+        coeffs = [1]
+        for _ in range(rng.randint(4, 10)):  # times (t + r)
+            r = rng.randint(1, 9)
+            coeffs = [r * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        yield (f"unipoly/newton/{i:03d}", "unipoly", {"coeffs": coeffs}, None,
+               [])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

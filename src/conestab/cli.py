@@ -28,7 +28,7 @@ from .lti import lti_report
 from .numerics import (SquareMatrix, Tolerance, all_roots, int_from_json,
                        scalar_to_json, vector_from_json)
 from .sequences import is_univariate_clc, newton_chain_report
-from .unipoly import UniPoly, unipoly_from_json, unipoly_to_json
+from .unipoly import unipoly_from_json
 from .verdict import FAILS, Verdict
 
 
@@ -64,7 +64,8 @@ class RunConfig:
 
 
 def jsonable(obj):
-    """Recursively convert reports/verdicts/scalars into JSON-fit values."""
+    """Recursively convert reports/verdicts/scalars into JSON-fit values;
+    a type with no JSON form raises TypeError rather than reach a report."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (float, Fraction)):
@@ -80,10 +81,6 @@ def jsonable(obj):
         if obj.note:
             out["note"] = obj.note
         return out
-    if isinstance(obj, UniPoly):
-        return unipoly_to_json(obj)
-    if isinstance(obj, SquareMatrix):
-        return {"n": obj.n, "rows": [[jsonable(v) for v in r] for r in obj.rows]}
     if dataclasses.is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -91,19 +88,22 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return jsonable(obj.item())
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
-def _criterion_entry(verdict):
-    """Criteria report about their own hypotheses: a failed hypothesis is
+def _criterion_entries(report) -> dict:
+    """The four degree-gated criteria of a stability or LTI report.
+    Criteria report about their own hypotheses: a failed hypothesis is
     labeled as such, never as instability."""
-    if verdict is None:
-        return {"status": "not-applicable"}
-    out = jsonable(verdict)
-    if verdict.status == FAILS:
-        out["status"] = "fails-hypothesis"
+    out = {}
+    for key in ("clc_d_le_4", "quintic", "alpha_product", "alpha_square"):
+        verdict = getattr(report, key)
+        if verdict is None:
+            out[key] = {"status": "not-applicable"}
+        else:
+            out[key] = jsonable(verdict)
+            if verdict.status == FAILS:
+                out[key]["status"] = "fails-hypothesis"
     return out
 
 
@@ -141,12 +141,7 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
             "degree_reduction": jsonable(report.degree_reduction),
             "root_oracle": jsonable(report.root_oracle),
         },
-        "criteria": {
-            "clc_d_le_4": _criterion_entry(report.clc_d_le_4),
-            "quintic": _criterion_entry(report.quintic),
-            "alpha_product": _criterion_entry(report.alpha_product),
-            "alpha_square": _criterion_entry(report.alpha_square),
-        },
+        "criteria": _criterion_entries(report),
         "minors": [jsonable(m) for m in report.minors],
         "minor_margins": jsonable(report.minor_margins),
         "roots": roots,
@@ -206,12 +201,8 @@ def cmd_matrix(payload, cone_payload, cfg: RunConfig) -> dict:
         return {"input": jsonable(payload), "cone": {"type": K.kind, "n": K.n},
                 "config": cfg.echo(), "cone_matrix_report": jsonable(report)}
     report = lti_report(A, cfg.tol)
-    out = jsonable(report)
-    del out["matrix"]
-    for key in ("clc_d_le_4", "quintic", "alpha_product", "alpha_square"):
-        out[key] = _criterion_entry(getattr(report, key))
     return {"input": jsonable(payload), "config": cfg.echo(),
-            "lti_report": out}
+            "lti_report": jsonable(report) | _criterion_entries(report)}
 
 
 def cmd_restrict(payload, cfg: RunConfig) -> dict:

@@ -26,8 +26,9 @@ from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
                     matrix_k_irreducible, matrix_k_nonnegative,
                     perron_frobenius_check, sample_cone, sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
-from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _dot, all_exact,
-                       exact_div, int_from_json, scalar_from_json, sym_eigs)
+from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _differ, _dot,
+                       all_exact, exact_div, int_from_json, scalar_from_json,
+                       sym_eigs)
 from .sequences import is_log_concave
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
@@ -540,16 +541,8 @@ def verify_sum_condition(f: MultiForm, g: MultiForm, b, c,
     dg = g.dir_derivative(c)
     if df.is_zero or dg.is_zero:
         return False
-    exact = df.is_exact and dg.is_exact
-    if exact:
-        return df == dg
-    keys = set(df.terms) | set(dg.terms)
-    for k in keys:
-        a1 = df.terms.get(k, 0)
-        a2 = dg.terms.get(k, 0)
-        if abs(a1 - a2) > tol.threshold(max(abs(a1), abs(a2), 1.0)):
-            return False
-    return True
+    return not any(_differ(df.terms.get(k, 0), dg.terms.get(k, 0), tol)
+                   for k in df.terms.keys() | dg.terms.keys())
 
 
 def form_from_json(obj, exact: bool = True) -> MultiForm:

@@ -103,9 +103,11 @@ def _minor_data(p: UniPoly):
 
 
 def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
-                 minor_data) -> Verdict:
+                 minor_data=None) -> Verdict:
     """Require a_k > 0 for k in ``coeffs``, in order, then, unless one
-    failed, Delta_k > 0 for k in ``minors`` up to the first failed minor."""
+    failed, Delta_k > 0 for k in ``minors`` up to the first failed minor.
+    The minors are the given ``_minor_data(p)``, or computed only once the
+    coefficients pass."""
     led = InequalityLedger(tol)
     for k in coeffs:
         led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
@@ -120,18 +122,24 @@ def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
     return led.verdict()
 
 
-def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL,
-                         minor_data=None) -> Verdict:
+def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Stability via positive coefficients plus positive leading principal
     minors Delta_1..Delta_{d-1}; exact when the coefficients are rational."""
     p = _positive_leading(p)
-    return _minor_chain(p, range(p.degree + 1), range(1, p.degree), tol,
-                        minor_data)
+    return _minor_chain(p, range(p.degree + 1), range(1, p.degree), tol)
+
+
+def _lc_indices(d: int, variant: int):
+    """Coefficient and minor indices of an alternating-chain variant."""
+    if variant in (1, 2):
+        coeffs = [0, *range(d, -1, -2)]
+    else:
+        coeffs = [0, d, *range(d - 1, -1, -2)]
+    return coeffs, range(1 if variant in (1, 3) else 2, d + 1, 2)
 
 
 def lienard_chipart_stable(p: UniPoly, variant: int = 1,
-                           tol: Tolerance = DEFAULT_TOL,
-                           minor_data=None) -> Verdict:
+                           tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Alternating-chain refinement of the minor test.
 
     With a_0 > 0, each variant needs only every other coefficient from the
@@ -142,13 +150,7 @@ def lienard_chipart_stable(p: UniPoly, variant: int = 1,
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1..4")
     p = _positive_leading(p)
-    d = p.degree
-    if variant in (1, 2):
-        coeffs = [0, *range(d, -1, -2)]
-    else:
-        coeffs = [0, d, *range(d - 1, -1, -2)]
-    minors = range(1 if variant in (1, 3) else 2, d + 1, 2)
-    return _minor_chain(p, coeffs, minors, tol, minor_data)
+    return _minor_chain(p, *_lc_indices(p.degree, variant), tol)
 
 
 def _real_positive_roots(q: UniPoly, tol: Tolerance):
@@ -424,8 +426,9 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
     md = _minor_data(p_norm)
     minors, scaled = md
     margins = [float(m) / s for m, s in scaled]
-    rh = routh_hurwitz_stable(p_norm, tol, minor_data=md)
-    lc = {v: lienard_chipart_stable(p_norm, v, tol, minor_data=md)
+    d = p_norm.degree
+    rh = _minor_chain(p_norm, range(d + 1), range(1, d), tol, md)
+    lc = {v: _minor_chain(p_norm, *_lc_indices(d, v), tol, md)
           for v in (1, 2, 3, 4)}
     hb = hermite_biehler_stable(p_norm, tol)
     dr = degree_reduction_stable(p_norm, tol)

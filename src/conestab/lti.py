@@ -20,7 +20,7 @@ from .forms import MultiForm, restrict_line
 from .hurwitz import (_gated, _left_half_plane_verdict, alpha_criterion,
                       clc_d_le_4_criterion, quintic_criterion,
                       routh_hurwitz_stable)
-from .numerics import DEFAULT_TOL, SquareMatrix, Tolerance, char_poly
+from .numerics import DEFAULT_TOL, SquareMatrix, Tolerance, _differ, char_poly
 from .unipoly import UniPoly
 from .verdict import FAILS, HOLDS, UNKNOWN, Verdict
 
@@ -31,7 +31,6 @@ INCONCLUSIVE = "criterion-inconclusive"
 
 @dataclass(frozen=True)
 class LTIReport:
-    matrix: SquareMatrix
     char_poly: UniPoly
     eigenvalues: list | None
     spectral_abscissa: float | None
@@ -60,6 +59,19 @@ def _eigen_ground_truth(A: SquareMatrix, tol: Tolerance):
             _left_half_plane_verdict(eigs, "eigenvalue", tol))
 
 
+def _criteria(p: UniPoly, tol: Tolerance) -> dict:
+    """The degree-gated sufficient criteria on p, keyed by report field; a
+    criterion outside its gate is None, and the alpha tests apply from
+    degree 5."""
+    alpha = p.degree >= 5
+    return {
+        "clc_d_le_4": _gated(clc_d_le_4_criterion, p, tol),
+        "quintic": _gated(quintic_criterion, p, tol),
+        "alpha_product": alpha_criterion(p, "product", tol) if alpha else None,
+        "alpha_square": alpha_criterion(p, "square", tol) if alpha else None,
+    }
+
+
 def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
     """Characteristic-polynomial stability analysis of dx/dt = A x.
 
@@ -69,8 +81,7 @@ def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
     eigenvalue ground truth.
     """
     chi = char_poly(A)
-    d = chi.degree
-    rh = routh_hurwitz_stable(chi, tol) if d >= 1 else Verdict(
+    rh = routh_hurwitz_stable(chi, tol) if chi.degree >= 1 else Verdict(
         UNKNOWN, note="degree-0 characteristic polynomial")
 
     eigs, abscissa, eigen_stable = _eigen_ground_truth(A, tol) if A.n else (
@@ -88,21 +99,10 @@ def lti_report(A: SquareMatrix, tol: Tolerance = DEFAULT_TOL) -> LTIReport:
     else:
         conclusion = INCONCLUSIVE
 
-    return LTIReport(
-        matrix=A,
-        char_poly=chi,
-        eigenvalues=eigs,
-        spectral_abscissa=abscissa,
-        eigen_stable=eigen_stable,
-        routh_hurwitz=rh,
-        clc_d_le_4=_gated(clc_d_le_4_criterion, chi, tol),
-        quintic=_gated(quintic_criterion, chi, tol),
-        alpha_product=(_gated(alpha_criterion, chi, "product", tol)
-                       if d >= 5 else None),
-        alpha_square=(_gated(alpha_criterion, chi, "square", tol)
-                      if d >= 5 else None),
-        conclusion=conclusion,
-    )
+    return LTIReport(char_poly=chi, eigenvalues=eigs,
+                     spectral_abscissa=abscissa, eigen_stable=eigen_stable,
+                     routh_hurwitz=rh, **_criteria(chi, tol),
+                     conclusion=conclusion)
 
 
 def restriction_realization_check(f: MultiForm, K: Cone, x0, v,
@@ -111,11 +111,13 @@ def restriction_realization_check(f: MultiForm, K: Cone, x0, v,
     """Verify that det(tI - A) equals the line restriction f(x0 + t v) up to
     its positive leading normalization, with x0 and v interior to K.
 
-    On a match, the degree-gated coefficient hypotheses are evaluated on
-    the restriction; when they hold, the implied stability is cross-checked
-    against the exact minor test on an exact characteristic polynomial, and
-    against the eigenvalue ground truth otherwise.  Realizations are
-    verified, never synthesized.
+    The realization check reads the LTI report: on a match, the
+    degree-gated criteria are evaluated on the restriction, and a
+    criterion that holds implies stability, which is refuted exactly when
+    ``lti_report(A)`` concludes "unstable" (by the exact minor test on an
+    exact characteristic polynomial, by the eigenvalues otherwise).  The
+    criterion is named by its report key.  Realizations are verified,
+    never synthesized.
     """
     if not interior_contains(K, x0, tol):
         raise NotInterior("x0 is not interior to the cone")
@@ -128,56 +130,31 @@ def restriction_realization_check(f: MultiForm, K: Cone, x0, v,
         return Verdict(FAILS, witness=("degree", restriction.degree),
                        note="restriction degree does not match the matrix")
     normalized = restriction.monic()
-    chi = char_poly(A)
-    exact = normalized.is_exact and chi.is_exact
+    report = lti_report(A, tol)
     for k in range(A.n + 1):
-        a, b = chi.coeff(k), normalized.coeff(k)
-        if exact:
-            if a != b:
-                return Verdict(FAILS, witness=("coefficient", k),
-                               note=f"chi has {a}, restriction has {b}")
-        else:
-            scale = max(abs(a), abs(b), 1.0)
-            if abs(a - b) > tol.threshold(scale):
-                return Verdict(FAILS, witness=("coefficient", k),
-                               note=f"chi has {a}, restriction has {b}")
+        a, b = report.char_poly.coeff(k), normalized.coeff(k)
+        if _differ(a, b, tol):
+            return Verdict(FAILS, witness=("coefficient", k),
+                           note=f"chi has {a}, restriction has {b}")
 
-    d = restriction.degree
-    criterion = None
-    criterion_name = None
-    if 1 <= d <= 4:
-        criterion = clc_d_le_4_criterion(restriction, tol)
-        criterion_name = "weighted-newton-d-le-4"
-    elif d == 5:
-        criterion = quintic_criterion(restriction, tol)
-        criterion_name = "quintic-cross"
-        if not criterion.is_holds:
-            alpha = alpha_criterion(restriction, "square", tol)
-            if alpha.is_holds:
-                criterion, criterion_name = alpha, "alpha-square"
-    elif d > 5:
-        criterion = alpha_criterion(restriction, "square", tol)
-        criterion_name = "alpha-square"
-    implied_stable = bool(criterion is not None and criterion.is_holds)
-    _, _, eigen_stable = _eigen_ground_truth(A, tol)
-    if implied_stable and chi.is_exact:
-        # an exact chi is decided by the exact minor test alone; the float
-        # eigenvalues stay a diagnostic
-        rh = routh_hurwitz_stable(chi, tol)
-        if rh.is_fails:
-            return Verdict(FAILS,
-                           witness={"criterion": criterion_name,
-                                    "minors": rh.witness},
-                           note="criterion implied stability but the exact "
-                                "minor test refutes it")
-    elif implied_stable and eigen_stable.is_fails:
+    # the first criterion that holds, else the first that applies
+    criteria = [(name, c) for name, c in _criteria(restriction, tol).items()
+                if name != "alpha_product" and c is not None]
+    holding = [(name, c) for name, c in criteria if c.is_holds]
+    name, criterion = (holding or criteria or [(None, None)])[0]
+    implied_stable = bool(holding)
+    if implied_stable and report.conclusion == UNSTABLE:
+        # an exact chi is decided by the exact minor test alone
+        key, refutation = (("minors", report.routh_hurwitz)
+                           if report.char_poly.is_exact
+                           else ("eigen", report.eigen_stable))
         return Verdict(FAILS,
-                       witness={"criterion": criterion_name,
-                                "eigen": eigen_stable.witness},
-                       note="criterion implied stability but eigenvalues refute it")
+                       witness={"criterion": name, key: refutation.witness},
+                       note="criterion implied stability but the "
+                            "characteristic polynomial is unstable")
     return Verdict(HOLDS,
                    witness={"implied_stable": implied_stable,
-                            "criterion": criterion_name,
+                            "criterion": name,
                             "criterion_verdict": criterion,
-                            "eigen_stable": eigen_stable.status},
+                            "eigen_stable": report.eigen_stable.status},
                    note="characteristic polynomial matches the restriction")

@@ -140,6 +140,13 @@ def classify_sign(x, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> Sign:
     return Sign.INDETERMINATE
 
 
+def _differ(a, b, tol: Tolerance) -> bool:
+    """Do the scalars a and b differ?  Exact pairs compare exactly; a float
+    difference must clear the band at scale max(|a|, |b|, 1)."""
+    sign = classify_sign(a - b, tol, max(abs(a), abs(b), 1))
+    return sign in (Sign.POS, Sign.NEG)
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """Dense square matrix over the scalar tower, row-major."""

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ZeroPolynomial
-from .numerics import all_exact, exact_div, scalar_from_json, scalar_to_json
+from .numerics import all_exact, exact_div, scalar_from_json
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,3 @@ def unipoly_from_json(obj, exact: bool = True) -> UniPoly:
     if not isinstance(coeffs, list):
         raise ParseError('"coeffs" must be a list')
     return UniPoly(tuple(scalar_from_json(c, exact) for c in coeffs))
-
-
-def unipoly_to_json(p: UniPoly) -> dict:
-    return {"coeffs": [scalar_to_json(c) for c in p.coeffs]}

@@ -956,6 +956,18 @@ class TestVerifySumCondition:
             verify_sum_condition(power_of_sum(2, 2), power_of_sum(2, 3),
                                  (1, 1), (1, 1))
 
+    @pytest.mark.parametrize("coef,expected", [
+        (1.0 + 1e-12, True),  # float forms agree within the tolerance
+        (1.1, False),  # float forms differ beyond it
+        (1 + Fraction(1, 10 ** 12), False),  # exact forms decide exactly
+    ])
+    def test_coefficient_comparison(self, coef, expected):
+        # D_{e2}(x1^2 + x1 x2) = x1 against D_{e2}(coef x1 x2) = coef x1
+        one = 1.0 if isinstance(coef, float) else 1
+        f = MultiForm(2, 2, {(2, 0): one, (1, 1): one})
+        g = MultiForm(2, 2, {(1, 1): coef})
+        assert verify_sum_condition(f, g, (0, 1), (0, 1)) is expected
+
 
 class TestQuadraticMatrixExtraction:
     def test_round_trip_with_evaluation(self, rng):

@@ -8,6 +8,8 @@ from conestab import (Cone, DegreeMismatch, MultiForm, NotInterior,
                       is_univariate_clc, lti_report, restrict_line,
                       restriction_realization_check, routh_hurwitz_stable)
 
+from conestab.verdict import HOLDS, Verdict
+
 from conftest import form_through_line, poly_from_roots
 
 
@@ -165,6 +167,12 @@ class TestRealizationCheck:
         with pytest.raises(NotInterior):
             restriction_realization_check(f, Cone.orthant(2), (1, 0), (1, 1), A)
 
+    def test_direction_not_interior_rejected(self):
+        f = MultiForm(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        A = SquareMatrix.identity(2).scale(-1)
+        with pytest.raises(NotInterior):
+            restriction_realization_check(f, Cone.orthant(2), (1, 1), (0, 1), A)
+
     def test_degree_mismatch_rejected(self):
         f = MultiForm(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
         with pytest.raises(DegreeMismatch):
@@ -219,3 +227,63 @@ class TestRealizationCheck:
                                                 (1, 2), A)
         assert verdict.status == "holds"
         assert verdict.witness["implied_stable"] is True
+
+    def test_float_realization_within_tolerance(self):
+        # f(x0 + t v) = 4 (t + 1)^2; chi differs from t^2 + 2t + 1 by about
+        # 1e-12 per coefficient, inside the default tolerance
+        f = MultiForm(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})
+        A = SquareMatrix.from_rows([[-1.0, 0.0], [0.0, -1.0 - 1e-12]])
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 1), A)
+        assert v.status == "holds"
+        assert v.witness["implied_stable"] is True
+        assert v.witness["eigen_stable"] == "holds"
+
+    def test_float_realization_beyond_tolerance(self):
+        f = MultiForm(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})
+        A = SquareMatrix.from_rows([[-1.0, 0.0], [0.0, -1.5]])
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 1), A)
+        assert v.status == "fails"
+        assert v.witness == ("coefficient", 0)
+
+    def test_degree_five_quintic_fails_alpha_square_holds(self):
+        # (1, 3, 6, 8, 6, 3) breaks the weighted Newton part of the quintic
+        # hypothesis but meets the alpha-square inequalities
+        coeffs = (1, 3, 6, 8, 6, 3)
+        f = form_through_line(coeffs)
+        A = companion_of(UniPoly(coeffs))
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 2), A)
+        assert v.status == "holds"
+        assert v.witness["implied_stable"] is True
+        assert v.witness["criterion_verdict"].status == "holds"
+        assert v.witness["criterion_verdict"].witness[0] == "alpha-square"
+
+    def test_degree_six_power_of_sum(self):
+        f = MultiForm(2, 6, {(6 - k, k): math.comb(6, k) for k in range(7)})
+        A = SquareMatrix.identity(6).scale(-1)
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 1), A)
+        assert v.status == "holds"
+        assert v.witness["implied_stable"] is True
+        assert v.witness["criterion_verdict"].witness[0] == "alpha-square"
+        assert v.witness["eigen_stable"] == "holds"
+
+    def test_restriction_degree_drop(self):
+        # f(v) = 0 for f = x1^2 - x2^2 and v = (1, 1): the restriction
+        # (2 + t)^2 - (1 + t)^2 = 3 + 2t has degree 1
+        f = MultiForm(2, 2, {(2, 0): 1, (0, 2): -1})
+        A = SquareMatrix.identity(2).scale(-1)
+        v = restriction_realization_check(f, Cone.orthant(2), (2, 1), (1, 1), A)
+        assert v.status == "fails"
+        assert v.witness == ("degree", 1)
+
+    @pytest.mark.parametrize("one,key", [(1, "minors"), (1.0, "eigen")])
+    def test_implied_stability_refuted(self, monkeypatch, one, key):
+        # chi = (t - 1)(t + 2) with a criterion forced to hold: the exact
+        # minor test refutes an exact chi, the eigenvalues a float one
+        monkeypatch.setattr("conestab.lti.clc_d_le_4_criterion",
+                            lambda p, tol=None: Verdict(HOLDS))
+        f = form_through_line((-2 * one, one, one))
+        A = SquareMatrix.from_rows([[one, 0 * one], [0 * one, -2 * one]])
+        v = restriction_realization_check(f, Cone.orthant(2), (1, 1), (1, 2), A)
+        assert v.status == "fails"
+        assert key in v.witness
+        assert v.witness[key] is not None

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conestab import (UniPoly, ZeroPolynomial, even_odd_parts, hb_parts,
                       root_oracle_verdict, routh_hurwitz_stable)
-from conestab.unipoly import unipoly_from_json, unipoly_to_json
+from conestab.cli import jsonable
+from conestab.unipoly import unipoly_from_json
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(fractions, min_size=0, max_size=7).map(
@@ -166,7 +167,7 @@ class TestReverseHurwitzInvariance:
 class TestJson:
     def test_round_trip(self):
         p = UniPoly((Fraction(1, 2), 3, Fraction(25, 2)))
-        assert unipoly_from_json(unipoly_to_json(p)).coeffs == p.coeffs
+        assert unipoly_from_json(jsonable(p)).coeffs == p.coeffs
 
     def test_decimal_strings_and_numbers(self):
         p = unipoly_from_json({"coeffs": [5, "12.5", 7.2]})

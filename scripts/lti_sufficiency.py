@@ -8,19 +8,28 @@ of modulus near 1, and realizes it as the exact rational matrix
 A = P C P^-1, with C its companion matrix and P a random unimodular
 integer matrix.  ``lti_report(A)`` must return p exactly as the
 characteristic polynomial, find the criterion holding, conclude "stable"
-and agree with the eigenvalue ground truth.  Exits 1 on any
-counterexample.
+and agree with the eigenvalue ground truth.
+
+A fourth family goes from forms to systems: a product of d linear forms
+with positive int coefficients in n variables, which is Lorentzian on the
+orthant (Branden-Huh), restricted along an int interior line x0 + t v and
+realized the same way from its monic restriction, unscaled so that the
+coefficients still match.  ``restriction_realization_check`` must hold,
+and where a criterion implies stability ``lti_report(A)`` must conclude
+"stable".  Exits 1 on any counterexample.
 """
 
 import argparse
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from sufficiency_sweep import alpha_square_poly, strict_newton_poly
 
-from conestab import SquareMatrix, UniPoly, lti_report
+from conestab import (Cone, MultiForm, SquareMatrix, UniPoly, lti_report,
+                      restrict_line, restriction_realization_check)
 
 
 def balanced(p):
@@ -75,6 +84,46 @@ def sweep(label, count, make, criterion):
     return bad
 
 
+def linear_form_product(rows):
+    """The form prod_r (sum_i rows[r][i] x_i)."""
+    n = len(rows[0])
+    terms = {(0,) * n: 1}
+    for row in rows:
+        nxt = {}
+        for exp, c in terms.items():
+            for i, a in enumerate(row):
+                e = list(exp)
+                e[i] += 1
+                nxt[tuple(e)] = nxt.get(tuple(e), 0) + c * a
+        terms = nxt
+    return MultiForm(n, len(rows), terms)
+
+
+def realization_sweep(label, count):
+    rng = random.Random(f"lti_sufficiency/{label}")
+    implied = Counter()
+    bad = 0
+    for _ in range(count):
+        n, d = rng.randint(2, 4), rng.randint(1, 8)
+        f = linear_form_product([[rng.randint(1, 9) for _ in range(n)]
+                                 for _ in range(d)])
+        x0, v = ([rng.randint(1, 9) for _ in range(n)] for _ in range(2))
+        A = realize(rng, restrict_line(f, x0, v).monic())
+        check = restriction_realization_check(f, Cone.orthant(n), x0, v, A)
+        stable = check.is_holds and check.witness["implied_stable"]
+        if stable:
+            implied[check.witness["criterion"]] += 1
+        if not check.is_holds or (stable
+                                  and lti_report(A).conclusion != "stable"):
+            bad += 1
+            print(f"  COUNTEREXAMPLE: {f.terms} along {x0} + t {v}: "
+                  f"{check.status}, witness {check.witness}")
+    by_criterion = ", ".join(f"{k} {c}" for k, c in sorted(implied.items()))
+    print(f"{label}: {count} realized restrictions, stability implied by "
+          f"{by_criterion or 'no criterion'}, {bad} counterexamples")
+    return bad
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=2000)
@@ -89,6 +138,8 @@ def main(argv=None):
     bad += sweep("alpha-square d in 5..10", args.count,
                  lambda rng: alpha_square_poly(rng, rng.randint(5, 10)),
                  "alpha_square")
+    bad += realization_sweep("linear-form products n in 2..4, d in 1..8",
+                             args.count)
     print("total counterexamples:", bad)
     return 1 if bad else 0
 

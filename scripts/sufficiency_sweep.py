@@ -3,8 +3,9 @@
 
 Generates coefficient sequences satisfying each hypothesis family (strict
 weighted Newton for degrees <= 4, the full quintic hypothesis, and the
-alpha-square ratio decay for degrees 5..10) and counts root-oracle
-counterexamples.  A sound implementation reports zero.
+alpha-square ratio decay for degrees 5..10) and counts the ones that the
+exact Routh-Hurwitz minor test does not find stable.  A sound
+implementation reports zero.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from conestab import (UniPoly, alpha_criterion, clc_d_le_4_criterion,
-                      quintic_criterion, root_oracle_verdict)
+                      quintic_criterion, routh_hurwitz_stable)
 
 
 def strict_newton_poly(rng, d):
@@ -46,7 +47,7 @@ def sweep(label, count, make, criterion):
         if criterion(p).status != "holds":
             continue
         kept += 1
-        if root_oracle_verdict(p).status != "holds":
+        if routh_hurwitz_stable(p).status != "holds":
             counterexamples += 1
             print(f"  COUNTEREXAMPLE: {list(p.coeffs)}")
     print(f"{label}: {kept} satisfying instances, "

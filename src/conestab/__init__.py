@@ -26,18 +26,17 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .cones import (Cone, ConeMatrixReport, PerronReport, contains,
-                    dual_contained_in, dual_contains, extreme_rays,
-                    interior_contains, matrix_k_copositive_refute,
-                    matrix_k_irreducible, matrix_k_nonnegative,
-                    matrix_k_positive, perron_frobenius_check, perron_report,
-                    sample_cone, sample_interior)
+                    interior_contains, matrix_k_irreducible,
+                    matrix_k_nonnegative, matrix_k_positive,
+                    perron_frobenius_check, perron_report, sample_cone,
+                    sample_interior)
 from .errors import (ConestabError, DegreeMismatch, DimensionMismatch,
                      Inapplicable, NonConvergence, NotInterior, ParseError,
                      Unsupported, WrongDegree, ZeroPolynomial)
 from .forms import (FormReport, MultiForm, clc_necessary_check,
                     hessian_signature_check, hurwitz_over_cone_check,
                     lorentzian_sample_check, quadratic_lorentzian_check,
-                    quadratic_matrix, restrict_line, verify_sum_condition)
+                    restrict_line)
 from .hurwitz import (StabilityReport, alpha_constant, alpha_criterion,
                       clc_d_le_4_criterion, degree_reduction_stable,
                       degree_reduction_step,
@@ -51,22 +50,21 @@ from .numerics import (SquareMatrix, Tolerance, all_roots, char_poly,
 from .sequences import (NewtonChainReport, is_log_concave,
                         is_ultra_log_concave, is_univariate_clc,
                         newton_chain_report, quintic_cross_inequality)
-from .unipoly import UniPoly, even_odd_parts, hb_parts
+from .unipoly import UniPoly, hb_parts
 from .verdict import FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, Verdict
 
 __all__ = [
     "Cone", "ConeMatrixReport", "PerronReport", "contains",
-    "dual_contained_in", "dual_contains", "extreme_rays", "interior_contains",
-    "matrix_k_copositive_refute", "matrix_k_irreducible",
-    "matrix_k_nonnegative", "matrix_k_positive", "perron_frobenius_check",
-    "perron_report", "sample_cone", "sample_interior",
+    "interior_contains", "matrix_k_irreducible", "matrix_k_nonnegative",
+    "matrix_k_positive", "perron_frobenius_check", "perron_report",
+    "sample_cone", "sample_interior",
     "ConestabError", "DegreeMismatch", "DimensionMismatch", "Inapplicable",
     "NonConvergence", "NotInterior", "ParseError", "Unsupported",
     "WrongDegree", "ZeroPolynomial",
     "FormReport", "MultiForm", "clc_necessary_check",
     "hessian_signature_check", "hurwitz_over_cone_check",
     "lorentzian_sample_check", "quadratic_lorentzian_check",
-    "quadratic_matrix", "restrict_line", "verify_sum_condition",
+    "restrict_line",
     "StabilityReport", "alpha_constant", "alpha_criterion",
     "clc_d_le_4_criterion", "degree_reduction_stable",
     "degree_reduction_step",
@@ -78,6 +76,6 @@ __all__ = [
     "leading_minors", "sym_eigs",
     "NewtonChainReport", "is_log_concave", "is_ultra_log_concave",
     "is_univariate_clc", "newton_chain_report", "quintic_cross_inequality",
-    "UniPoly", "even_odd_parts", "hb_parts",
+    "UniPoly", "hb_parts",
     "FAILS", "HOLDS", "HOLDS_SAMPLED", "UNKNOWN", "Verdict",
 ]

@@ -40,11 +40,6 @@ SECOND_ORDER = "second_order"
 _FACET_ENUM_MAX_DIM = 6
 
 
-def _unit(v) -> tuple:
-    norm = _float_norm(v)
-    return tuple(float(x) / norm for x in v)
-
-
 def _float_norm(v) -> float:
     return math.sqrt(sum(float(x) ** 2 for x in v))
 
@@ -184,17 +179,6 @@ def interior_contains(K: Cone, x, tol: Tolerance = DEFAULT_TOL) -> bool:
     return all(s is Sign.POS for s in _signs(K, x, tol))
 
 
-def dual_contains(K: Cone, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership of y in the dual cone, tested against the generators."""
-    _check_dim(K, y)
-    scale = max(_float_norm(y), 1.0)
-    if K.is_self_dual:
-        return contains(K, y, tol)
-    return all(
-        classify_sign(_dot(y, g), tol, scale * _float_norm(g)) is not Sign.NEG
-        for g in K.generators)
-
-
 def extreme_ray_reps(K: Cone) -> list:
     """Exact (unnormalized) representatives of the extreme rays.
 
@@ -217,11 +201,6 @@ def _enumerate_extreme_rays(K: Cone) -> list:
         if _rank(active) == K.n - 1:
             reps.add(_primitive(g))
     return sorted(reps)
-
-
-def extreme_rays(K: Cone) -> list:
-    """Minimal generating set, normalized to unit length."""
-    return [_unit(r) for r in extreme_ray_reps(K)]
 
 
 def flatten_seed(seed) -> list:
@@ -321,30 +300,6 @@ def sample_cone(K: Cone, seed=0) -> tuple:
     return _int_combination(K, weights)
 
 
-def dual_contained_in(K: Cone, tol: Tolerance = DEFAULT_TOL,
-                      direction: str = "dual_in_primal") -> Verdict:
-    """Containment between K and its dual.
-
-    ``dual_in_primal`` checks K* subset of K (dual generators = facet
-    normals, tested against K's facets); ``primal_in_dual`` checks
-    K subset of K* (pairwise generator products).  Self-dual cones hold in
-    both directions by construction.
-    """
-    if direction not in ("dual_in_primal", "primal_in_dual"):
-        raise ValueError("direction must be 'dual_in_primal' or 'primal_in_dual'")
-    if K.is_self_dual:
-        return Verdict(HOLDS, note="self-dual cone")
-    led = InequalityLedger(tol)
-    if direction == "primal_in_dual":
-        pairs = itertools.product(K.generators, K.generators)
-    else:
-        pairs = itertools.product(K.facet_normals, K.facet_normals)
-    for u, v in pairs:
-        led.require(_dot(u, v), 0, witness=(u, v),
-                    scale=_float_norm(u) * _float_norm(v))
-    return led.verdict()
-
-
 # One entry: the K-positivity of (I + A)^(n-1) probes the points that the
 # K-nonnegativity of A has just probed under the same trials and seed
 # (``seed`` is the flattened, hashable seed).
@@ -441,34 +396,6 @@ def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
     if verdict.status == HOLDS and kn.status == HOLDS_SAMPLED:
         return Verdict(HOLDS_SAMPLED, margin=verdict.margin, witness=verdict.witness)
     return verdict
-
-
-def matrix_k_copositive_refute(Q: SquareMatrix, K: Cone, strict: bool = False,
-                               trials: int = 200, seed=0,
-                               tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Search for a witness x in K with x^T Q x < 0 (<= 0 in strict mode).
-
-    Only refutes: the exact decision problem is not attempted, so the
-    non-refuted outcome is "unknown".
-    """
-    Q = Q.symmetrized()
-    if Q.n != K.n:
-        raise DimensionMismatch("matrix/cone dimension mismatch")
-    points = []
-    if K.kind != SECOND_ORDER:
-        points.extend(extreme_ray_reps(K))
-    rng = _rng(seed)
-    points.extend(sample_cone(K, rng) for _ in range(trials))
-    for x in points:
-        if not any(x):
-            continue
-        val = _dot(x, Q.mul_vec(x))
-        scale = sum(abs(float(v)) for v in x) ** 2 * max(
-            abs(float(e)) for r in Q.rows for e in r)
-        sign = classify_sign(val, tol, scale=max(scale, 1.0))
-        if sign is Sign.NEG or (strict and sign is Sign.ZERO):
-            return Verdict(FAILS, margin=val, witness=("point", x))
-    return Verdict(UNKNOWN, note="no witness found; copositivity not decided")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ class ZeroPolynomial(ConestabError):
 
 
 class NonConvergence(ConestabError):
-    """An iterative numeric routine exhausted its budget without converging."""
+    """A float numeric step gave no trustworthy result: LAPACK failed, the
+    computed roots failed their residual check, or a coefficient has no
+    float."""
 
 
 class WrongDegree(ConestabError):

@@ -26,9 +26,8 @@ from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
                     matrix_k_irreducible, matrix_k_nonnegative,
                     perron_frobenius_check, sample_cone, sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
-from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _differ, _dot,
-                       all_exact, exact_div, int_from_json, scalar_from_json,
-                       sym_eigs)
+from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _dot, all_exact,
+                       exact_div, int_from_json, scalar_from_json, sym_eigs)
 from .sequences import is_log_concave
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
@@ -140,14 +139,6 @@ class MultiForm:
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiForm) and self.n == other.n
                 and self.d == other.d and self.terms == other.terms)
-
-
-def quadratic_matrix(f: MultiForm) -> SquareMatrix:
-    """Symmetric matrix Q with f(x) = x^T Q x, for a degree-2 form: half
-    its constant Hessian 2Q."""
-    if f.d != 2:
-        raise ValueError("quadratic_matrix needs a degree-2 form")
-    return _halved(f.hessian_at((0,) * f.n))
 
 
 def _halved(M: SquareMatrix) -> SquareMatrix:
@@ -525,24 +516,6 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         return UNKNOWN if verdict.is_unknown else None
 
     return _sampled_check("hurwitz-over-cone", trials, trial, "lines", {})
-
-
-def verify_sum_condition(f: MultiForm, g: MultiForm, b, c,
-                         tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff D_b f and D_c g are the same nonzero form (the hypothesis
-    under which a sum of two cone-Lorentzian forms stays cone-Lorentzian)."""
-    if f.n != g.n or f.d != g.d:
-        raise DimensionMismatch("forms must share dimension and degree")
-    if len(b) != f.n or len(c) != f.n:
-        raise DimensionMismatch("witness vectors have wrong dimension")
-    if f.d < 1:
-        return False
-    df = f.dir_derivative(b)
-    dg = g.dir_derivative(c)
-    if df.is_zero or dg.is_zero:
-        return False
-    return not any(_differ(df.terms.get(k, 0), dg.terms.get(k, 0), tol)
-                   for k in df.terms.keys() | dg.terms.keys())
 
 
 def form_from_json(obj, exact: bool = True) -> MultiForm:

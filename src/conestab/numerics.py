@@ -222,12 +222,6 @@ class SquareMatrix:
             raise DimensionMismatch("vector length mismatch")
         return tuple(_dot(r, v) for r in self.rows)
 
-    def symmetrized(self) -> "SquareMatrix":
-        n = self.n
-        return SquareMatrix(tuple(
-            tuple(exact_div(self.rows[i][j] + self.rows[j][i], 2)
-                  for j in range(n)) for i in range(n)))
-
     def leading_block(self, k: int) -> "SquareMatrix":
         return SquareMatrix(tuple(r[:k] for r in self.rows[:k]))
 

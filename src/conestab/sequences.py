@@ -116,10 +116,6 @@ class NewtonChainReport:
     hypothesis: Verdict
     families: dict
 
-    @property
-    def all_hold(self) -> bool:
-        return all(v.is_holds for v in self.families.values())
-
 
 def _rectangles(a, d):
     for k in range(0, d + 1):

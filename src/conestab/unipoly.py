@@ -96,14 +96,6 @@ class UniPoly:
         return UniPoly(tuple(exact_div(a, lead) for a in self.coeffs))
 
 
-def even_odd_parts(p: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Split into the even-power and odd-power parts, indices kept in place
-    so the two parts re-add to p exactly."""
-    even = UniPoly(tuple(a if k % 2 == 0 else 0 for k, a in enumerate(p.coeffs)))
-    odd = UniPoly(tuple(a if k % 2 == 1 else 0 for k, a in enumerate(p.coeffs)))
-    return even, odd
-
-
 def hb_parts(p: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Compressed alternating-sign parts used by the interlacing stability
     test: the first has coefficient (-1)^m a_{2m} at power m, the second

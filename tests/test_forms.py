@@ -13,8 +13,7 @@ from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       UniPoly, clc_necessary_check, hessian_signature_check,
                       hurwitz_over_cone_check, is_log_concave,
                       lorentzian_sample_check, quadratic_lorentzian_check,
-                      quadratic_matrix, restrict_line, sym_eigs,
-                      verify_sum_condition)
+                      restrict_line, sym_eigs)
 from conestab.numerics import exact_div
 from conestab.verdict import UNKNOWN, Verdict
 
@@ -928,61 +927,26 @@ class TestHurwitzOverCone:
         assert "x" in rep.verdict.witness and "v" in rep.verdict.witness
 
 
-class TestVerifySumCondition:
-    def test_same_form_same_direction(self):
-        f = power_of_sum(2, 3)
-        assert verify_sum_condition(f, f, (1, 0), (1, 0))
-
-    def test_distinct_derivatives(self):
-        f = MultiForm(2, 2, {(2, 0): 1})
-        g = MultiForm(2, 2, {(0, 2): 1})
-        assert not verify_sum_condition(f, g, (1, 0), (0, 1))
-
-    def test_constructed_match(self):
-        # D_{e2}(x1^2 + x1 x2) = x1 = D_{e2}(x1 x2)
-        f = MultiForm(2, 2, {(2, 0): 1, (1, 1): 1})
-        g = MultiForm(2, 2, {(1, 1): 1})
-        assert verify_sum_condition(f, g, (0, 1), (0, 1))
-        # but not against x1 x2 + x2^2, whose e2-derivative is x1 + 2 x2
-        g2 = MultiForm(2, 2, {(1, 1): 1, (0, 2): 1})
-        assert not verify_sum_condition(f, g2, (0, 1), (0, 1))
-
-    def test_zero_derivative_rejected(self):
-        f = MultiForm(2, 2, {(2, 0): 1})
-        assert not verify_sum_condition(f, f, (0, 1), (0, 1))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            verify_sum_condition(power_of_sum(2, 2), power_of_sum(2, 3),
-                                 (1, 1), (1, 1))
-
-    @pytest.mark.parametrize("coef,expected", [
-        (1.0 + 1e-12, True),  # float forms agree within the tolerance
-        (1.1, False),  # float forms differ beyond it
-        (1 + Fraction(1, 10 ** 12), False),  # exact forms decide exactly
-    ])
-    def test_coefficient_comparison(self, coef, expected):
-        # D_{e2}(x1^2 + x1 x2) = x1 against D_{e2}(coef x1 x2) = coef x1
-        one = 1.0 if isinstance(coef, float) else 1
-        f = MultiForm(2, 2, {(2, 0): one, (1, 1): one})
-        g = MultiForm(2, 2, {(1, 1): coef})
-        assert verify_sum_condition(f, g, (0, 1), (0, 1)) is expected
-
-
 class TestQuadraticMatrixExtraction:
     def test_round_trip_with_evaluation(self, rng):
+        # f(x) = x^T Q x for a symmetric Q has the constant Hessian 2Q
         for _ in range(30):
             n = rng.randint(2, 4)
-            rows = [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
-                    for _ in range(n)]
-            Q = SquareMatrix.from_rows(rows).symmetrized()
+            Q = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    Q[i][j] = Q[j][i] = Fraction(rng.randint(-5, 5),
+                                                 rng.randint(1, 3))
             terms = {}
             for i in range(n):
                 for j in range(n):
                     e = [0] * n
                     e[i] += 1
                     e[j] += 1
-                    terms[tuple(e)] = terms.get(tuple(e), 0) + Q[i, j]
+                    terms[tuple(e)] = terms.get(tuple(e), 0) + Q[i][j]
             f = MultiForm(n, 2, terms)
-            Q2 = quadratic_matrix(f)
-            assert Q2.rows == Q.rows
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            assert f.eval(x) == sum(x[i] * Q[i][j] * x[j]
+                                    for i in range(n) for j in range(n))
+            assert f.hessian_at((0,) * n).rows == tuple(
+                tuple(2 * q for q in row) for row in Q)

@@ -1,8 +1,10 @@
 """Importing conestab loads OpenBLAS single-threaded unless the caller chose
-a thread count, and leaves os.environ as it was.
+a thread count, and leaves os.environ as it was; its ``__all__`` names the
+public API and nothing more.
 
-Every case runs a fresh interpreter, because this process may have
-imported numpy already, and then the import of conestab changes nothing.
+Every thread-count case runs a fresh interpreter, because this process may
+have imported numpy already, and then the import of conestab changes
+nothing.
 """
 
 import json
@@ -95,3 +97,23 @@ def test_reports_do_not_depend_on_the_thread_count(tmp_path):
             check=True
         ).stdout for thread_vars in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
         assert outs[0] and outs[0] == outs[1]
+
+
+# names deleted because no command, script or benchmark used them
+REMOVED = ("dual_contains", "dual_contained_in", "extreme_rays",
+           "matrix_k_copositive_refute", "quadratic_matrix",
+           "verify_sum_condition", "even_odd_parts")
+
+
+def test_all_names_resolve_once_and_removed_names_are_gone():
+    import conestab
+
+    assert len(set(conestab.__all__)) == len(conestab.__all__)
+    for name in conestab.__all__:
+        assert hasattr(conestab, name), name
+    for name in REMOVED:
+        assert name not in conestab.__all__
+        with pytest.raises(ImportError):
+            exec(f"from conestab import {name}", {})
+    assert not hasattr(conestab.SquareMatrix, "symmetrized")
+    assert not hasattr(conestab.NewtonChainReport, "all_hold")

@@ -9,33 +9,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # A small sufficiency sweep that prints the coefficients it hands to the
-# root oracle.
+# exact Routh-Hurwitz test.
 SWEEP = """
 import json
 import sufficiency_sweep as sweep
 
 drawn = []
-oracle = sweep.root_oracle_verdict
+decide = sweep.routh_hurwitz_stable
 
 
 def recording(p, *args, **kwargs):
     drawn.append([str(c) for c in p.coeffs])
-    return oracle(p, *args, **kwargs)
+    return decide(p, *args, **kwargs)
 
 
-sweep.root_oracle_verdict = recording
+sweep.routh_hurwitz_stable = recording
 sweep.main(["--count", "3"])
 print(json.dumps(drawn))
 """
 
 
-def drawn_under(hash_seed: int) -> list:
+def scripts_env(**extra) -> dict:
     path = [str(ROOT / "src"), str(ROOT / "scripts")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-               PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-c", SWEEP], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def drawn_under(hash_seed: int) -> list:
+    out = subprocess.run([sys.executable, "-c", SWEEP],
+                         env=scripts_env(PYTHONHASHSEED=str(hash_seed)),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -46,6 +49,18 @@ def test_sufficiency_sweep_draws_the_same_polynomials_in_every_process():
     first = drawn_under(1)
     assert len(first) == 9
     assert drawn_under(2) == first
+
+
+def test_lti_sufficiency_holds_on_realized_linear_form_products():
+    # products of positive linear forms, restricted along interior lines of
+    # the orthant and realized as matrices, pass the realization check
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "lti_sufficiency.py"),
+         "--count", "5"], env=scripts_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [line for line in proc.stdout.splitlines()
+             if line.startswith("linear-form products")]
+    assert len(lines) == 1 and lines[0].endswith(", 0 counterexamples")
 
 
 def write_records(directory: Path, workload: str, metrics_by_seed: dict):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conestab import (UniPoly, ZeroPolynomial, even_odd_parts, hb_parts,
-                      root_oracle_verdict, routh_hurwitz_stable)
+from conestab import (UniPoly, ZeroPolynomial, hb_parts, root_oracle_verdict,
+                      routh_hurwitz_stable)
 from conestab.cli import jsonable
 from conestab.unipoly import unipoly_from_json
 
@@ -110,24 +110,6 @@ class TestMultiply:
         lhs = (p * q).derivative()
         rhs = p.derivative() * q + p * q.derivative()
         assert lhs.coeffs == rhs.coeffs
-
-
-class TestEvenOddParts:
-    def test_split(self):
-        even, odd = even_odd_parts(UniPoly((1, 2, 3, 4)))
-        assert even.coeffs == (1, 0, 3)
-        assert odd.coeffs == (0, 2, 0, 4)
-
-    def test_even_polynomial(self):
-        even, odd = even_odd_parts(UniPoly((1, 0, 5)))
-        assert even.coeffs == (1, 0, 5)
-        assert odd.is_zero
-
-    @given(polys)
-    @settings(max_examples=100)
-    def test_recombination(self, p):
-        even, odd = even_odd_parts(p)
-        assert (even + odd).coeffs == p.coeffs
 
 
 class TestHbParts:

@@ -1,10 +1,20 @@
-"""The paper scripts draw the same inputs in every process."""
+"""The paper scripts draw the same inputs in every process, and the
+instances they build meet the checks they count against."""
 
+import importlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conestab import (Cone, alpha_criterion, clc_d_le_4_criterion,
+                      lti_report, quintic_criterion, restrict_line,
+                      restriction_realization_check, routh_hurwitz_stable)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +71,64 @@ def test_lti_sufficiency_holds_on_realized_linear_form_products():
     lines = [line for line in proc.stdout.splitlines()
              if line.startswith("linear-form products")]
     assert len(lines) == 1 and lines[0].endswith(", 0 counterexamples")
+
+
+def script_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module(name)
+
+
+# the criterion that implies stability of a real-rooted restriction of
+# each degree: the first of the report's criteria that holds
+CRITERION_BY_DEGREE = {1: "clc_d_le_4", 2: "clc_d_le_4", 3: "clc_d_le_4",
+                       4: "clc_d_le_4", 5: "quintic", 6: "alpha_square",
+                       8: "alpha_square"}
+
+
+@pytest.mark.parametrize("d", sorted(CRITERION_BY_DEGREE))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_realized_linear_form_product_implies_stability(monkeypatch, n, d):
+    # one instance of the lti_sufficiency.py realization family: the
+    # restriction has the real negative roots -a.x0 / a.v, one per form
+    script = script_module(monkeypatch, "lti_sufficiency")
+    rng = random.Random(f"linear-form product {n}/{d}")
+    rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(d)]
+    f = script.linear_form_product(rows)
+    x = [rng.randint(-5, 5) for _ in range(n)]
+    assert f.eval(x) == math.prod(sum(a * xi for a, xi in zip(row, x))
+                                  for row in rows)
+    x0, v = ([rng.randint(1, 9) for _ in range(n)] for _ in range(2))
+    restriction = restrict_line(f, x0, v)
+    A = script.realize(rng, restriction.monic())
+    check = restriction_realization_check(f, Cone.orthant(n), x0, v, A)
+    assert check.is_holds, check.witness
+    assert check.witness["implied_stable"] is True
+    assert check.witness["criterion"] == CRITERION_BY_DEGREE[d]
+    report = lti_report(A)
+    assert report.char_poly.coeffs == restriction.monic().coeffs
+    assert report.conclusion == "stable"
+
+
+@pytest.mark.parametrize("family,d,criterion", [
+    *(("strict_newton_poly", d, clc_d_le_4_criterion) for d in range(1, 5)),
+    ("strict_newton_poly", 5, quintic_criterion),
+    *(("alpha_square_poly", d, lambda p: alpha_criterion(p, "square"))
+      for d in range(5, 11)),
+])
+def test_sweep_instances_are_exactly_stable(monkeypatch, family, d,
+                                            criterion):
+    # the sufficiency sweep's ground truth on its own generators: every
+    # drawn polynomial that meets the criterion passes the exact minor test
+    make = getattr(script_module(monkeypatch, "sufficiency_sweep"), family)
+    rng = random.Random(f"sufficiency sweep {family}/{d}")
+    kept = 0
+    for _ in range(40):
+        p = make(rng, d)
+        assert p.degree == d and p.is_exact
+        if criterion(p).is_holds:
+            kept += 1
+            assert routh_hurwitz_stable(p).is_holds, list(p.coeffs)
+    assert kept > 0
 
 
 def write_records(directory: Path, workload: str, metrics_by_seed: dict):

@@ -22,7 +22,10 @@ in the same order.  It covers every subcommand:
 * ``lti/overflow/`` a matrix whose float characteristic polynomial
                    overflows to nan coefficients, in auto and float mode;
 * ``unipoly/newton/`` 40 products of 4-10 factors t + r, r in 1..9, whose
-                   Newton families all have rows to check.
+                   Newton families all have rows to check;
+* ``matrix-cone/overflow/`` a matrix with an entry past the float range
+                   over an orthant and a polyhedral cone, in auto and
+                   exact mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -234,6 +237,13 @@ def corpus():
             coeffs = [r * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
         yield (f"unipoly/newton/{i:03d}", "unipoly", {"coeffs": coeffs}, None,
                [])
+    huge = {"rows": [[1, 10 ** 400], [1, 1]]}
+    for name, cone in (("orthant", {"type": "orthant", "n": 2}),
+                       ("polyhedral", {"type": "polyhedral",
+                                       "generators": [[1, 0], [1, 1]]})):
+        for mode in ("auto", "exact"):
+            yield (f"matrix-cone/overflow/{name}/{mode}", "matrix", huge, cone,
+                   ["--mode", mode])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       _integer_rows, _rank, classify_sign, determinant,
+                       _integer_rows, _rank, all_exact, classify_sign,
+                       determinant,
                        int_from_json, matrix_power, vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
@@ -362,11 +363,21 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
     facets = [(h, _float_norm(h)) for h in K.facet_normals]
     for g in extreme_ray_reps(K):
         y = A.mul_vec(g)
-        ys = _float_norm(y)
+        try:
+            ys = _float_norm(y)
+        except OverflowError:
+            ys = math.inf
+        exact_y = all_exact(y)
         floor = _float_norm(g) if interior else 0.0
         for h, hs in facets:
+            scale = ys * hs
+            if scale == math.inf and exact_y:
+                # exact entries past the float range: the exact 1-norms
+                # bound the 2-norms from above, so the margin stays in
+                # [-1, 1] and no float overflows
+                scale = sum(map(abs, y)) * sum(map(abs, h))
             led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
-                        strict=interior, scale=max(ys * hs, floor))
+                        strict=interior, scale=max(scale, floor))
     return led.verdict()
 
 
@@ -400,16 +411,17 @@ def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
 
 @dataclass(frozen=True)
 class PerronReport:
-    """Spectral-radius diagnostics for a cone-nonnegative matrix."""
+    """Spectral-radius diagnostics for a cone-nonnegative matrix; every
+    field is None when the entries have no float."""
 
-    rho: float
-    rho_positive: bool
-    rho_is_eigenvalue: bool
-    simple: bool
-    modulus_tie: bool
-    eigenvector: tuple
-    eigenvector_interior: bool
-    other_semipositive_eigenvector: bool
+    rho: float | None
+    rho_positive: bool | None
+    rho_is_eigenvalue: bool | None
+    simple: bool | None
+    modulus_tie: bool | None
+    eigenvector: tuple | None
+    eigenvector_interior: bool | None
+    other_semipositive_eigenvector: bool | None
     note: str = ("uniqueness scanned over real-eigenvalue eigenvectors only; "
                  "complex pairs excluded")
 
@@ -463,11 +475,16 @@ def perron_report(A: SquareMatrix, K: Cone,
     """Spectral-radius diagnostics alone, with no cone-matrix verdict: is
     rho a simple positive eigenvalue whose (sign-normalized) eigenvector
     lies in the interior of K, and is it the only eigenvector of a real
-    eigenvalue lying in K?"""
+    eigenvalue lying in K?  Exact entries past the float range leave every
+    field None, with a note saying so."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     try:
-        vals, vecs = np.linalg.eig(A.to_numpy())
+        M = A.to_numpy()
+    except OverflowError:
+        return PerronReport(*[None] * 8, note="entries beyond the float range")
+    try:
+        vals, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"eigensolver failed: {e}") from e
     rho = float(max(abs(vals)))

@@ -68,7 +68,11 @@ def _scaled_minors(H: SquareMatrix, minors) -> list:
     Each row is scaled by a power of two before its norms are taken, and
     the product of norms is kept as a float significand and an integer
     exponent; power-of-two scaling is exact, so every bound that fits in a
-    float is the plain product of the row norms bit for bit.
+    float is the plain product of the row norms bit for bit.  The norm of
+    a row prefix x is sqrt(x.dot(x)): the one dot product and the one
+    correctly rounded square root that ``np.linalg.norm`` computes for a
+    real vector, without its per-call argument checks, so every bound and
+    margin is the one ``norm`` gives.
     """
     # an exact row past 2^_BOUND_MAX_EXP is divided by a power of two read
     # from bit lengths before it is converted, so no entry overflows
@@ -84,7 +88,8 @@ def _scaled_minors(H: SquareMatrix, minors) -> list:
     for k in range(1, H.n + 1):
         frac, exp = 1.0, 0
         for i in range(k):
-            frac, e = math.frexp(frac * float(np.linalg.norm(A[i, :k])))
+            x = A[i, :k]
+            frac, e = math.frexp(frac * math.sqrt(x.dot(x)))
             exp += e + row_exp[i]
         m = minors[k - 1]
         shift = max(0, exp - _BOUND_MAX_EXP) if frac and is_exact(m) else 0
@@ -259,20 +264,42 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
     positivity of the coefficients decides.  Any nonpositive intermediate
     coefficient refutes (the reduced polynomial has a positive leading
     coefficient, so a nonpositive coefficient already rules stability out).
+
+    Exact coefficients a_k are carried as ints c_k over one positive
+    denominator S, a_k = c_k / S, with S first the lcm of their
+    denominators.  A round is ``degree_reduction_step`` with every term
+    multiplied by c_{d-1} > 0: c_k becomes c_{d-1} c_k - c_d c_{k-1} where
+    d - k is even and c_{d-1} c_k otherwise, S becomes c_{d-1} S, and
+    their common gcd is divided out.  Each row requires c_k > 0 at scale
+    max(|c_k|, S), so its margin is a_k / max(|a_k|, 1), the same rational
+    as the plain test a_k > 0 at its default scale.  Float coefficients
+    run ``degree_reduction_step`` itself, with S = 1.
     """
     p = _positive_leading(p)
     led = InequalityLedger(tol)
-    current = p
+    exact = p.is_exact
+    if exact:
+        den = math.lcm(*(a.denominator for a in p.coeffs))
+        c = [a.numerator * (den // a.denominator) for a in p.coeffs]
+    else:
+        c, den = list(p.coeffs), 1
     rounds = 0
     while True:
-        for k, a in enumerate(current.coeffs):
+        for k, a in enumerate(c):
             led.require(a, 0, witness=("round", rounds, "coefficient", k),
-                        strict=True)
-        if led.has_violation or led.indeterminate is not None:
+                        strict=True, scale=max(abs(a), den))
+        if led.has_violation or led.indeterminate is not None or len(c) <= 3:
             return led.verdict()
-        if current.degree <= 2:
-            return led.verdict()
-        current = degree_reduction_step(current)
+        if exact:
+            d = len(c) - 1
+            sub, top = c[d - 1], c[d]
+            c = [sub * c[k] - top * c[k - 1] if (d - k) % 2 == 0 and k
+                 else sub * c[k] for k in range(d)]
+            den *= sub
+            g = math.gcd(den, *c)
+            c, den = [v // g for v in c], den // g
+        else:
+            c = list(degree_reduction_step(UniPoly(tuple(c))).coeffs)
         rounds += 1
 
 
@@ -357,8 +384,14 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
     (out-of-range coefficients are zero, so the top comparison is vacuous);
     square mode: a_k^2 >= sqrt(alpha) * a_{k-1} a_{k+1}.
 
-    On rational inputs the comparison uses the rational upper bisection
-    bracket of alpha, so a "holds" verdict is exact and conservative.
+    On rational inputs alpha is its rational upper bisection bracket P/Q,
+    so a "holds" verdict is exact and conservative, and the square test is
+    compared squared, so it needs no square root.  Each row lhs >= alpha
+    rhs is required as Q lhs >= P rhs at scale max(Q |lhs|, P |rhs|, Q):
+    slack and scale are Q times those of the plain comparison, so every
+    margin is the same rational, and int coefficients stay ints.  Float
+    inputs take Q = 1 and the float alpha (or its square root), which is
+    the plain comparison at its default scale.
     """
     if mode not in ("product", "square"):
         raise ValueError("mode must be 'product' or 'square'")
@@ -369,21 +402,19 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
         return led.verdict()
     a = p.coeffs
     if p.is_exact:
-        # the square test is compared squared, so the rational bracket of
-        # alpha needs no square root
-        alpha = _alpha_bracket()[1]
-        power, square_factor = 2, alpha
+        P, Q = _alpha_bracket()[1].as_integer_ratio()
+        power, square_factor = 2, P
     else:
-        alpha = alpha_constant()
-        power, square_factor = 1, math.sqrt(alpha)
+        P, Q = alpha_constant(), 1
+        power, square_factor = 1, math.sqrt(P)
     for k in range(1, p.degree):
         if mode == "product":
-            led.require(a[k] * a[k + 1], alpha * a[k - 1] * p.coeff(k + 2),
-                        witness=("alpha-product", k))
+            lhs, rhs = Q * a[k] * a[k + 1], P * a[k - 1] * p.coeff(k + 2)
         else:
-            led.require((a[k] * a[k]) ** power,
-                        square_factor * a[k - 1] ** power * a[k + 1] ** power,
-                        witness=("alpha-square", k))
+            lhs = Q * (a[k] * a[k]) ** power
+            rhs = square_factor * a[k - 1] ** power * a[k + 1] ** power
+        led.require(lhs, rhs, witness=(f"alpha-{mode}", k),
+                    scale=max(abs(lhs), abs(rhs), Q))
     return led.verdict()
 
 

@@ -211,6 +211,26 @@ class TestMatrixCommand:
             "note": "entries beyond the float range", "status": "unknown"}
         assert rep["eigenvalues"] is None and rep["spectral_abscissa"] is None
 
+    @pytest.mark.parametrize("cone, positive", [
+        ({"type": "orthant", "n": 2}, "holds"),
+        # A (1, 0) = (1, 1) lies on the facet x1 = x2
+        ({"type": "polyhedral", "generators": [[1, 0], [1, 1]]}, "fails")])
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_cone_route_exact_entries_beyond_float_range(self, tmp_path, cone,
+                                                         positive, mode):
+        cone_file = tmp_path / "cone.json"
+        cone_file.write_text(json.dumps(cone))
+        proc = run_cli(["matrix", "--mode", mode, "--cone", str(cone_file)],
+                       {"rows": [[1, int("1" + "0" * 400)], [1, 1]]})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        cm = json.loads(proc.stdout, parse_constant=reject)["cone_matrix_report"]
+        assert [cm[key]["status"] for key in
+                ("k_nonnegative", "k_positive", "k_irreducible")] == [
+            "holds", positive, "holds"]
+        assert cm["perron"]["note"] == "entries beyond the float range"
+        assert cm["perron"]["rho"] is None
+
     def test_cone_route_irreducible_permutation(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 3}))

@@ -18,7 +18,8 @@ from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
 from conestab import hurwitz
 from conestab.hurwitz import _alpha_bracket
 from conestab.numerics import DEFAULT_TOL
-from conestab.sequences import is_univariate_clc, quintic_cross_inequality
+from conestab.sequences import (_require_positive_coeffs, is_univariate_clc,
+                                quintic_cross_inequality)
 from conestab.verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger,
                               Verdict)
 
@@ -107,6 +108,97 @@ def reference_lienard_chipart(p, variant):
                            strict=True, scale=scale):
             break
     return led.verdict()
+
+
+def reference_alpha_criterion(p, mode):
+    """The exact alpha-ratio test with alpha as the Fraction of its upper
+    bracket in every row."""
+    led = InequalityLedger(DEFAULT_TOL)
+    if not _require_positive_coeffs(led, p):
+        return led.verdict()
+    alpha, a = _alpha_bracket()[1], p.coeffs
+    for k in range(1, p.degree):
+        if mode == "product":
+            led.require(a[k] * a[k + 1], alpha * a[k - 1] * p.coeff(k + 2),
+                        witness=("alpha-product", k))
+        else:
+            led.require((a[k] * a[k]) ** 2,
+                        alpha * a[k - 1] ** 2 * a[k + 1] ** 2,
+                        witness=("alpha-square", k))
+    return led.verdict()
+
+
+def reference_degree_reduction(p):
+    """Degree reduction through ``degree_reduction_step``, with Fraction
+    coefficients from the first round on."""
+    p = hurwitz._positive_leading(p)
+    led = InequalityLedger(DEFAULT_TOL)
+    rounds = 0
+    while True:
+        for k, a in enumerate(p.coeffs):
+            led.require(a, 0, witness=("round", rounds, "coefficient", k),
+                        strict=True)
+        if led.has_violation or led.indeterminate is not None or p.degree <= 2:
+            return led.verdict()
+        p = degree_reduction_step(p)
+        rounds += 1
+
+
+def reference_scaled_minors(H, minors):
+    """``_scaled_minors`` with every row-prefix norm from
+    ``np.linalg.norm``."""
+    cap = hurwitz._BOUND_MAX_EXP
+    pre = [max(0, max((abs(v.numerator).bit_length() - v.denominator.bit_length()
+                       for v in r if not isinstance(v, float)), default=0) - cap)
+           for r in H.rows]
+    A = np.array([[float(Fraction(v) / 2 ** s) if s else float(v) for v in r]
+                  for r, s in zip(H.rows, pre)])
+    _, row_exp = np.frexp(np.max(np.abs(A), axis=1))
+    A = np.ldexp(A, -row_exp[:, None])
+    row_exp = [int(e) + s for e, s in zip(row_exp, pre)]
+    out = []
+    for k in range(1, H.n + 1):
+        frac, exp = 1.0, 0
+        for i in range(k):
+            frac, e = math.frexp(frac * float(np.linalg.norm(A[i, :k])))
+            exp += e + row_exp[i]
+        m = minors[k - 1]
+        shift = (max(0, exp - cap)
+                 if frac and not isinstance(m, float) else 0)
+        if shift:
+            m = Fraction(m) / 2 ** shift
+        exp -= shift
+        bound = math.inf if frac and exp > 1024 else math.ldexp(frac, exp)
+        out.append((m, max(bound, 1.0)))
+    return out
+
+
+@st.composite
+def exact_polys(draw, max_degree=14):
+    """Degree 1-14: int coefficients with zeros and negatives, Fraction
+    coefficients, or a product of quadratics t^2 + b t + c with positive
+    int b and c, which is stable and so runs every reduction round."""
+    kind = draw(st.sampled_from(("int", "fraction", "stable")))
+    if kind == "stable":
+        p = UniPoly((1,))
+        for _ in range(draw(st.integers(1, max_degree // 2))):
+            p = p * UniPoly((draw(st.integers(1, 60)),
+                             draw(st.integers(1, 60)), 1))
+        return p
+    coeff = (st.integers(-3, 10 ** 6) if kind == "int"
+             else st.fractions(-3, 1000, max_denominator=60))
+    d = draw(st.integers(1, max_degree))
+    coeffs = draw(st.lists(coeff, min_size=d, max_size=d))
+    return UniPoly((*coeffs, draw(coeff.filter(bool))))
+
+
+# one kind of entry per polynomial: Fractions, floats over the whole float
+# range, or ints of 1000 bits and more
+MINOR_ENTRIES = [
+    st.fractions(-100, 100, max_denominator=1000),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.integers(2 ** 1000, 2 ** 1100).flatmap(
+        lambda v: st.sampled_from((v, -v)))]
 
 
 class TestHurwitzMatrix:
@@ -343,6 +435,49 @@ class TestOneLedgerPerVerdict:
         for p in (UniPoly((0,)), UniPoly((2,)), UniPoly((-1.5,))):
             with pytest.raises(ZeroPolynomial):
                 decider(p)
+
+
+class TestExactPathsMatchFractionReferences:
+    """The int arithmetic of the exact alpha and degree-reduction tests,
+    and the dot-product Hadamard bounds, give the verdicts, margins and
+    bounds of the Fraction and ``np.linalg.norm`` code they replaced."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got == expected
+        assert type(got.margin) is type(expected.margin)
+
+    @example(UniPoly((1, 1, _alpha_bracket()[1], _alpha_bracket()[1] ** 2)))
+    @given(exact_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_alpha_criterion(self, p):
+        for mode in ("product", "square"):
+            self.assert_same(alpha_criterion(p, mode),
+                             reference_alpha_criterion(p, mode))
+
+    @example(UniPoly((0, 1, 1)))
+    @example(STABLE_QUINTIC)
+    @example(UNSTABLE_QUINTIC)
+    @given(exact_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_degree_reduction(self, p):
+        self.assert_same(degree_reduction_stable(p),
+                         reference_degree_reduction(p))
+
+    @given(st.sampled_from(MINOR_ENTRIES).flatmap(
+        lambda entry: st.lists(entry, min_size=2, max_size=11))
+        .filter(lambda c: c[-1] != 0))
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_minors_bounds(self, coeffs):
+        H = hurwitz_matrix(UniPoly(tuple(coeffs)))
+        minors = leading_minors(H)
+        got = hurwitz._scaled_minors(H, minors)
+        expected = reference_scaled_minors(H, minors)
+        assert [m for m, _ in got] == [m for m, _ in expected]
+        assert ([type(m) for m, _ in got]
+                == [type(m) for m, _ in expected])
+        assert ([b.hex() for _, b in got]
+                == [b.hex() for _, b in expected])
 
 
 class TestAlpha:

@@ -8,7 +8,10 @@ PARENT_DIR and CHANGE_DIR hold the untraced records that
 ``perfbench/run.py --out DIR`` writes for each side.  The comparison is
 ``perfbench/compare.py``'s: runs paired by workload and seed, and per
 workload and end-to-end metric each side's q1/median/q3 over its runs,
-the pairs the change wins, and the verdict.  The file also names the
+the pairs the change wins, and the verdict.  Traced records
+(``--trace 1``) of one workload and seed on both sides add that
+workload's per-layer metrics, side by side, under ``traced``, so the
+record shows in which layers the time moved.  The file also names the
 machine, which every record must share.  The change is the commit that
 adds the file (``git log -- BENCH_<N>.json``).  ``--out`` defaults to
 ``BENCH_<N>.json`` in the repository root.  Exits with 1 where
@@ -37,6 +40,15 @@ def machine(*dirs) -> dict:
     return json.loads(seen.pop())
 
 
+def traced(directory) -> dict:
+    """(workload, seed) -> per-layer metrics, for traced records."""
+    out = {}
+    for path in sorted(Path(directory).glob("*-trace1.json")):
+        rec = json.loads(path.read_text())
+        out[rec["workload"], rec["seed"]] = rec["metrics"]
+    return out
+
+
 def bench_record(parent_dir, change_dir, pr, parent_commit) -> tuple:
     """(the BENCH_<pr>.json document, whether compare.py reads it bad)."""
     rows, bad = compare(parent_dir, change_dir,
@@ -52,6 +64,13 @@ def bench_record(parent_dir, change_dir, pr, parent_commit) -> tuple:
             "parent": dict(zip(("q1", "median", "q3"), pq)),
             "change": dict(zip(("q1", "median", "q3"), cq)),
             "wins": wins, "pairs": pairs, "verdict": verdict}
+    parent_traced, change_traced = traced(parent_dir), traced(change_dir)
+    for name, seed in sorted(parent_traced.keys() & change_traced.keys()):
+        p, c = parent_traced[name, seed], change_traced[name, seed]
+        workloads.setdefault(name, {"metrics": {}, "notes": []}).setdefault(
+            "traced", []).append({"seed": seed, "layers": {
+                layer: {"parent": p[layer], "change": c[layer]}
+                for layer in sorted(p.keys() & c.keys())}})
     doc = {"pr": pr, "parent_commit": parent_commit,
            "machine": machine(parent_dir, change_dir),
            "workloads": workloads}

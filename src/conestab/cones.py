@@ -29,8 +29,8 @@ from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
                        _integer_rows, _rank, all_exact, classify_sign,
-                       determinant,
-                       int_from_json, matrix_power, vector_from_json)
+                       determinant, int_from_json, matrix_power,
+                       vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 

@@ -155,6 +155,13 @@ def test_bench_record_writes_quartiles_wins_and_verdicts(tmp_path):
         s: dict(steady, latency_p50_ms=(299.0 + s) / 2) for s in seeds})
     # a workload run on the parent alone
     write_records(parent, "lti", {1: steady})
+    # traced runs: cli seed 3 on both sides, seed 4 on the parent alone
+    for directory, layers in ((parent, {"cli.import_ms": 120.0, "x": 1.0}),
+                              (change, {"cli.import_ms": 60.0})):
+        (directory / "cli-seed3-trace1.json").write_text(json.dumps(
+            {"workload": "cli", "seed": 3, "trace": 1, "metrics": layers}))
+    (parent / "cli-seed4-trace1.json").write_text(json.dumps(
+        {"workload": "cli", "seed": 4, "trace": 1, "metrics": {"x": 1.0}}))
     out = tmp_path / "BENCH_7.json"
     command = [sys.executable, str(ROOT / "scripts" / "bench_record.py"),
                str(parent), str(change), "--pr", "7",
@@ -167,6 +174,8 @@ def test_bench_record_writes_quartiles_wins_and_verdicts(tmp_path):
         7, "abc123", {"nproc": 2})
     cli = doc["workloads"]["cli"]
     assert cli["notes"] == []
+    assert cli["traced"] == [{"seed": 3, "layers": {
+        "cli.import_ms": {"parent": 120.0, "change": 60.0}}}]
     p50 = cli["metrics"]["latency_p50_ms"]
     assert p50 == {
         "parent": {"q1": 301.75, "median": 304.5, "q3": 307.25},

@@ -24,8 +24,13 @@ in the same order.  It covers every subcommand:
 * ``unipoly/newton/`` 40 products of 4-10 factors t + r, r in 1..9, whose
                    Newton families all have rows to check;
 * ``matrix-cone/overflow/`` a matrix with an entry past the float range
-                   over an orthant and a polyhedral cone, in auto and
-                   exact mode.
+                   over an orthant, a polyhedral and a second-order cone,
+                   in auto and exact mode;
+* ``unipoly/rational/`` 40 exact polynomials with ``"p/q"`` coefficients:
+                   products of linear factors and of stable quadratics,
+                   positive and signed coefficients;
+* ``lti/rational/`` 20 matrices of dimension 6-12 with entries of
+                   denominator at most 4, in auto mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -45,6 +50,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from conestab import cli
@@ -164,6 +170,35 @@ def random_matrix(rng, n, lo, hi, shift=0):
                               for j in range(n)] for i in range(n)]}
 
 
+def fraction_string(a) -> str:
+    a = Fraction(a)
+    return f"{a.numerator}/{a.denominator}"
+
+
+def rational_poly(rng, kind):
+    """Ascending rational coefficients: for ``kind`` 0 a product of 2-8
+    factors t + r, whose Newton families have rows to check; 1 a product of
+    1-5 stable quadratics t^2 + b t + c, which runs every reduction round;
+    2 positive coefficients; 3 signed coefficients with zeros."""
+    def q():
+        return Fraction(rng.randint(1, 60), rng.choice((1, 2, 3, 7, 12, 97)))
+
+    if kind in (0, 1):
+        coeffs = [Fraction(1)]
+        for _ in range(rng.randint(2, 8) if kind == 0 else rng.randint(1, 5)):
+            factor = [q(), 1] if kind == 0 else [q(), q(), 1]
+            out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+            for j, a in enumerate(coeffs):
+                for k, b in enumerate(factor):
+                    out[j + k] += a * b
+            coeffs = out
+        return coeffs
+    d = rng.randint(1, 12)
+    if kind == 2:
+        return [q() for _ in range(d + 1)]
+    return [rng.choice((0, 1, 1, -1)) * q() for _ in range(d)] + [q()]
+
+
 def corpus():
     """(name, subcommand, payload, cone, extra CLI arguments)."""
     for seed in range(10):
@@ -240,10 +275,24 @@ def corpus():
     huge = {"rows": [[1, 10 ** 400], [1, 1]]}
     for name, cone in (("orthant", {"type": "orthant", "n": 2}),
                        ("polyhedral", {"type": "polyhedral",
-                                       "generators": [[1, 0], [1, 1]]})):
+                                       "generators": [[1, 0], [1, 1]]}),
+                       ("second_order", {"type": "second_order", "n": 2})):
         for mode in ("auto", "exact"):
             yield (f"matrix-cone/overflow/{name}/{mode}", "matrix", huge, cone,
                    ["--mode", mode])
+    rng = random.Random("report_digests/unipoly-rational")
+    for i in range(40):
+        yield (f"unipoly/rational/{i:03d}", "unipoly",
+               {"coeffs": [fraction_string(a)
+                           for a in rational_poly(rng, i % 4)]}, None, [])
+    rng = random.Random("report_digests/lti-rational")
+    for i in range(20):
+        n = 6 + i % 7
+        shift = Fraction(rng.randint(0, 4 * n), 4)
+        rows = [[fraction_string(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                 - shift * (r == c)) for c in range(n)]
+                for r in range(n)]
+        yield f"lti/rational/{i:03d}", "matrix", {"rows": rows}, None, []
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

@@ -161,7 +161,12 @@ def _signs(K: Cone, x, tol: Tolerance) -> list:
     (h.x >= 0), or the head x_n >= 0 and the slack x_n^2 - ||head||^2 >= 0
     for a second-order cone."""
     _check_dim(K, x)
-    scale = max(_float_norm(x), 1.0)
+    try:
+        scale = max(_float_norm(x), 1.0)
+    except OverflowError:
+        if not all_exact(x):
+            raise
+        scale = 1.0  # exact signs compare with 0 and never read the scale
     if K.kind == SECOND_ORDER:
         slack = x[-1] * x[-1] - sum(h * h for h in x[:-1])
         return [classify_sign(x[-1], tol, scale),
@@ -351,7 +356,13 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
             # A maps 0 to 0, which lies in K but not in its interior
             if not any(x):
                 continue
-            signs = _signs(K, A.mul_vec(x), tol)
+            try:
+                y = A.mul_vec(x)
+            except OverflowError:
+                # exact entries past the float range: the probe point's
+                # exact coordinates give an exact image
+                y = A.mul_vec(tuple(map(Fraction, x)))
+            signs = _signs(K, y, tol)
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
             if interior and undecided is None and Sign.INDETERMINATE in signs:

@@ -112,10 +112,19 @@ def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
     """Require a_k > 0 for k in ``coeffs``, in order, then, unless one
     failed, Delta_k > 0 for k in ``minors`` up to the first failed minor.
     The minors are the given ``_minor_data(p)``, or computed only once the
-    coefficients pass."""
+    coefficients pass.
+
+    Exact coefficients are required as the ints c_k = den a_k over their
+    lcm denominator den, at scale max(|c_k|, den): slack and scale are den
+    times those of a_k > 0 at its default scale, so each margin is the
+    same rational, and the comparison with a minor row's float margin
+    binds the same row.  The minor rows keep their exact minors and float
+    Hadamard scales."""
     led = InequalityLedger(tol)
+    c, den = p.cleared
     for k in coeffs:
-        led.require(p.coeff(k), 0, witness=("coefficient", k), strict=True)
+        led.require(c[k], 0, witness=("coefficient", k), strict=True,
+                    floor=den)
     if led.has_violation:
         return led.verdict()
     _, scaled = minor_data if minor_data is not None else _minor_data(p)
@@ -267,10 +276,12 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
 
     Exact coefficients a_k are carried as ints c_k over one positive
     denominator S, a_k = c_k / S, with S first the lcm of their
-    denominators.  A round is ``degree_reduction_step`` with every term
-    multiplied by c_{d-1} > 0: c_k becomes c_{d-1} c_k - c_d c_{k-1} where
-    d - k is even and c_{d-1} c_k otherwise, S becomes c_{d-1} S, and
-    their common gcd is divided out.  Each row requires c_k > 0 at scale
+    denominators (``UniPoly.cleared``).  A round is
+    ``degree_reduction_step`` with every term multiplied by c_{d-1} > 0:
+    c_k becomes c_{d-1} c_k - c_d c_{k-1} where d - k is even and
+    c_{d-1} c_k otherwise, S becomes c_{d-1} S, and their common gcd is
+    divided out.
+    Each row requires c_k > 0 at scale
     max(|c_k|, S), so its margin is a_k / max(|a_k|, 1), the same rational
     as the plain test a_k > 0 at its default scale.  Float coefficients
     run ``degree_reduction_step`` itself, with S = 1.
@@ -278,16 +289,12 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
     p = _positive_leading(p)
     led = InequalityLedger(tol)
     exact = p.is_exact
-    if exact:
-        den = math.lcm(*(a.denominator for a in p.coeffs))
-        c = [a.numerator * (den // a.denominator) for a in p.coeffs]
-    else:
-        c, den = list(p.coeffs), 1
+    c, den = p.cleared
     rounds = 0
     while True:
         for k, a in enumerate(c):
             led.require(a, 0, witness=("round", rounds, "coefficient", k),
-                        strict=True, scale=max(abs(a), den))
+                        strict=True, floor=den)
         if led.has_violation or led.indeterminate is not None or len(c) <= 3:
             return led.verdict()
         if exact:
@@ -386,12 +393,15 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
 
     On rational inputs alpha is its rational upper bisection bracket P/Q,
     so a "holds" verdict is exact and conservative, and the square test is
-    compared squared, so it needs no square root.  Each row lhs >= alpha
-    rhs is required as Q lhs >= P rhs at scale max(Q |lhs|, P |rhs|, Q):
-    slack and scale are Q times those of the plain comparison, so every
-    margin is the same rational, and int coefficients stay ints.  Float
-    inputs take Q = 1 and the float alpha (or its square root), which is
-    the plain comparison at its default scale.
+    compared squared, so it needs no square root.  The coefficients run as
+    the ints c_k = den a_k over their lcm denominator den, and each row
+    lhs >= alpha rhs, homogeneous of degree h in the coefficients (2 for
+    product, 4 for the squared square test), is required as
+    Q lhs' >= P rhs' on the c_k at scale max(Q |lhs'|, P |rhs'|, Q den^h):
+    slack and scale are Q den^h times those of the plain comparison, so
+    every margin is the same rational, and every row is int arithmetic.
+    Float inputs take Q = den = 1 and the float alpha (or its square
+    root), which is the plain comparison at its default scale.
     """
     if mode not in ("product", "square"):
         raise ValueError("mode must be 'product' or 'square'")
@@ -400,21 +410,22 @@ def alpha_criterion(p: UniPoly, mode: str = "product",
     led = InequalityLedger(tol)
     if not _require_positive_coeffs(led, p):
         return led.verdict()
-    a = p.coeffs
+    a, den = p.cleared
+    a += (0,)  # a_{d+1}, read by the top product row
     if p.is_exact:
         P, Q = _alpha_bracket()[1].as_integer_ratio()
         power, square_factor = 2, P
     else:
         P, Q = alpha_constant(), 1
         power, square_factor = 1, math.sqrt(P)
+    floor = Q * den ** (2 if mode == "product" else 2 * power)
     for k in range(1, p.degree):
         if mode == "product":
-            lhs, rhs = Q * a[k] * a[k + 1], P * a[k - 1] * p.coeff(k + 2)
+            lhs, rhs = Q * a[k] * a[k + 1], P * a[k - 1] * a[k + 2]
         else:
             lhs = Q * (a[k] * a[k]) ** power
             rhs = square_factor * a[k - 1] ** power * a[k + 1] ** power
-        led.require(lhs, rhs, witness=(f"alpha-{mode}", k),
-                    scale=max(abs(lhs), abs(rhs), Q))
+        led.require(lhs, rhs, witness=(f"alpha-{mode}", k), floor=floor)
     return led.verdict()
 
 

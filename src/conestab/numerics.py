@@ -252,6 +252,16 @@ def _integer_rows(rows):
     return [[v.numerator * (D // v.denominator) for v in r] for r in rows], D
 
 
+def _cleared(values) -> tuple:
+    """``(c, den)``: exact ``values`` a_k as the tuple of ints
+    c_k = den * a_k over the lcm ``den`` of their denominators
+    (:func:`_integer_rows`); any other ``values`` as given, with den = 1."""
+    if not all_exact(values):
+        return tuple(values), 1
+    (c,), den = _integer_rows([values])
+    return tuple(c), den or 1
+
+
 def _bareiss(rows, pivoting: bool):
     """One fraction-free (Bareiss) elimination sweep over exact rows.
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import Inapplicable, WrongDegree
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Tolerance, _cleared
 from .unipoly import UniPoly
 from .verdict import FAILS, HOLDS, InequalityLedger, Verdict
 
@@ -57,29 +57,46 @@ def is_ultra_log_concave(seq, strict: bool = False,
 
 
 def _require_positive_coeffs(led: InequalityLedger, p: UniPoly) -> bool:
-    """Require a_k > 0 for every coefficient of p; False on a violation."""
+    """Require a_k > 0 for every coefficient of p; False on a violation.
+
+    Exact coefficients run as the ints c_k = den a_k over their lcm
+    denominator den, each row at scale max(|c_k|, den): slack and scale
+    are den times those of a_k > 0 at its default scale, so every margin
+    is the same rational and the ledger binds the same row."""
+    c, den = p.cleared
     ok = True
-    for k, a in enumerate(p.coeffs):
-        ok = led.require(a, 0, witness=("coefficient", k), strict=True) and ok
+    for k, a in enumerate(c):
+        ok = led.require(a, 0, witness=("coefficient", k), strict=True,
+                         floor=den) and ok
     return ok
 
 
 def _require_clc(led: InequalityLedger, p: UniPoly) -> None:
     """Require positive coefficients and i*a_i^2 >= (i+1)*a_{i-1}*a_{i+1}
-    for 1 <= i <= d-1 (> in a strict ledger)."""
+    for 1 <= i <= d-1 (> in a strict ledger).
+
+    As in ``_require_positive_coeffs``, exact rows run on the ints
+    c_k = den a_k; a row is homogeneous of degree 2, so with the floor
+    den^2 on its scale its slack and scale are den^2 times the plain ones
+    and its margin is the same rational."""
     _require_positive_coeffs(led, p)
-    a = p.coeffs
+    c, den = p.cleared
     for i in range(1, p.degree):
-        led.require(i * a[i] * a[i], (i + 1) * a[i - 1] * a[i + 1],
-                    witness=("weighted-newton", i))
+        led.require(i * c[i] * c[i], (i + 1) * c[i - 1] * c[i + 1],
+                    witness=("weighted-newton", i), floor=den * den)
 
 
 def _require_quintic_cross(led: InequalityLedger, p: UniPoly) -> None:
     """Require (a1 a4 - a0 a5)^2 <= (a1 a2 - a0 a3)(a3 a4 - a2 a5) of the
-    degree-5 p (< in a strict ledger)."""
-    a = p.coeffs
+    degree-5 p (< in a strict ledger).
+
+    Exact coefficients run as the ints c_k = den a_k; the row is
+    homogeneous of degree 4, so with the floor den^4 on its scale its
+    margin is that of the plain comparison."""
+    a, den = p.cleared
     led.require((a[1] * a[2] - a[0] * a[3]) * (a[3] * a[4] - a[2] * a[5]),
-                (a[1] * a[4] - a[0] * a[5]) ** 2, witness=("quintic-cross",))
+                (a[1] * a[4] - a[0] * a[5]) ** 2, witness=("quintic-cross",),
+                floor=den ** 4)
 
 
 def is_univariate_clc(p: UniPoly, strict: bool = False,
@@ -159,15 +176,21 @@ def newton_chain_report(seq, tol: Tolerance = DEFAULT_TOL) -> NewtonChainReport:
 
     Raises Inapplicable (with the witness index) when the hypothesis does
     not hold, since the derived chains are meaningless without it.
+
+    An exact sequence runs as the ints c_k = den a_k over the lcm den of
+    its denominators.  Entry rows are homogeneous of degree 1 and take the
+    floor den on their scale; hypothesis and family rows are of degree 2
+    and take den^2.  Slack and scale are then den^h times those of the
+    plain row at its default scale, so every margin is the same rational.
     """
-    a = list(seq)
-    d = len(a) - 1
+    a, den = _cleared(list(seq))
+    d, den2 = len(a) - 1, den * den
     hyp = InequalityLedger(tol)
     for k, v in enumerate(a):
-        hyp.require(v, 0, witness=("entry", k), strict=True)
+        hyp.require(v, 0, witness=("entry", k), strict=True, floor=den)
     for k in range(1, d):
         hyp.require(k * a[k] * a[k], (k + 1) * a[k - 1] * a[k + 1],
-                    witness=("hypothesis", k))
+                    witness=("hypothesis", k), floor=den2)
     hv = hyp.verdict()
     if not hv.is_holds:
         raise Inapplicable("Newton hypothesis does not hold", witness=hv.witness)
@@ -176,6 +199,6 @@ def newton_chain_report(seq, tol: Tolerance = DEFAULT_TOL) -> NewtonChainReport:
     for name, strict, rows in _FAMILIES:
         led = InequalityLedger(tol, strict=strict)
         for lhs, rhs, witness in rows(a, d):
-            led.require(lhs, rhs, witness=witness)
+            led.require(lhs, rhs, witness=witness, floor=den2)
         families[name] = led.verdict()
     return NewtonChainReport(hypothesis=hv, families=families)

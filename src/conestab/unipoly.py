@@ -8,11 +8,12 @@ keeps an empty coefficient tuple and degree ``None``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ZeroPolynomial
-from .numerics import all_exact, exact_div, scalar_from_json
+from .numerics import _cleared, all_exact, exact_div, scalar_from_json
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,13 @@ class UniPoly:
     @property
     def is_exact(self) -> bool:
         return all_exact(self.coeffs)
+
+    @functools.cached_property
+    def cleared(self) -> tuple:
+        """``(c, den)``: exact coefficients as the ints c_k = den a_k over
+        the lcm den of their denominators, other coefficients as stored
+        with den = 1 (``numerics._cleared``); computed once per polynomial."""
+        return _cleared(self.coeffs)
 
     def coeff(self, k: int):
         """Coefficient of t^k (0 outside the stored range)."""

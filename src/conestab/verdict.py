@@ -49,7 +49,8 @@ class InequalityLedger:
     Tracks the smallest normalized slack ``(lhs - rhs) / scale`` over all
     checked inequalities, the first definite violation, and the first
     indeterminate comparison.  ``scale`` defaults to
-    ``max(|lhs|, |rhs|, 1)`` so margins are scale-free.
+    ``max(|lhs|, |rhs|, floor)``, with ``floor`` (at least 1) 1 by
+    default, so margins are scale-free.
 
     Margins are exact (``Fraction``) when slack and scale are exact, and
     ``slack / scale`` otherwise.  An exact margin is built lazily: the
@@ -73,12 +74,13 @@ class InequalityLedger:
             self._margin = Fraction(self._slack) / Fraction(self._scale)
         return self._margin
 
-    def require(self, lhs, rhs=0, *, witness=None, strict=None, scale=None) -> bool:
+    def require(self, lhs, rhs=0, *, witness=None, strict=None, scale=None,
+                floor=1) -> bool:
         """Record one inequality; returns False on a definite violation."""
         strict = self.strict if strict is None else strict
         slack = lhs - rhs
         if scale is None:
-            scale = max(abs(lhs), abs(rhs), 1)
+            scale = max(abs(lhs), abs(rhs), floor)
         else:
             scale = max(scale, 1)
         exact_slack = is_exact(slack)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from conestab import MultiForm, SquareMatrix, UniPoly
 
@@ -71,6 +72,74 @@ def form_through_line(coeffs):
                 key = (e1 + f1, e2 + f2)
                 terms[key] = terms.get(key, 0) + a * ca * cb
     return MultiForm(2, d, terms)
+
+
+# exact coefficients, one kind per polynomial: Fractions with zeros and
+# negatives, ints mixed with Fractions, and positive Fractions with large
+# denominators
+RATIONAL_COEFFS = {
+    "signed": st.one_of(st.just(0), st.fractions(-50, 50, max_denominator=30)),
+    "mixed": st.one_of(st.integers(-5, 10 ** 6),
+                       st.fractions(-3, 1000, max_denominator=60)),
+    "large": st.fractions(0, 10 ** 6, max_denominator=10 ** 15),
+}
+# roots and quadratic coefficients below 1 give coefficient products below
+# 1, where a row's scale is its floor
+POSITIVE_FRACTION = st.one_of(st.fractions(0, 1, max_denominator=50),
+                              st.fractions(0, 100, max_denominator=50)
+                              ).filter(bool)
+
+
+@st.composite
+def rational_polys(draw, min_degree=1, max_degree=14):
+    """Exact polynomials of degree ``min_degree``..``max_degree``: random
+    coefficients of one ``RATIONAL_COEFFS`` kind, or a product of factors
+    t + r (real-rooted, so the Newton hypothesis can hold) or of
+    t^2 + b t + c (stable, so every minor and reduction round runs), with
+    positive Fractions r, b and c."""
+    kind = draw(st.sampled_from((*RATIONAL_COEFFS, "linear", "quadratic")))
+    d = draw(st.integers(min_degree, max_degree))
+    if kind in RATIONAL_COEFFS:
+        coeff = RATIONAL_COEFFS[kind]
+        coeffs = draw(st.lists(coeff, min_size=d, max_size=d))
+        return UniPoly((*coeffs, draw(coeff.filter(bool))))
+    p = UniPoly((1,))
+    quadratics = d // 2 if kind == "quadratic" else 0
+    for _ in range(quadratics):
+        p = p * UniPoly((draw(POSITIVE_FRACTION), draw(POSITIVE_FRACTION), 1))
+    for _ in range(d - 2 * quadratics):
+        p = p * UniPoly((draw(POSITIVE_FRACTION), 1))
+    return p
+
+
+# The coefficient rows as they ran in Fraction arithmetic, every row at
+# its default scale: references for the int rows that replaced them.
+
+def reference_require_positive_coeffs(led, p):
+    ok = True
+    for k, a in enumerate(p.coeffs):
+        ok = led.require(a, 0, witness=("coefficient", k), strict=True) and ok
+    return ok
+
+
+def reference_require_clc(led, p):
+    reference_require_positive_coeffs(led, p)
+    a = p.coeffs
+    for i in range(1, p.degree):
+        led.require(i * a[i] * a[i], (i + 1) * a[i - 1] * a[i + 1],
+                    witness=("weighted-newton", i))
+
+
+def reference_require_quintic_cross(led, p):
+    a = p.coeffs
+    led.require((a[1] * a[2] - a[0] * a[3]) * (a[3] * a[4] - a[2] * a[5]),
+                (a[1] * a[4] - a[0] * a[5]) ** 2, witness=("quintic-cross",))
+
+
+def assert_same_verdict(got, expected):
+    """Equal verdicts, with margins of the same type."""
+    assert got == expected
+    assert type(got.margin) is type(expected.margin)
 
 
 @pytest.fixture

@@ -214,7 +214,9 @@ class TestMatrixCommand:
     @pytest.mark.parametrize("cone, positive", [
         ({"type": "orthant", "n": 2}, "holds"),
         # A (1, 0) = (1, 1) lies on the facet x1 = x2
-        ({"type": "polyhedral", "generators": [[1, 0], [1, 1]]}, "fails")])
+        ({"type": "polyhedral", "generators": [[1, 0], [1, 1]]}, "fails"),
+        # A x leaves the cone at sampled boundary points x
+        ({"type": "second_order", "n": 2}, "fails")])
     @pytest.mark.parametrize("mode", ["auto", "exact"])
     def test_cone_route_exact_entries_beyond_float_range(self, tmp_path, cone,
                                                          positive, mode):
@@ -225,9 +227,13 @@ class TestMatrixCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         cm = json.loads(proc.stdout, parse_constant=reject)["cone_matrix_report"]
+        # over the second-order cone A is not K-nonnegative, so its
+        # irreducibility is inapplicable
+        expected = (["fails", "fails", "unknown"]
+                    if cone["type"] == "second_order"
+                    else ["holds", positive, "holds"])
         assert [cm[key]["status"] for key in
-                ("k_nonnegative", "k_positive", "k_irreducible")] == [
-            "holds", positive, "holds"]
+                ("k_nonnegative", "k_positive", "k_irreducible")] == expected
         assert cm["perron"]["note"] == "entries beyond the float range"
         assert cm["perron"]["rho"] is None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -15,15 +16,17 @@ from conestab import (UniPoly, WrongDegree, ZeroPolynomial, alpha_constant,
                       quintic_criterion,
                       root_oracle_verdict, routh_hurwitz_stable,
                       stability_report)
-from conestab import hurwitz
+from conestab import SquareMatrix, hurwitz, lti_report
+from conestab.cli import jsonable
 from conestab.hurwitz import _alpha_bracket
 from conestab.numerics import DEFAULT_TOL
-from conestab.sequences import (_require_positive_coeffs, is_univariate_clc,
-                                quintic_cross_inequality)
+from conestab.sequences import is_univariate_clc, quintic_cross_inequality
 from conestab.verdict import (FAILS, HOLDS, UNKNOWN, InequalityLedger,
                               Verdict)
 
-from conftest import poly_from_roots
+from conftest import (assert_same_verdict, poly_from_roots, rational_polys,
+                      reference_require_clc, reference_require_positive_coeffs,
+                      reference_require_quintic_cross)
 
 UNSTABLE_QUINTIC = UniPoly((5, 14, Fraction(25, 2), Fraction(36, 5), 3, 1))
 STABLE_QUINTIC = UniPoly((5, 25, 50, 30, 10, 3))
@@ -114,7 +117,7 @@ def reference_alpha_criterion(p, mode):
     """The exact alpha-ratio test with alpha as the Fraction of its upper
     bracket in every row."""
     led = InequalityLedger(DEFAULT_TOL)
-    if not _require_positive_coeffs(led, p):
+    if not reference_require_positive_coeffs(led, p):
         return led.verdict()
     alpha, a = _alpha_bracket()[1], p.coeffs
     for k in range(1, p.degree):
@@ -142,6 +145,42 @@ def reference_degree_reduction(p):
             return led.verdict()
         p = degree_reduction_step(p)
         rounds += 1
+
+
+def reference_quintic_criterion(p):
+    """The quintic criterion with Fraction rows."""
+    led = InequalityLedger(DEFAULT_TOL, strict=True)
+    reference_require_clc(led, p)
+    reference_require_quintic_cross(led, p)
+    return led.verdict()
+
+
+def reference_lti_fields(chi):
+    """The coefficient verdicts of ``lti_report`` on the characteristic
+    polynomial chi, from the Fraction-row references."""
+    d = chi.degree
+    clc = InequalityLedger(DEFAULT_TOL, strict=True)
+    reference_require_clc(clc, chi)
+    return {
+        "routh_hurwitz": reference_routh_hurwitz(chi),
+        "clc_d_le_4": clc.verdict() if d <= 4 else None,
+        "quintic": reference_quintic_criterion(chi) if d == 5 else None,
+        "alpha_product": (reference_alpha_criterion(chi, "product")
+                          if d >= 5 else None),
+        "alpha_square": (reference_alpha_criterion(chi, "square")
+                         if d >= 5 else None),
+    }
+
+
+@st.composite
+def rational_matrices(draw):
+    """The ``lti`` benchmark's mix: n = 2-12, entries of denominator at
+    most 4, shifted by a multiple of 1/4 of the identity."""
+    n = draw(st.integers(2, 12))
+    shift = Fraction(draw(st.integers(0, 4 * n)), 4)
+    entry = st.fractions(-6, 6, max_denominator=4)
+    return SquareMatrix.from_rows(
+        [[draw(entry) - shift * (i == j) for j in range(n)] for i in range(n)])
 
 
 def reference_scaled_minors(H, minors):
@@ -420,13 +459,14 @@ class TestOneLedgerPerVerdict:
         assert v == Verdict(HOLDS, margin=Fraction(1, 25),
                             witness=("weighted-newton", 2))
 
-    @given(polys())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(polys(), rational_polys()))
+    @settings(max_examples=400, deadline=None)
     def test_minor_chains_match_the_separate_loops(self, p):
-        assert routh_hurwitz_stable(p) == reference_routh_hurwitz(p)
+        assert_same_verdict(routh_hurwitz_stable(p),
+                            reference_routh_hurwitz(p))
         for variant in (1, 2, 3, 4):
-            assert (lienard_chipart_stable(p, variant)
-                    == reference_lienard_chipart(p, variant)), variant
+            assert_same_verdict(lienard_chipart_stable(p, variant),
+                                reference_lienard_chipart(p, variant))
 
     @pytest.mark.parametrize("decider", [
         routh_hurwitz_stable, hermite_biehler_stable, degree_reduction_stable,
@@ -438,31 +478,48 @@ class TestOneLedgerPerVerdict:
 
 
 class TestExactPathsMatchFractionReferences:
-    """The int arithmetic of the exact alpha and degree-reduction tests,
-    and the dot-product Hadamard bounds, give the verdicts, margins and
-    bounds of the Fraction and ``np.linalg.norm`` code they replaced."""
-
-    @staticmethod
-    def assert_same(got, expected):
-        assert got == expected
-        assert type(got.margin) is type(expected.margin)
+    """The int arithmetic of the exact coefficient rows, and the
+    dot-product Hadamard bounds, give the verdicts, margins and bounds of
+    the Fraction and ``np.linalg.norm`` code they replaced."""
 
     @example(UniPoly((1, 1, _alpha_bracket()[1], _alpha_bracket()[1] ** 2)))
-    @given(exact_polys())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(exact_polys(), rational_polys()))
+    @settings(max_examples=400, deadline=None)
     def test_alpha_criterion(self, p):
         for mode in ("product", "square"):
-            self.assert_same(alpha_criterion(p, mode),
-                             reference_alpha_criterion(p, mode))
+            assert_same_verdict(alpha_criterion(p, mode),
+                                reference_alpha_criterion(p, mode))
 
     @example(UniPoly((0, 1, 1)))
     @example(STABLE_QUINTIC)
     @example(UNSTABLE_QUINTIC)
-    @given(exact_polys())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(exact_polys(), rational_polys()))
+    @settings(max_examples=400, deadline=None)
     def test_degree_reduction(self, p):
-        self.assert_same(degree_reduction_stable(p),
-                         reference_degree_reduction(p))
+        assert_same_verdict(degree_reduction_stable(p),
+                            reference_degree_reduction(p))
+
+    @example(UNSTABLE_QUINTIC)
+    @example(UniPoly((Fraction(2), 8, 15, 18, 15, Fraction(48, 5))))
+    @given(rational_polys(5, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_quintic_criterion_on_rationals(self, p):
+        assert_same_verdict(quintic_criterion(p),
+                            reference_quintic_criterion(p))
+
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_lti_report_on_rational_matrices(self, A):
+        report = lti_report(A)
+        expected = reference_lti_fields(report.char_poly)
+        for key, verdict in expected.items():
+            got = getattr(report, key)
+            if verdict is None:
+                assert got is None, key
+            else:
+                assert_same_verdict(got, verdict)
+        assert jsonable(report) == jsonable(
+            dataclasses.replace(report, **expected))
 
     @given(st.sampled_from(MINOR_ENTRIES).flatmap(
         lambda entry: st.lists(entry, min_size=2, max_size=11))

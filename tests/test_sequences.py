@@ -3,12 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conestab import (Inapplicable, UniPoly, WrongDegree, is_log_concave,
                       is_ultra_log_concave, is_univariate_clc,
                       newton_chain_report, quintic_cross_inequality)
+from conestab.numerics import DEFAULT_TOL
+from conestab.sequences import _FAMILIES
+from conestab.verdict import InequalityLedger
+
+from conftest import (assert_same_verdict, rational_polys,
+                      reference_require_clc, reference_require_quintic_cross)
 
 UNSTABLE_QUINTIC = UniPoly((5, 14, Fraction(25, 2), Fraction(36, 5), 3, 1))
 STABLE_QUINTIC = UniPoly((5, 25, 50, 30, 10, 3))
@@ -26,6 +32,81 @@ def newton_strict_sequence(rng, length):
         r = r * (k / (k + 1)) * rng.uniform(0.7, 0.98)
     mid = math.sqrt(a[0] * a[-1])
     return [x / mid for x in a]
+
+
+def reference_is_univariate_clc(p, strict):
+    """``is_univariate_clc`` of a nonzero p with Fraction rows."""
+    led = InequalityLedger(DEFAULT_TOL, strict=strict)
+    reference_require_clc(led, p)
+    return led.verdict()
+
+
+def reference_quintic_cross_inequality(p):
+    led = InequalityLedger(DEFAULT_TOL, strict=True)
+    reference_require_quintic_cross(led, p)
+    return led.verdict()
+
+
+def reference_newton_chain_report(seq):
+    """``newton_chain_report`` with Fraction rows, as the pair
+    (hypothesis, families)."""
+    a = list(seq)
+    d = len(a) - 1
+    hyp = InequalityLedger(DEFAULT_TOL)
+    for k, v in enumerate(a):
+        hyp.require(v, 0, witness=("entry", k), strict=True)
+    for k in range(1, d):
+        hyp.require(k * a[k] * a[k], (k + 1) * a[k - 1] * a[k + 1],
+                    witness=("hypothesis", k))
+    hv = hyp.verdict()
+    if not hv.is_holds:
+        raise Inapplicable("Newton hypothesis does not hold",
+                           witness=hv.witness)
+    families = {}
+    for name, strict, rows in _FAMILIES:
+        led = InequalityLedger(DEFAULT_TOL, strict=strict)
+        for lhs, rhs, witness in rows(a, d):
+            led.require(lhs, rhs, witness=witness)
+        families[name] = led.verdict()
+    return hv, families
+
+
+class TestIntRowsMatchFractionReferences:
+    """The coefficient rows on ints over the lcm denominator give the
+    verdicts and margins of the Fraction rows they replaced."""
+
+    @given(rational_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_is_univariate_clc(self, p):
+        for strict in (False, True):
+            assert_same_verdict(is_univariate_clc(p, strict),
+                                reference_is_univariate_clc(p, strict))
+
+    @example(UNSTABLE_QUINTIC)
+    @given(rational_polys(5, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_quintic_cross_inequality(self, p):
+        assert_same_verdict(quintic_cross_inequality(p),
+                            reference_quintic_cross_inequality(p))
+
+    @example(UniPoly(tuple(Fraction(24, math.factorial(k)) for k in range(5))))
+    # (t + 1/2)(t + 1/10): the top-anchor row is below 1, at its floor
+    @example(UniPoly((Fraction(1, 20), Fraction(3, 5), 1)))
+    @given(rational_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_newton_chain_report(self, p):
+        try:
+            hv, families = reference_newton_chain_report(p.coeffs)
+        except Inapplicable as expected:
+            with pytest.raises(Inapplicable) as got:
+                newton_chain_report(p.coeffs)
+            assert got.value.witness == expected.witness
+            return
+        report = newton_chain_report(p.coeffs)
+        assert_same_verdict(report.hypothesis, hv)
+        assert report.families.keys() == families.keys()
+        for name, verdict in families.items():
+            assert_same_verdict(report.families[name], verdict)
 
 
 class TestIsLogConcave:

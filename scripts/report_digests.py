@@ -30,7 +30,12 @@ in the same order.  It covers every subcommand:
                    products of linear factors and of stable quadratics,
                    positive and signed coefficients;
 * ``lti/rational/`` 20 matrices of dimension 6-12 with entries of
-                   denominator at most 4, in auto mode.
+                   denominator at most 4, in auto mode;
+* ``unipoly/stall/`` 10 exact polynomials with a zero Hurwitz minor
+                   Delta_k, k < d, which stalls the fraction-free minor
+                   recurrence, each with ``"p/q"`` coefficients and as
+                   the ints of its coefficients times their common
+                   denominator.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -47,6 +52,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 import sys
 import tempfile
@@ -199,6 +205,29 @@ def rational_poly(rng, kind):
     return [rng.choice((0, 1, 1, -1)) * q() for _ in range(d)] + [q()]
 
 
+def stalled_poly(rng, kind):
+    """Ascending rational coefficients, the leading one positive, with a
+    zero Hurwitz minor Delta_k, k < d: for ``kind`` 0 (t^2 + w) q(t) and
+    for 1 (t^2 - w) q(t), q of degree 1-6 with positive coefficients, whose
+    opposite roots make Delta_{d-1} = 0; for 2 degree 3-10 with
+    a_1 a_2 = a_0 a_3, so Delta_2 = 0; for 3 degree 2-10 with a_1 = 0, so
+    Delta_1 = 0."""
+    def q():
+        return Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5, 8)))
+
+    if kind in (0, 1):
+        w = q() if kind == 0 else -q()
+        factor = [q() for _ in range(rng.randint(1, 6))] + [q()]
+        return [w * a + b for a, b in zip(factor + [0, 0], [0, 0] + factor)]
+    d = rng.randint(3 if kind == 2 else 2, 10)
+    coeffs = [q() for _ in range(d + 1)]
+    if kind == 2:
+        coeffs[3] = coeffs[1] * coeffs[2] / coeffs[0]
+    else:
+        coeffs[1] = Fraction(0)
+    return coeffs
+
+
 def corpus():
     """(name, subcommand, payload, cone, extra CLI arguments)."""
     for seed in range(10):
@@ -293,6 +322,14 @@ def corpus():
                                  - shift * (r == c)) for c in range(n)]
                 for r in range(n)]
         yield f"lti/rational/{i:03d}", "matrix", {"rows": rows}, None, []
+    rng = random.Random("report_digests/unipoly-stall")
+    for i in range(10):
+        coeffs = stalled_poly(rng, i % 4)
+        den = math.lcm(*(a.denominator for a in coeffs))
+        yield (f"unipoly/stall/{i:03d}/rational", "unipoly",
+               {"coeffs": [fraction_string(a) for a in coeffs]}, None, [])
+        yield (f"unipoly/stall/{i:03d}/int", "unipoly",
+               {"coeffs": [int(a * den) for a in coeffs]}, None, [])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

@@ -25,8 +25,10 @@ from .forms import (clc_necessary_check, form_from_json,
                     lorentzian_sample_check, restrict_line)
 from .hurwitz import stability_report
 from .lti import lti_report
-from .numerics import (SquareMatrix, Tolerance, all_roots, int_from_json,
-                       scalar_to_json, vector_from_json)
+# all_roots is unused here but stays bound: perfbench/tracing.py wraps it
+# by this module's name.
+from .numerics import (SquareMatrix, Tolerance, all_roots,  # noqa: F401
+                       int_from_json, scalar_to_json, vector_from_json)
 from .sequences import is_univariate_clc, newton_chain_report
 from .unipoly import unipoly_from_json
 from .verdict import FAILS, Verdict
@@ -122,10 +124,6 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
                                for k, v in chains.families.items()}}
     except Inapplicable as e:
         newton = {"status": "inapplicable", "witness": jsonable(e.witness)}
-    try:
-        roots = [jsonable(r) for r in all_roots(p, cfg.tol)]
-    except NonConvergence:
-        roots = None  # the root_oracle entry says why
     return {
         "input": jsonable(p),
         "config": cfg.echo(),
@@ -144,7 +142,9 @@ def cmd_unipoly(payload, cfg: RunConfig) -> dict:
         "criteria": _criterion_entries(report),
         "minors": [jsonable(m) for m in report.minors],
         "minor_margins": jsonable(report.minor_margins),
-        "roots": roots,
+        # the oracle's roots of p or -p, which have the same monic floats;
+        # None when the solver did not converge, and root_oracle says why
+        "roots": jsonable(report.roots),
         "consistent": report.consistent,
     }
 

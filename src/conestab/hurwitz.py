@@ -55,37 +55,52 @@ def _positive_leading(p: UniPoly) -> UniPoly:
 _BOUND_MAX_EXP = 1000
 
 
-def _scaled_minors(H: SquareMatrix, minors) -> list:
-    """(Delta_k, scale_k) pairs, scale_k the Hadamard bound of the k-th
-    leading block (at least 1), so Delta_k / scale_k is a margin in
-    [-1, 1] up to the float rounding of the bound (the float coefficients
-    1, 1e200, 1e200, 1 give 1.0000000000000222).  With an exact Delta_k,
-    a bound past 2^_BOUND_MAX_EXP divides both members by one power of
-    two, so neither the bound nor float(Delta_k) overflows; a float
-    Delta_k keeps the plain bound, which is inf past the float range, so
-    its comparison stays indeterminate.
+@functools.lru_cache(maxsize=None)
+def _hurwitz_layout(d: int) -> np.ndarray:
+    """Entry (i, j) of the d x d Hurwitz matrix as an index into
+    (a_0, ..., a_d, 0): 2j - i for 1-based i and j, or d + 1 for an
+    entry that reads a missing coefficient."""
+    k = 2 * np.arange(d)[None, :] + 1 - np.arange(d)[:, None]
+    return np.where((k >= 0) & (k <= d), k, d + 1)
 
-    Each row is scaled by a power of two before its norms are taken, and
-    the product of norms is kept as a float significand and an integer
-    exponent; power-of-two scaling is exact, so every bound that fits in a
-    float is the plain product of the row norms bit for bit.  The norm of
-    a row prefix x is sqrt(x.dot(x)): the one dot product and the one
-    correctly rounded square root that ``np.linalg.norm`` computes for a
-    real vector, without its per-call argument checks, so every bound and
-    margin is the one ``norm`` gives.
+
+def _scaled_minors(p: UniPoly, minors) -> list:
+    """(Delta_k, scale_k) pairs for the Hurwitz minors ``minors`` of p,
+    scale_k the Hadamard bound of the k-th leading block of the Hurwitz
+    matrix (at least 1), so Delta_k / scale_k is a margin in [-1, 1] up to
+    the float rounding of the bound (the float coefficients 1, 1e200,
+    1e200, 1 give 1.0000000000000222).  With an exact Delta_k, a bound
+    past 2^_BOUND_MAX_EXP divides both members by one power of two, so
+    neither the bound nor float(Delta_k) overflows; a float Delta_k keeps
+    the plain bound, which is inf past the float range, so its comparison
+    stays indeterminate.
+
+    The float matrix is laid out by index from the d + 1 coefficients,
+    each converted once: row i holds every coefficient of index parity
+    i + 1 (0-based i), so the coefficients of one parity share one
+    pre-shift.  Each row is scaled by a power of two before its norms are
+    taken, and the product of norms is kept as a float significand and an
+    integer exponent; power-of-two scaling is exact, so every bound that
+    fits in a float is the plain product of the row norms bit for bit.
+    The norm of a row prefix x is sqrt(x.dot(x)): the one dot product and
+    the one correctly rounded square root that ``np.linalg.norm``
+    computes for a real vector, without its per-call argument checks, so
+    every bound and margin is the one ``norm`` gives.
     """
-    # an exact row past 2^_BOUND_MAX_EXP is divided by a power of two read
-    # from bit lengths before it is converted, so no entry overflows
+    # exact coefficients past 2^_BOUND_MAX_EXP are divided by a power of
+    # two read from bit lengths before they are converted, so none
+    # overflows; pre[r] is the shift of the coefficients a_k, k = r mod 2
     pre = [max(0, max((abs(v.numerator).bit_length() - v.denominator.bit_length()
-                       for v in r if is_exact(v)), default=0) - _BOUND_MAX_EXP)
-           for r in H.rows]
-    A = np.array([[float(Fraction(v) / 2 ** s) if s else float(v) for v in r]
-                  for r, s in zip(H.rows, pre)])
+                       for v in p.coeffs[r::2] if is_exact(v)), default=0)
+               - _BOUND_MAX_EXP) for r in (0, 1)]
+    floats = [float(Fraction(v) / 2 ** pre[k % 2]) if pre[k % 2] else float(v)
+              for k, v in enumerate(p.coeffs)]
+    A = np.array(floats + [0.0])[_hurwitz_layout(p.degree)]
     _, row_exp = np.frexp(np.max(np.abs(A), axis=1))
     A = np.ldexp(A, -row_exp[:, None])
-    row_exp = [int(e) + s for e, s in zip(row_exp, pre)]
+    row_exp = [int(e) + pre[(i + 1) % 2] for i, e in enumerate(row_exp)]
     out = []
-    for k in range(1, H.n + 1):
+    for k in range(1, p.degree + 1):
         frac, exp = 1.0, 0
         for i in range(k):
             x = A[i, :k]
@@ -101,10 +116,62 @@ def _scaled_minors(H: SquareMatrix, minors) -> list:
     return out
 
 
+def _routh_minors(c) -> list | None:
+    """The leading Hurwitz minors Delta_1..Delta_d of the ints c_0..c_d by
+    the fraction-free Routh recurrence, or None when a zero Delta_k with
+    k < d stalls it.
+
+    R_0 = (c_1, c_3, ...) and E = (c_0, c_2, ...), padded with zeros to
+    length d, are rows 1 and 2 of the Hurwitz matrix; R_1[j] = c_1 E[j+1]
+    - c_0 R_0[j+1], and R_{k+1}[j] = (R_k[0] R_{k-1}[j+1]
+    - R_{k-1}[0] R_k[j+1]) / R_{k-2}[0] with R_{-1}[0] read as 1.  R_k is
+    pivot row k of the Bareiss sweep over the Hurwitz matrix from the
+    diagonal on, so every division is exact (Sylvester's identity), and
+    Delta_{k+1} = R_k[0].
+    """
+    d = len(c) - 1
+    pad = [0] * d
+    upper, lower = (list(c[0::2]) + pad)[:d], (list(c[1::2]) + pad)[:d]
+    div, next_div = 1, 1
+    minors = [lower[0]]
+    for _ in range(d - 1):
+        pivot = lower[0]
+        if pivot == 0:
+            return None
+        upper, lower = lower, [(pivot * u - upper[0] * v) // div
+                               for u, v in zip(upper[1:], lower[1:])]
+        div, next_div = next_div, pivot
+        minors.append(lower[0])
+    return minors
+
+
+def _hurwitz_minors(p: UniPoly) -> list:
+    """``leading_minors(hurwitz_matrix(p))``, in value and type, from the
+    coefficients of p.
+
+    Exact p runs :func:`_routh_minors` on its cleared ints c_k = den a_k;
+    the Hurwitz matrix of the c_k is den times that of the a_k, so
+    Delta_k = Delta_k(c) / den^k: an int when every coefficient is an int,
+    a Fraction otherwise, as :func:`numerics._bareiss` gives.  A stalled
+    recurrence and float coefficients take ``leading_minors`` itself.
+    """
+    if p.is_exact:
+        if p.degree == 1:
+            return [p.coeffs[1]]  # the 1 x 1 matrix (a_1) holds no a_0
+        c, den = p.cleared
+        minors = _routh_minors(c)
+        if minors is not None:
+            if all(isinstance(v, int) for v in p.coeffs):
+                return minors
+            return [Fraction(m, den ** k) for k, m in enumerate(minors, 1)]
+    return leading_minors(hurwitz_matrix(p))
+
+
 def _minor_data(p: UniPoly):
-    H = hurwitz_matrix(p)
-    minors = leading_minors(H)
-    return minors, _scaled_minors(H, minors)
+    """(minors, scaled): the leading Hurwitz minors of p and their
+    (Delta_k, scale_k) pairs, both from the d + 1 coefficients."""
+    minors = _hurwitz_minors(p)
+    return minors, _scaled_minors(p, minors)
 
 
 def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
@@ -313,12 +380,17 @@ def degree_reduction_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict
 def root_oracle_verdict(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Ground truth: all companion-matrix roots in the open left half-plane;
     unknown when the computed roots fail their residual check."""
-    p = _positive_leading(p)
+    return _root_oracle(_positive_leading(p), tol)[1]
+
+
+def _root_oracle(p: UniPoly, tol: Tolerance) -> tuple:
+    """``(roots, verdict)`` of the root oracle on p, which has a positive
+    leading coefficient; roots is None when the solver did not converge."""
     try:
         roots = all_roots(p.coeffs, tol)
     except NonConvergence as e:
-        return Verdict(UNKNOWN, note=f"root solver did not converge: {e}")
-    return _left_half_plane_verdict(roots, "root", tol)
+        return None, Verdict(UNKNOWN, note=f"root solver did not converge: {e}")
+    return roots, _left_half_plane_verdict(roots, "root", tol)
 
 
 def _left_half_plane_verdict(values, label: str, tol: Tolerance) -> Verdict:
@@ -441,7 +513,8 @@ def _gated(criterion, p: UniPoly, *args):
 @dataclass(frozen=True)
 class StabilityReport:
     """Every decider and criterion verdict for one polynomial, plus the
-    minor chain and a consistency flag across the deciders."""
+    minor chain, the root oracle's companion roots (None when the solver
+    did not converge) and a consistency flag across the deciders."""
 
     poly: UniPoly
     minors: list
@@ -455,6 +528,7 @@ class StabilityReport:
     quintic: Verdict | None
     alpha_product: Verdict | None
     alpha_square: Verdict | None
+    roots: list | None
     consistent: bool
 
     @property
@@ -474,7 +548,7 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
           for v in (1, 2, 3, 4)}
     hb = hermite_biehler_stable(p_norm, tol)
     dr = degree_reduction_stable(p_norm, tol)
-    oracle = root_oracle_verdict(p_norm, tol)
+    roots, oracle = _root_oracle(p_norm, tol)
     return StabilityReport(
         poly=p,
         minors=minors,
@@ -488,6 +562,7 @@ def stability_report(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> StabilityRepor
         quintic=_gated(quintic_criterion, p, tol),
         alpha_product=_gated(alpha_criterion, p, "product", tol),
         alpha_square=_gated(alpha_criterion, p, "square", tol),
+        roots=roots,
         consistent=_consistent([rh, *lc.values(), hb, dr, oracle]),
     )
 

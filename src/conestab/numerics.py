@@ -29,7 +29,13 @@ def _dot(u, v):
 
 
 def is_exact(x) -> bool:
-    """True for values carrying exact rational arithmetic (int / Fraction)."""
+    """True for values carrying exact rational arithmetic (int / Fraction,
+    their subclasses included, bool excluded)."""
+    t = type(x)
+    if t is int or t is Fraction:
+        return True
+    if t is float:
+        return False
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 

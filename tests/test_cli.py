@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from conestab import cli
+from conestab.numerics import all_roots
+from conestab.unipoly import unipoly_from_json
 from conestab.verdict import Verdict
 
 CLI = [sys.executable, "-m", "conestab.cli"]
@@ -129,6 +131,21 @@ class TestUnipolyCommand:
         assert "beyond the float range" in rep["deciders"]["root_oracle"]["note"]
         assert rep["roots"] is None
         assert rep["consistent"] is True
+
+    def test_roots_are_the_oracle_roots_of_p(self):
+        # the report's roots come from the root oracle's solve on -p, and
+        # equal the companion roots of p itself
+        payload = {"coeffs": [-5, -14, "-25/2", "-36/5", -3, -1]}
+        rep = cli.cmd_unipoly(payload, cli.RunConfig())
+        p = unipoly_from_json(payload)
+        assert rep["roots"] == cli.jsonable(all_roots(p))
+        assert rep["deciders"]["root_oracle"]["status"] == "fails"
+
+    def test_roots_null_when_the_oracle_is_unknown(self):
+        rep = cli.cmd_unipoly({"coeffs": [1, 10 ** 400, 1]}, cli.RunConfig())
+        assert rep["roots"] is None
+        assert rep["deciders"]["root_oracle"]["status"] == "unknown"
+        assert rep["deciders"]["routh_hurwitz"]["status"] == "holds"
 
     def test_overflow_is_numeric_failure(self, monkeypatch, tmp_path, capsys):
         def overflow(*args, **kwargs):

@@ -526,15 +526,67 @@ class TestExactPathsMatchFractionReferences:
         .filter(lambda c: c[-1] != 0))
     @settings(max_examples=150, deadline=None)
     def test_scaled_minors_bounds(self, coeffs):
-        H = hurwitz_matrix(UniPoly(tuple(coeffs)))
-        minors = leading_minors(H)
-        got = hurwitz._scaled_minors(H, minors)
-        expected = reference_scaled_minors(H, minors)
-        assert [m for m, _ in got] == [m for m, _ in expected]
-        assert ([type(m) for m, _ in got]
-                == [type(m) for m, _ in expected])
-        assert ([b.hex() for _, b in got]
-                == [b.hex() for _, b in expected])
+        assert_minor_data_matches_hurwitz_matrix(UniPoly(tuple(coeffs)))
+
+
+def assert_minor_data_matches_hurwitz_matrix(p):
+    """``_minor_data(p)`` against the minors of the d x d Hurwitz matrix
+    and their Hadamard scales, in value, type and float bits."""
+    H = hurwitz_matrix(p)
+    expected = leading_minors(H)
+    minors, scaled = hurwitz._minor_data(p)
+    assert minors == expected
+    assert [type(m) for m in minors] == [type(m) for m in expected]
+    reference = reference_scaled_minors(H, expected)
+    assert [m for m, _ in scaled] == [m for m, _ in reference]
+    assert [type(m) for m, _ in scaled] == [type(m) for m, _ in reference]
+    assert [b.hex() for _, b in scaled] == [b.hex() for _, b in reference]
+
+
+# (1 + t^2)(1 + t) = 1 + t + t^2 + t^3, whose Delta_2 = 0 stalls the
+# recurrence; a degree-8 polynomial with Delta_2 = a_1 a_2 - a_0 a_3 = 0
+# and later minors of both signs; degree 2 with Delta_1 = a_1 = 0
+STALLED = [UniPoly((1, 1, 1, 1)),
+           UniPoly((2, 3, 4, 6, 1, 5, 2, 7, 1)),
+           UniPoly((Fraction(2, 3), 1, 1, Fraction(3, 2), 5, 2, 4, 3, 1)),
+           UniPoly((1, 0, 1))]
+
+
+class TestHurwitzMinorsFromCoefficients:
+    """The Routh recurrence on the coefficients against the d x d Hurwitz
+    matrix and its Bareiss sweep."""
+
+    @example(UniPoly((1, 2, 3, 4)))
+    @example(STABLE_QUINTIC)
+    @example(UNSTABLE_QUINTIC)
+    @given(st.one_of(exact_polys(), rational_polys()))
+    @settings(max_examples=400, deadline=None)
+    def test_exact_polys(self, p):
+        assert_minor_data_matches_hurwitz_matrix(p)
+
+    @pytest.mark.parametrize("p", STALLED, ids=str)
+    def test_stalled_recurrence_falls_back(self, p):
+        assert hurwitz._routh_minors(p.cleared[0]) is None
+        assert_minor_data_matches_hurwitz_matrix(p)
+
+    def test_stall_keeps_block_determinants(self):
+        # the minors after Delta_2 = 0 are the blocks' own determinants,
+        # not zeros of a stopped sweep
+        assert hurwitz._minor_data(STALLED[1])[0] == [
+            3, 0, 21, -49, -164, -489, -3413, -3413]
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((Fraction(1, 2), 3), [3]),
+        ((5, Fraction(7, 2)), [Fraction(7, 2)]),
+        ((1, 2, 3), [2, 6]),
+        ((Fraction(1, 3), 2, Fraction(5, 2)), [Fraction(2), Fraction(5)]),
+    ])
+    def test_low_degrees(self, coeffs, expected):
+        p = UniPoly(coeffs)
+        assert hurwitz._minor_data(p)[0] == expected
+        assert ([type(m) for m in hurwitz._minor_data(p)[0]]
+                == [type(m) for m in expected])
+        assert_minor_data_matches_hurwitz_matrix(p)
 
 
 class TestAlpha:

@@ -9,9 +9,17 @@ from hypothesis import strategies as st
 from conestab import (NonConvergence, SquareMatrix, Tolerance, UniPoly,
                       ZeroPolynomial, all_roots, char_poly, determinant,
                       hurwitz_matrix, leading_minors, sym_eigs)
-from conestab.numerics import Sign, classify_sign, scalar_from_json
+from conestab.numerics import Sign, classify_sign, is_exact, scalar_from_json
 
 from conftest import cofactor_det, rand_fraction_matrix, rand_int_matrix
+
+
+class IntSub(int):
+    pass
+
+
+class FractionSub(Fraction):
+    pass
 
 
 class TestDeterminant:
@@ -548,6 +556,18 @@ class TestToleranceAndSigns:
         assert scalar_from_json(12.5, True) == Fraction(25, 2)
         assert scalar_from_json(12.5, False) == 12.5
         assert scalar_from_json(7, True) == 7
+        # float mode reads float literals and "p/q" strings as floats, but
+        # an integer literal stays an exact int
+        assert type(scalar_from_json(7, False)) is int
+        assert type(scalar_from_json("7", False)) is float
+
+    @pytest.mark.parametrize("value, expected", [
+        (3, True), (-(10 ** 400), True), (Fraction(1, 3), True),
+        (IntSub(2), True), (FractionSub(1, 2), True),
+        (True, False), (False, False), (0.5, False), (np.float64(2.0), False),
+        (np.int64(2), False), (1j, False), ("1", False), (None, False)])
+    def test_is_exact(self, value, expected):
+        assert is_exact(value) is expected
 
 
 class TestMatrixBasics:

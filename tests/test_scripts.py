@@ -218,3 +218,18 @@ def test_report_digests_stops_at_the_first_non_standard_report(monkeypatch,
     out, err = capsys.readouterr()
     assert [line.split()[0] for line in out.splitlines()] == ["first"]
     assert err.startswith("second: report is not standard JSON")
+
+
+def test_report_digests_stall_group_stalls_the_minor_recurrence(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import report_digests
+
+    from conestab import hurwitz
+    from conestab.unipoly import unipoly_from_json
+
+    stalled = [unipoly_from_json(payload)
+               for name, _, payload, _, _ in report_digests.corpus()
+               if name.startswith("unipoly/stall/")]
+    assert len(stalled) == 20
+    for p in stalled:
+        assert hurwitz._routh_minors(p.cleared[0]) is None, p

@@ -55,13 +55,16 @@ def _positive_leading(p: UniPoly) -> UniPoly:
 _BOUND_MAX_EXP = 1000
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _hurwitz_layout(d: int) -> np.ndarray:
     """Entry (i, j) of the d x d Hurwitz matrix as an index into
     (a_0, ..., a_d, 0): 2j - i for 1-based i and j, or d + 1 for an
-    entry that reads a missing coefficient."""
+    entry that reads a missing coefficient.  Read-only, since every
+    caller shares it."""
     k = 2 * np.arange(d)[None, :] + 1 - np.arange(d)[:, None]
-    return np.where((k >= 0) & (k <= d), k, d + 1)
+    index = np.where((k >= 0) & (k <= d), k, d + 1)
+    index.setflags(write=False)
+    return index
 
 
 def _scaled_minors(p: UniPoly, minors) -> list:
@@ -389,7 +392,8 @@ def _root_oracle(p: UniPoly, tol: Tolerance) -> tuple:
     try:
         roots = all_roots(p.coeffs, tol)
     except NonConvergence as e:
-        return None, Verdict(UNKNOWN, note=f"root solver did not converge: {e}")
+        return None, Verdict(UNKNOWN,
+                             note=f"root solver did not converge: {e}")
     return roots, _left_half_plane_verdict(roots, "root", tol)
 
 

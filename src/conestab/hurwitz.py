@@ -38,8 +38,14 @@ def hurwitz_matrix(p: UniPoly) -> SquareMatrix:
     if p.is_zero or p.degree < 1:
         raise ZeroPolynomial("Hurwitz matrix needs degree >= 1")
     d = p.degree
-    return SquareMatrix.from_rows(
-        [[p.coeff(2 * (j + 1) - (i + 1)) for j in range(d)] for i in range(d)])
+    # rows 1 and 2 hold a_1, a_3, ... and a_0, a_2, ...; row i + 2 is row
+    # i shifted right by one, since a_{2j-i-2} sits one column left of
+    # a_{2j-i}
+    a = p.coeffs + (0,) * d
+    rows = [a[1:2 * d:2], a[0:2 * d - 1:2]][:d]
+    while len(rows) < d:
+        rows.append((0,) + rows[-2][:-1])
+    return SquareMatrix(tuple(rows))
 
 
 def _positive_leading(p: UniPoly) -> UniPoly:
@@ -53,18 +59,6 @@ def _positive_leading(p: UniPoly) -> UniPoly:
 
 
 _BOUND_MAX_EXP = 1000
-
-
-@functools.lru_cache(maxsize=32)
-def _hurwitz_layout(d: int) -> np.ndarray:
-    """Entry (i, j) of the d x d Hurwitz matrix as an index into
-    (a_0, ..., a_d, 0): 2j - i for 1-based i and j, or d + 1 for an
-    entry that reads a missing coefficient.  Read-only, since every
-    caller shares it."""
-    k = 2 * np.arange(d)[None, :] + 1 - np.arange(d)[:, None]
-    index = np.where((k >= 0) & (k <= d), k, d + 1)
-    index.setflags(write=False)
-    return index
 
 
 def _scaled_minors(p: UniPoly, minors) -> list:
@@ -98,12 +92,17 @@ def _scaled_minors(p: UniPoly, minors) -> list:
                - _BOUND_MAX_EXP) for r in (0, 1)]
     floats = [float(Fraction(v) / 2 ** pre[k % 2]) if pre[k % 2] else float(v)
               for k, v in enumerate(p.coeffs)]
-    A = np.array(floats + [0.0])[_hurwitz_layout(p.degree)]
+    # entry (i, j), 0-based, reads a_{2j+1-i}, which sits at index
+    # 2j+1-i + d between d zeros on each side
+    d = p.degree
+    zeros = [0.0] * d
+    A = np.array(zeros + floats + zeros)[
+        np.arange(d + 1, 3 * d, 2) - np.arange(d)[:, None]]
     _, row_exp = np.frexp(np.max(np.abs(A), axis=1))
     A = np.ldexp(A, -row_exp[:, None])
     row_exp = [int(e) + pre[(i + 1) % 2] for i, e in enumerate(row_exp)]
     out = []
-    for k in range(1, p.degree + 1):
+    for k in range(1, d + 1):
         frac, exp = 1.0, 0
         for i in range(k):
             x = A[i, :k]
@@ -119,61 +118,11 @@ def _scaled_minors(p: UniPoly, minors) -> list:
     return out
 
 
-def _routh_minors(c) -> list | None:
-    """The leading Hurwitz minors Delta_1..Delta_d of the ints c_0..c_d by
-    the fraction-free Routh recurrence, or None when a zero Delta_k with
-    k < d stalls it.
-
-    R_0 = (c_1, c_3, ...) and E = (c_0, c_2, ...), padded with zeros to
-    length d, are rows 1 and 2 of the Hurwitz matrix; R_1[j] = c_1 E[j+1]
-    - c_0 R_0[j+1], and R_{k+1}[j] = (R_k[0] R_{k-1}[j+1]
-    - R_{k-1}[0] R_k[j+1]) / R_{k-2}[0] with R_{-1}[0] read as 1.  R_k is
-    pivot row k of the Bareiss sweep over the Hurwitz matrix from the
-    diagonal on, so every division is exact (Sylvester's identity), and
-    Delta_{k+1} = R_k[0].
-    """
-    d = len(c) - 1
-    pad = [0] * d
-    upper, lower = (list(c[0::2]) + pad)[:d], (list(c[1::2]) + pad)[:d]
-    div, next_div = 1, 1
-    minors = [lower[0]]
-    for _ in range(d - 1):
-        pivot = lower[0]
-        if pivot == 0:
-            return None
-        upper, lower = lower, [(pivot * u - upper[0] * v) // div
-                               for u, v in zip(upper[1:], lower[1:])]
-        div, next_div = next_div, pivot
-        minors.append(lower[0])
-    return minors
-
-
-def _hurwitz_minors(p: UniPoly) -> list:
-    """``leading_minors(hurwitz_matrix(p))``, in value and type, from the
-    coefficients of p.
-
-    Exact p runs :func:`_routh_minors` on its cleared ints c_k = den a_k;
-    the Hurwitz matrix of the c_k is den times that of the a_k, so
-    Delta_k = Delta_k(c) / den^k: an int when every coefficient is an int,
-    a Fraction otherwise, as :func:`numerics._bareiss` gives.  A stalled
-    recurrence and float coefficients take ``leading_minors`` itself.
-    """
-    if p.is_exact:
-        if p.degree == 1:
-            return [p.coeffs[1]]  # the 1 x 1 matrix (a_1) holds no a_0
-        c, den = p.cleared
-        minors = _routh_minors(c)
-        if minors is not None:
-            if all(isinstance(v, int) for v in p.coeffs):
-                return minors
-            return [Fraction(m, den ** k) for k, m in enumerate(minors, 1)]
-    return leading_minors(hurwitz_matrix(p))
-
-
 def _minor_data(p: UniPoly):
-    """(minors, scaled): the leading Hurwitz minors of p and their
-    (Delta_k, scale_k) pairs, both from the d + 1 coefficients."""
-    minors = _hurwitz_minors(p)
+    """(minors, scaled): the leading Hurwitz minors of p, which
+    ``leading_minors`` takes by the Routh recurrence on the two top rows
+    of the Hurwitz matrix, and their (Delta_k, scale_k) pairs."""
+    minors = leading_minors(hurwitz_matrix(p))
     return minors, _scaled_minors(p, minors)
 
 

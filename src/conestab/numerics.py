@@ -339,17 +339,61 @@ def determinant(M: SquareMatrix):
     return float(np.linalg.det(M.to_numpy()))
 
 
+def _routh_minors(first, second) -> list | None:
+    """The leading minors Delta_1..Delta_n of the n x n int matrix with
+    rows ``first``, ``second`` and row i + 2 row i shifted right by one
+    (the Hurwitz matrix of a_0..a_{2n-1}), by the fraction-free Routh
+    recurrence, or None when a zero Delta_k with k < n stalls it.
+
+    R_0 = ``first`` and E = ``second``; R_1[j] = R_0[0] E[j+1]
+    - E[0] R_0[j+1], and R_{k+1}[j] = (R_k[0] R_{k-1}[j+1]
+    - R_{k-1}[0] R_k[j+1]) / R_{k-2}[0] with R_{-1}[0] read as 1.  R_k is
+    pivot row k of the Bareiss sweep from the diagonal on, so every
+    division is exact (Sylvester's identity), and Delta_{k+1} = R_k[0]:
+    O(n^2) operations in place of the sweep's O(n^3).
+    """
+    upper, lower = second, first
+    div, next_div = 1, 1
+    minors = [lower[0]]
+    for _ in range(len(first) - 1):
+        pivot = lower[0]
+        if pivot == 0:
+            return None
+        upper, lower = lower, [(pivot * u - upper[0] * v) // div
+                               for u, v in zip(upper[1:], lower[1:])]
+        div, next_div = next_div, pivot
+        minors.append(lower[0])
+    return minors
+
+
 def leading_minors(M: SquareMatrix) -> list:
     """Delta_k = det of the top-left k x k block, k = 1..n.
 
     Exact entries take one Bareiss sweep without pivoting; when a zero
     pivot stalls it (some Delta_k = 0 with k < n), each remaining minor is
-    the determinant of its block.  Float entries use LU per block, and an
-    overflowing minor is inf rather than a warning.
+    the determinant of its block.  A matrix whose row i + 2 is row i
+    shifted right by one, as a Hurwitz matrix is, first takes the Routh
+    recurrence on its two top rows, which gives the sweep's pivots unless
+    it stalls too.  Float entries use LU per block, and an overflowing
+    minor is inf rather than a warning.
     """
     n = M.n
     if M.is_exact:
-        _, minors = _bareiss(M.rows, pivoting=False)
+        rows = M.rows
+        if n >= 2 and all(r[0] == 0 and r[1:] == s[:-1]
+                          for s, r in zip(rows, rows[2:])):
+            # the lower rows repeat the top two, so the sweep's common
+            # denominator is theirs, and its ring is int only when every
+            # entry is an int
+            (first, second), D = _integer_rows(rows[:2])
+            minors = _routh_minors(first, second)
+            if minors is not None:
+                if D is None and all(isinstance(v, int)
+                                     for r in rows[2:] for v in r):
+                    return minors
+                D = D or 1
+                return [Fraction(m, D ** k) for k, m in enumerate(minors, 1)]
+        _, minors = _bareiss(rows, pivoting=False)
         if len(minors) < n:
             # a block's own entries may all be ints; keep the sweep's ring
             ring = type(minors[0])

@@ -138,6 +138,20 @@ def ring_of(rows):
     return int if all(isinstance(v, int) for r in rows for v in r) else Fraction
 
 
+@st.composite
+def hurwitz_shaped_matrices(draw):
+    """n x n matrices, n <= 7, with two drawn top rows and row i + 2 row
+    i shifted right by one, as a Hurwitz matrix is; sparse entries stall
+    the Routh recurrence now and then."""
+    n = draw(st.integers(1, 7))
+    scalars = draw(st.sampled_from([SPARSE_SCALARS, SPARSE_FRACTIONS,
+                                    EXACT_SCALARS]))
+    rows = [[draw(scalars) for _ in range(n)] for _ in range(min(n, 2))]
+    while len(rows) < n:
+        rows.append([0] + rows[-2][:-1])
+    return rows
+
+
 class TestBareissKernel:
     @given(st.one_of(stalling_matrices(), singular_matrices()))
     # singular: the zero of the entries' ring, with no pivot or with some
@@ -156,6 +170,20 @@ class TestBareissKernel:
     @example([[0, 0, 0], [0, 0, 0], [0, 0, Fraction(1)]])
     @settings(max_examples=300, deadline=None)
     def test_leading_minors_match_cofactor_oracle(self, rows):
+        minors = leading_minors(SquareMatrix.from_rows(rows))
+        assert minors == [cofactor_det([r[:k] for r in rows[:k]])
+                          for k in range(1, len(rows) + 1)]
+        assert all(type(m) is ring_of(rows) for m in minors)
+
+    @given(hurwitz_shaped_matrices())
+    @example([[1, 1, 0], [1, 1, 0], [0, 1, 1]])
+    # a lower row that repeats a top-row int as a Fraction keeps the
+    # sweep's Fraction ring
+    @example([[1, 3, 0], [2, 4, 0], [0, Fraction(1), 3]])
+    # row 3 is row 1 shifted but starts with 7, not 0: not a Hurwitz matrix
+    @example([[1, 2, 3], [4, 5, 6], [7, 1, 2]])
+    @settings(max_examples=300, deadline=None)
+    def test_hurwitz_shaped_minors_match_cofactor_oracle(self, rows):
         minors = leading_minors(SquareMatrix.from_rows(rows))
         assert minors == [cofactor_det([r[:k] for r in rows[:k]])
                           for k in range(1, len(rows) + 1)]

@@ -224,7 +224,7 @@ def test_report_digests_stall_group_stalls_the_minor_recurrence(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import report_digests
 
-    from conestab import hurwitz
+    from conestab import hurwitz_matrix, numerics
     from conestab.unipoly import unipoly_from_json
 
     stalled = [unipoly_from_json(payload)
@@ -232,4 +232,5 @@ def test_report_digests_stall_group_stalls_the_minor_recurrence(monkeypatch):
                if name.startswith("unipoly/stall/")]
     assert len(stalled) == 20
     for p in stalled:
-        assert hurwitz._routh_minors(p.cleared[0]) is None, p
+        (first, second), _ = numerics._integer_rows(hurwitz_matrix(p).rows[:2])
+        assert numerics._routh_minors(first, second) is None, p

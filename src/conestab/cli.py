@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -45,6 +46,11 @@ class RunConfig:
     mode: str = "auto"
 
     def __post_init__(self):
+        # a NaN or infinite width makes every float comparison meaningless
+        # and has no standard JSON echo
+        if not all(math.isfinite(t) and t >= 0
+                   for t in (self.tol_abs, self.tol_rel)):
+            raise ParseError("tolerances must be finite and nonnegative")
         if self.trials < 1:
             raise ParseError("trials must be a positive integer")
         if self.mode not in ("exact", "float", "auto"):

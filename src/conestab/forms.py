@@ -44,6 +44,8 @@ class MultiForm:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"form degree must be nonnegative, not {self.d}")
         cleaned = {}
         for exp, c in self.terms.items():
             exp = tuple(int(e) for e in exp)

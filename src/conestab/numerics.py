@@ -3,9 +3,10 @@
 Sign decisions (determinants, leading minors, ranks, coefficient tests)
 run on exact rationals whenever the inputs are rational, because they
 drive stability verdicts and must not flip from rounding; one int
-elimination sweep gives determinants, leading minors and ranks.  Floating
-point is reserved for eigenproblems, and every float comparison against
-zero goes through a named :class:`Tolerance`.
+elimination sweep gives determinants and ranks, and the Routh recurrence
+gives the leading minors of a Hurwitz matrix.  Floating point is reserved
+for eigenproblems, and every float comparison against zero goes through a
+named :class:`Tolerance`.
 """
 
 from __future__ import annotations
@@ -268,46 +269,34 @@ def _cleared(values) -> tuple:
     return tuple(c), den or 1
 
 
-def _bareiss(rows, pivoting: bool):
-    """One fraction-free (Bareiss) elimination sweep over exact rows.
+def _bareiss(a):
+    """One fraction-free (Bareiss) elimination sweep, in place, over the
+    int rows ``a``, which may be rectangular.
 
     Returns ``(sign, pivots)``, with ``sign`` the parity of the row swaps.
-    Each step's entries are minors of the pivot rows and columns so far
-    (Sylvester's identity), so every division is exact.  Without
-    ``pivoting`` the rows are square, pivot k is the k-th leading
-    principal minor, and the sweep stops at (and returns) the first zero
-    pivot.  With ``pivoting`` the rows may be rectangular: a zero pivot is
-    swapped for a nonzero entry below it, a column with none is skipped,
-    and every pivot returned is nonzero, so their number is the rank.
-
-    Rational entries are first scaled by their common denominator D
-    (:func:`_integer_rows`); pivot k, a k x k minor, is then returned as
-    the Fraction pivot / D^k.  Int entries give int pivots.
+    A zero pivot is swapped for a nonzero entry below it and a column with
+    none is skipped, so every pivot is nonzero and their number is the
+    rank.  The k-th pivot, and every entry that step k leaves, is a k x k
+    minor of the pivot rows and columns so far (Sylvester's identity), so
+    every division is exact; on a square nonsingular ``a`` the last pivot
+    is +-det a.
     """
-    a, D = _integer_rows(rows)
     m, n = len(a), len(a[0]) if a else 0
     sign = 1
     pivots = []
     prev = 1
-    scale = 1
     for c in range(n):
         k = len(pivots)  # the pivot row
         if k == m:
             break
-        if pivoting and a[k][c] == 0:
+        if a[k][c] == 0:
             i = next((i for i in range(k + 1, m) if a[i][c] != 0), None)
             if i is None:
                 continue
             a[k], a[i] = a[i], a[k]
             sign = -sign
         pkc = a[k][c]
-        if D is None:
-            pivots.append(pkc)
-        else:
-            scale *= D
-            pivots.append(Fraction(pkc, scale))
-        if pkc == 0:
-            break
+        pivots.append(pkc)
         rowk = a[k]
         for i in range(k + 1, m):
             rowi = a[i]
@@ -320,37 +309,41 @@ def _bareiss(rows, pivoting: bool):
 
 def _rank(vectors) -> int:
     """The rank of exact vectors: the number of pivots of their sweep."""
-    return len(_bareiss(vectors, pivoting=True)[1])
+    return len(_bareiss(_integer_rows(vectors)[0])[1])
 
 
 def determinant(M: SquareMatrix):
     """Determinant: Bareiss on exact entries, LU with pivoting otherwise.
 
-    The empty (0 x 0) matrix has determinant 1.  A singular exact matrix
-    has the zero of its entries' ring: ``Fraction(0)`` when any entry is a
-    Fraction, int 0 otherwise.
+    Exact entries are scaled by their common denominator D
+    (:func:`_integer_rows`), so det M = det(D M) / D^n, a Fraction when any
+    entry is a Fraction and an int otherwise, singular matrices included.
+    The empty (0 x 0) matrix has determinant 1.
     """
-    if M.is_exact:
-        sign, pivots = _bareiss(M.rows, pivoting=True)
-        if len(pivots) < M.n:
-            return Fraction(0) if any(isinstance(v, Fraction)
-                                      for r in M.rows for v in r) else 0
-        return sign * pivots[-1] if pivots else 1
-    return float(np.linalg.det(M.to_numpy()))
+    n = M.n
+    if not M.is_exact:
+        return float(np.linalg.det(M.to_numpy()))
+    if n == 0:
+        return 1
+    a, D = _integer_rows(M.rows)
+    sign, pivots = _bareiss(a)
+    det = sign * pivots[-1] if len(pivots) == n else 0
+    return det if D is None else Fraction(det, D ** n)
 
 
-def _routh_minors(first, second) -> list | None:
-    """The leading minors Delta_1..Delta_n of the n x n int matrix with
-    rows ``first``, ``second`` and row i + 2 row i shifted right by one
-    (the Hurwitz matrix of a_0..a_{2n-1}), by the fraction-free Routh
-    recurrence, or None when a zero Delta_k with k < n stalls it.
+def _routh_minors(first, second) -> list:
+    """The leading minors Delta_1, Delta_2, ... of the n x n int matrix
+    with rows ``first``, ``second`` and row i + 2 row i shifted right by
+    one (the Hurwitz matrix of a_0..a_{2n-1}), by the fraction-free Routh
+    recurrence, up to Delta_n or up to and including the first zero.
 
     R_0 = ``first`` and E = ``second``; R_1[j] = R_0[0] E[j+1]
     - E[0] R_0[j+1], and R_{k+1}[j] = (R_k[0] R_{k-1}[j+1]
     - R_{k-1}[0] R_k[j+1]) / R_{k-2}[0] with R_{-1}[0] read as 1.  R_k is
-    pivot row k of the Bareiss sweep from the diagonal on, so every
-    division is exact (Sylvester's identity), and Delta_{k+1} = R_k[0]:
-    O(n^2) operations in place of the sweep's O(n^3).
+    pivot row k of a Bareiss sweep without row swaps from the diagonal on,
+    so every division is exact (Sylvester's identity), Delta_{k+1} =
+    R_k[0], and a zero Delta_{k+1} with k + 1 < n stops it: O(n^2)
+    operations in place of the sweep's O(n^3).
     """
     upper, lower = second, first
     div, next_div = 1, 1
@@ -358,7 +351,7 @@ def _routh_minors(first, second) -> list | None:
     for _ in range(len(first) - 1):
         pivot = lower[0]
         if pivot == 0:
-            return None
+            break
         upper, lower = lower, [(pivot * u - upper[0] * v) // div
                                for u, v in zip(upper[1:], lower[1:])]
         div, next_div = next_div, pivot
@@ -369,36 +362,31 @@ def _routh_minors(first, second) -> list | None:
 def leading_minors(M: SquareMatrix) -> list:
     """Delta_k = det of the top-left k x k block, k = 1..n.
 
-    Exact entries take one Bareiss sweep without pivoting; when a zero
-    pivot stalls it (some Delta_k = 0 with k < n), each remaining minor is
-    the determinant of its block.  A matrix whose row i + 2 is row i
-    shifted right by one, as a Hurwitz matrix is, first takes the Routh
-    recurrence on its two top rows, which gives the sweep's pivots unless
-    it stalls too.  Float entries use LU per block, and an overflowing
-    minor is inf rather than a warning.
+    Exact entries give each minor in the ring of all of M's entries: an int
+    when every entry is an int, a Fraction otherwise.  A matrix whose row
+    i + 2 is row i shifted right by one, as a Hurwitz matrix is, takes the
+    Routh recurrence on its two top rows; every later minor, after a zero
+    stalls the recurrence and for any other matrix, is the determinant of
+    its block.  Float entries use LU per block, and an overflowing minor
+    is inf rather than a warning.
     """
     n = M.n
     if M.is_exact:
         rows = M.rows
+        ring = (int if all(isinstance(v, int) for r in rows for v in r)
+                else Fraction)
+        minors = []
         if n >= 2 and all(r[0] == 0 and r[1:] == s[:-1]
                           for s, r in zip(rows, rows[2:])):
-            # the lower rows repeat the top two, so the sweep's common
-            # denominator is theirs, and its ring is int only when every
-            # entry is an int
+            # the lower rows repeat the top two, whose common denominator
+            # is then the matrix's
             (first, second), D = _integer_rows(rows[:2])
             minors = _routh_minors(first, second)
-            if minors is not None:
-                if D is None and all(isinstance(v, int)
-                                     for r in rows[2:] for v in r):
-                    return minors
+            if ring is Fraction:
                 D = D or 1
-                return [Fraction(m, D ** k) for k, m in enumerate(minors, 1)]
-        _, minors = _bareiss(rows, pivoting=False)
-        if len(minors) < n:
-            # a block's own entries may all be ints; keep the sweep's ring
-            ring = type(minors[0])
-            minors += [ring(determinant(M.leading_block(k)))
-                       for k in range(len(minors) + 1, n + 1)]
+                minors = [Fraction(m, D ** k) for k, m in enumerate(minors, 1)]
+        minors += [ring(determinant(M.leading_block(k)))
+                   for k in range(len(minors) + 1, n + 1)]
         return minors
     A = M.to_numpy()
     with np.errstate(all="ignore"):

@@ -362,7 +362,28 @@ def test_malformed_input_shapes_are_input_errors(tmp_path, command, payload,
     assert set(json.loads(proc.stderr)) == {"error"}
 
 
+@pytest.mark.parametrize("command,degree", [("form", -1), ("restrict", -2)])
+def test_negative_form_degree_is_input_error(command, degree):
+    form = {"n": 2, "d": degree, "terms": []}
+    payload = form if command == "form" else {"form": form, "x": [1, 1],
+                                              "v": [1, 1]}
+    proc = run_cli([command], payload)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert "degree" in error and str(degree) in error
+
+
 class TestDeterminismAndConfig:
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_tolerance_is_input_error(self, flag, value):
+        # the report would echo NaN or Infinity, which is not standard JSON
+        proc = run_cli(["unipoly", flag, value], STABLE_QUINTIC)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "finite" in json.loads(proc.stderr)["error"]
+
     @pytest.mark.parametrize("args,payload", [
         (["unipoly", "--seed", "11"], STABLE_QUINTIC),
         (["form", "--seed", "11", "--trials", "40"], E2_FORM),

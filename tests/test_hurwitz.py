@@ -540,9 +540,11 @@ def reference_leading_minors(H):
 
 
 def routh_stalls(p) -> bool:
-    """Does a zero minor stall the Routh recurrence on p's Hurwitz matrix?"""
+    """Does a zero minor stall the Routh recurrence on p's Hurwitz matrix,
+    that is, does it return a zero before Delta_d?"""
     (first, second), _ = numerics._integer_rows(hurwitz_matrix(p).rows[:2])
-    return numerics._routh_minors(first, second) is None
+    minors = numerics._routh_minors(first, second)
+    return len(minors) < len(first) and minors[-1] == 0
 
 
 def assert_minor_data_matches_hurwitz_matrix(p):

@@ -233,4 +233,21 @@ def test_report_digests_stall_group_stalls_the_minor_recurrence(monkeypatch):
     assert len(stalled) == 20
     for p in stalled:
         (first, second), _ = numerics._integer_rows(hurwitz_matrix(p).rows[:2])
-        assert numerics._routh_minors(first, second) is None, p
+        minors = numerics._routh_minors(first, second)
+        assert len(minors) < len(first) and minors[-1] == 0, p
+
+
+def test_mutation_gate_fails_on_a_snippet_that_no_longer_matches(
+        monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import mutation_gate
+
+    stale = mutation_gate.Mutant("stale", "numerics.py", "no such snippet",
+                                 "", ("tests/test_numerics.py",))
+    monkeypatch.setattr(mutation_gate, "MUTANTS",
+                        mutation_gate.MUTANTS + (stale,))
+    # the table is checked before any test runs
+    monkeypatch.setattr(mutation_gate, "_pytest", None)
+    assert mutation_gate.main([]) == 1
+    assert "stale: snippet occurs 0 times in numerics.py" in (
+        capsys.readouterr().err)

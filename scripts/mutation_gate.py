@@ -8,20 +8,21 @@ of ``src/`` (with ``tests/`` and ``pyproject.toml`` beside it, so that
 pytest and hypothesis write nothing into the checkout); only its own
 nodes run against it.  Before any mutant runs, the nodes of all entries
 must pass on the unmutated copy, so a failure can only come from the
-mutant.
+mutant.  Each entry names a test with fixed inputs that kills it, and
+hypothesis runs with a fixed seed, so the result does not change from run
+to run.
 
-    python scripts/mutation_gate.py            # every entry
-    python scripts/mutation_gate.py NAME ...   # the named entries
+    python scripts/mutation_gate.py
 
 Exits 0 when every mutant is killed, and 1 when one survives, when a
 snippet no longer occurs exactly once in its file (so the table follows
-the code) or when the nodes fail unmutated.  A mutant that survives needs
-a test that kills it, not the removal of its entry.
+the code), when the nodes fail unmutated or when a pytest run takes
+longer than ``TIMEOUT`` seconds.  A mutant that survives needs a test
+that kills it, not the removal of its entry.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 600  # seconds for one pytest run
 
 
 class Mutant(NamedTuple):
@@ -69,28 +71,35 @@ MUTANTS = (
            "            a[k], a[i] = a[i], a[k]\n            sign = -sign\n",
            "            a[k], a[i] = a[i], a[k]\n",
            ("tests/test_numerics.py::TestBareissKernel::"
-            "test_determinant_matches_cofactor_oracle",)),
+            "test_zero_pivot_swap_flips_the_sign",
+            "tests/test_numerics.py::TestBareissKernel::"
+            "test_determinant_matches_cofactor_oracle")),
     Mutant("weighted-newton-floor", "sequences.py",
            'witness=("weighted-newton", i), floor=den * den)',
            'witness=("weighted-newton", i), floor=den)',
-           ("tests/test_sequences.py::TestIntRowsMatchFractionReferences",)),
+           ("tests/test_sequences.py::TestIntRowsMatchFractionReferences::"
+            "test_weighted_newton_rows_keep_the_square_floor",
+            "tests/test_sequences.py::TestIntRowsMatchFractionReferences")),
     Mutant("ledger-strict-admits-zero", "verdict.py",
            "violated = slack <= 0 if strict else slack < 0",
            "violated = slack < 0 if strict else slack < 0",
-           ("tests/test_verdict.py::test_lazy_ledger_matches_eager_oracle",)),
+           ("tests/test_verdict.py::test_strict_zero_slack_is_a_violation",
+            "tests/test_verdict.py::test_lazy_ledger_matches_eager_oracle")),
     Mutant("minor-chain-coefficient-floor", "hurwitz.py",
            'witness=("coefficient", k), strict=True,\n'
            "                    floor=den)",
            'witness=("coefficient", k), strict=True)',
            ("tests/test_hurwitz.py::TestOneLedgerPerVerdict::"
-            "test_minor_chains_match_the_separate_loops",)),
+            "test_minor_chains_keep_the_coefficient_floor",
+            "tests/test_hurwitz.py::TestOneLedgerPerVerdict::"
+            "test_minor_chains_match_the_separate_loops")),
 )
 
 
-def _stale(mutants) -> list:
+def _stale() -> list:
     """The entries whose snippet does not occur exactly once, as messages."""
     out = []
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / "src" / "conestab" / m.file).read_text().count(
             m.snippet)
         if count != 1:
@@ -98,14 +107,19 @@ def _stale(mutants) -> list:
     return out
 
 
-def _pytest(tree: Path, nodes) -> int:
-    """Run the nodes against the copy in ``tree``; pytest's exit code."""
+def _pytest(tree: Path, nodes) -> int | None:
+    """Run the nodes against the copy in ``tree``; pytest's exit code, or
+    None when the run takes longer than ``TIMEOUT``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *nodes], cwd=tree, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "--hypothesis-seed=0", *nodes],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _copy(tree: Path, mutant: Mutant | None = None) -> None:
@@ -119,36 +133,29 @@ def _copy(tree: Path, mutant: Mutant | None = None) -> None:
                                                  mutant.replacement))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="entries to run (default: every entry)")
-    names = parser.parse_args(argv).names
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown entries: {', '.join(sorted(unknown))}",
-              file=sys.stderr)
-        return 1
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    stale = _stale(mutants)
+def main() -> int:
+    stale = _stale()
     if stale:
         print("\n".join(stale), file=sys.stderr)
         return 1
-    nodes = list(dict.fromkeys(n for m in mutants for n in m.tests))
+    nodes = list(dict.fromkeys(n for m in MUTANTS for n in m.tests))
     with tempfile.TemporaryDirectory() as tmp:
         _copy(Path(tmp))
         if _pytest(Path(tmp), nodes) != 0:
-            print("the named tests fail on the unmutated tree",
+            print("the named tests fail or time out on the unmutated tree",
                   file=sys.stderr)
             return 1
     survivors = []
-    for m in mutants:
+    for m in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             _copy(Path(tmp), m)
-            # 1 is a test failure; a collection or usage error is not a kill
+            # 1 is a test failure; a collection or usage error is not a
+            # kill, nor is a run that hangs
             code = _pytest(Path(tmp), m.tests)
-        status = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+        status = ("killed" if code == 1 else
+                  f"SURVIVED (timed out after {TIMEOUT} s)" if code is None
+                  else f"SURVIVED (pytest exit {code})")
         print(f"{m.name}: {status} in {time.perf_counter() - start:.1f} s",
               flush=True)
         if code != 1:
@@ -156,7 +163,7 @@ def main(argv=None) -> int:
     if survivors:
         print(f"surviving mutants: {', '.join(survivors)}", file=sys.stderr)
         return 1
-    print(f"all {len(mutants)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 

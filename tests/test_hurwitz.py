@@ -468,6 +468,18 @@ class TestOneLedgerPerVerdict:
             assert_same_verdict(lienard_chipart_stable(p, variant),
                                 reference_lienard_chipart(p, variant))
 
+    # a_0 below 1: its row's scale is the floor den, as at the default
+    # scale of a_0 > 0, so the margin is a_0 itself
+    @pytest.mark.parametrize("coeffs", [
+        (Fraction(1, 2), 1, 1), (Fraction(1, 3), 2, Fraction(5, 2))])
+    def test_minor_chains_keep_the_coefficient_floor(self, coeffs):
+        p = UniPoly(coeffs)
+        assert routh_hurwitz_stable(p) == Verdict(
+            HOLDS, margin=coeffs[0], witness=("coefficient", 0))
+        for variant in (1, 2, 3, 4):
+            assert_same_verdict(lienard_chipart_stable(p, variant),
+                                reference_lienard_chipart(p, variant))
+
     @pytest.mark.parametrize("decider", [
         routh_hurwitz_stable, hermite_biehler_stable, degree_reduction_stable,
         root_oracle_verdict, lambda p: lienard_chipart_stable(p, 3)])

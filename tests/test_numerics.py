@@ -165,6 +165,14 @@ class TestBareissKernel:
         assert det == cofactor_det(rows)
         assert type(det) is ring_of(rows)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [3, 0, 0], [0, 1, 4]],
+        [[0, 0, 1], [0, 1, 0], [Fraction(1, 2), 0, 0]],
+    ])
+    def test_zero_pivot_swap_flips_the_sign(self, rows):
+        assert determinant(SquareMatrix.from_rows(rows)) == cofactor_det(rows)
+
     @given(stalling_matrices())
     # a Fraction matrix whose block after the stall holds only ints
     @example([[0, 0, 0], [0, 0, 0], [0, 0, Fraction(1)]])

@@ -248,6 +248,6 @@ def test_mutation_gate_fails_on_a_snippet_that_no_longer_matches(
                         mutation_gate.MUTANTS + (stale,))
     # the table is checked before any test runs
     monkeypatch.setattr(mutation_gate, "_pytest", None)
-    assert mutation_gate.main([]) == 1
+    assert mutation_gate.main() == 1
     assert "stale: snippet occurs 0 times in numerics.py" in (
         capsys.readouterr().err)

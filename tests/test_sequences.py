@@ -11,7 +11,7 @@ from conestab import (Inapplicable, UniPoly, WrongDegree, is_log_concave,
                       newton_chain_report, quintic_cross_inequality)
 from conestab.numerics import DEFAULT_TOL
 from conestab.sequences import _FAMILIES
-from conestab.verdict import InequalityLedger
+from conestab.verdict import FAILS, InequalityLedger, Verdict
 
 from conftest import (assert_same_verdict, rational_polys,
                       reference_require_clc, reference_require_quintic_cross)
@@ -81,6 +81,16 @@ class TestIntRowsMatchFractionReferences:
         for strict in (False, True):
             assert_same_verdict(is_univariate_clc(p, strict),
                                 reference_is_univariate_clc(p, strict))
+
+    def test_weighted_newton_rows_keep_the_square_floor(self):
+        # both sides of row 1 are below 1, so its scale is the floor: den^2
+        # on the cleared ints, 1 on the plain coefficients
+        p = UniPoly((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+        for strict in (False, True):
+            v = is_univariate_clc(p, strict)
+            assert v == Verdict(FAILS, margin=Fraction(-1, 4),
+                                witness=("weighted-newton", 1))
+            assert_same_verdict(v, reference_is_univariate_clc(p, strict))
 
     @example(UNSTABLE_QUINTIC)
     @given(rational_polys(5, 5))

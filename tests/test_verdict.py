@@ -117,6 +117,14 @@ def test_lazy_ledger_matches_eager_oracle(strict, sequence):
         assert same(got.margin, want.margin)
 
 
+def test_strict_zero_slack_is_a_violation():
+    for led, strict in ((InequalityLedger(strict=True), None),
+                        (InequalityLedger(), True)):
+        assert not led.require(2, 2, witness="tie", strict=strict)
+        assert led.violation == ("tie", 0)
+        assert led.verdict().status == FAILS
+
+
 def test_empty_ledger_has_no_margin():
     led = InequalityLedger()
     assert led.min_margin is None

@@ -93,6 +93,22 @@ MUTANTS = (
             "test_minor_chains_keep_the_coefficient_floor",
             "tests/test_hurwitz.py::TestOneLedgerPerVerdict::"
             "test_minor_chains_match_the_separate_loops")),
+    Mutant("soc-boundary-identity", "cones.py",
+           "head = [2 * m * c for c in u] + [sign * (m * m - s)]",
+           "head = [2 * m * c for c in u] + [sign * (m * m + s)]",
+           ("tests/test_cones.py::TestSampling::"
+            "test_second_order_points_are_int_and_in_the_cone",)),
+    Mutant("soc-interior-admits-boundary", "cones.py",
+           "if Sign.NEG in signs or (interior and Sign.ZERO in signs):",
+           "if Sign.NEG in signs:",
+           ("tests/test_cones.py::TestMatrixKPositive::"
+            "test_soc_exact_boundary_image_refutes",)),
+    Mutant("ledger-band-decides", "verdict.py",
+           "undecided = sign is Sign.INDETERMINATE",
+           "undecided = False",
+           ("tests/test_verdict.py::"
+            "test_float_slack_in_the_band_is_indeterminate",
+            "tests/test_verdict.py::test_lazy_ledger_matches_eager_oracle")),
 )
 
 

@@ -17,8 +17,8 @@ in the same order.  It covers every subcommand:
 * ``cone-facets/`` 40 float-mode ``matrix --cone`` runs over polyhedral
                    cones given by float-literal generators and explicit
                    facets, and a matrix that maps the second-order cone
-                   into the float band of its boundary, in auto and float
-                   mode;
+                   into its interior, in auto and float mode (under
+                   float, into the float band of its boundary);
 * ``lti/overflow/`` a matrix whose float characteristic polynomial
                    overflows to nan coefficients, in auto and float mode;
 * ``unipoly/newton/`` 40 products of 4-10 factors t + r, r in 1..9, whose
@@ -283,8 +283,9 @@ def corpus():
         A = random_matrix(rng, n, -1, 3, shift=-rng.randint(0, 3))
         yield (f"cone-facets/{i:03d}", "matrix", A, cone_with_facets(rng, n),
                ["--mode", "float"])
-    # diag(1, 1 + 10^-12) maps the second-order cone into its interior,
-    # and the images of sampled boundary points into the float band
+    # diag(1, 1 + 10^-12) maps the second-order cone into its interior;
+    # in float mode the images of sampled boundary points land in the
+    # float band, and in auto mode their exact images are decided
     band = {"rows": [[1, 0], [0, "1000000000001/1000000000000"]]}
     for mode in ("auto", "float"):
         yield (f"cone-facets/second-order-band/{mode}", "matrix", band,

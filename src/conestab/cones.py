@@ -11,8 +11,8 @@ Cone data is exact in every mode (a float entry is its exact value), so
 facets and extreme rays are decided without a tolerance, by the int
 sweep that gives numerics its determinants and ranks.  Membership and
 matrix tests over orthant/polyhedral cones are exact on rational data.
-Second-order-cone matrix tests are refutation-by-sampling only; their
-non-refuted verdicts are labeled "holds-sampled", never "holds".
+Sample points are int vectors on every cone, so the sampled second-order
+matrix tests ("holds-sampled", never "holds") sign exact images exactly.
 """
 
 from __future__ import annotations
@@ -274,25 +274,33 @@ def sample_interior(K: Cone, seed=0) -> tuple:
 
 
 def sample_cone(K: Cone, seed=0) -> tuple:
-    """Deterministic point of K, biased toward the boundary: a third are
-    interior samples, a third single generators (boundary points of a
-    second-order cone), a third sparse nonnegative combinations.  On the
-    orthant and polyhedral cones every point is an int combination of the
-    generators, as in ``sample_interior``; the boundary and sparse points
-    of a second-order cone are float.  ``seed`` is a seed or a numpy
-    Generator to draw from."""
+    """Deterministic int point of K, biased toward the boundary: a third
+    are interior samples (``sample_interior``), a third single generators
+    and a third sparse int combinations of them.  On a second-order cone
+    those are points exactly on the boundary, in the direction of a normal
+    draw h up to rounding: with u = round(1024 h_1..h_{n-2}) and
+    m = max(1, round(1024 (|h| + |h_{n-1}|))), u/m is the stereographic
+    image of h's direction, and (2m u, +-(m^2 - |u|^2), m^2 + |u|^2) has a
+    head of norm its tail; and points near it, whose tail is stretched by
+    1 + max(1, round(1024 e)) / 1024 for an exponential draw e.  ``seed``
+    is a seed or a numpy Generator to draw from."""
     rng = _rng(seed)
     mode = int(rng.integers(3))
     if mode == 0:
         return sample_interior(K, rng)
     if K.kind == SECOND_ORDER:
         if K.n == 1:
-            return (float(rng.exponential(1.0)),)
-        head = rng.standard_normal(K.n - 1)
-        norm = float(np.linalg.norm(head))
+            return (_scaled_int(float(rng.exponential(1.0))),)
+        h = rng.standard_normal(K.n - 1).tolist()
+        u = [round(1024 * c) for c in h[:-1]]
+        m = max(1, round(1024 * (math.hypot(*h) + abs(h[-1]))))
+        s = sum(c * c for c in u)
+        sign = 1 if h[-1] >= 0 else -1
+        head = [2 * m * c for c in u] + [sign * (m * m - s)]
         if mode == 1:  # exactly on the boundary
-            return tuple(float(h) for h in head) + (norm,)
-        return tuple(float(h) for h in head) + (norm * (1.0 + float(rng.exponential(0.2))),)
+            return tuple(head) + (m * m + s,)
+        stretch = 1024 + _scaled_int(float(rng.exponential(0.2)))
+        return tuple(1024 * c for c in head) + ((m * m + s) * stretch,)
     m = len(K.generators)
     if mode == 1:
         weights = [0] * m
@@ -313,8 +321,7 @@ def sample_cone(K: Cone, seed=0) -> tuple:
 def _soc_probe_points(K: Cone, trials: int, seed: tuple) -> tuple:
     rng = _rng(seed)
     pts = [sample_cone(K, rng) for _ in range(trials)]
-    # axis ray and a few canonical boundary rays help catch easy refutations;
-    # they are int cone data, so an exact image on the boundary refutes
+    # the axis ray and a few canonical boundary rays catch easy refutations
     pts.append(tuple([0] * (K.n - 1) + [1]))
     for i in range(min(K.n - 1, 4)):
         e = [0] * K.n
@@ -343,26 +350,17 @@ def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
 def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
                trials: int, seed) -> Verdict:
     """Does A map nonzero points of K into K, or into its interior when
-    ``interior``?  Second-order cones are probed at sampled points, where
-    an interior test with a sign in the tolerance band and no refutation is
-    ``unknown``; other cones pair the image of every extreme ray with every
-    facet normal, strictly (with the ray's own norm as a floor on the
-    scale) when ``interior``."""
+    ``interior``?  Second-order cones are probed at nonzero int points,
+    where an interior test with a sign in the tolerance band and no
+    refutation is ``unknown``; other cones pair the image of every extreme
+    ray with every facet normal, strictly (with the ray's own norm as a
+    floor on the scale) when ``interior``."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     if K.kind == SECOND_ORDER:
         undecided = None
         for x in _soc_probe_points(K, trials, tuple(flatten_seed(seed))):
-            # A maps 0 to 0, which lies in K but not in its interior
-            if not any(x):
-                continue
-            try:
-                y = A.mul_vec(x)
-            except OverflowError:
-                # exact entries past the float range: the probe point's
-                # exact coordinates give an exact image
-                y = A.mul_vec(tuple(map(Fraction, x)))
-            signs = _signs(K, y, tol)
+            signs = _signs(K, A.mul_vec(x), tol)
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
             if interior and undecided is None and Sign.INDETERMINATE in signs:

@@ -353,7 +353,7 @@ def _nonnegative_on_cone(f: MultiForm, K: Cone, tol: Tolerance,
         for _ in range(trials):
             x = sample_cone(K, rng)
             led.require(f.eval(x), 0, witness=("point", x),
-                        scale=max(1.0, sum(abs(c) for c in x)) ** max(f.d, 1))
+                        scale=max(1.0, sum(abs(c) for c in x)))
     else:
         for g in extreme_ray_reps(K):
             led.require(f.eval(g), 0, witness=("ray", g))

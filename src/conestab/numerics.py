@@ -71,9 +71,11 @@ def scalar_from_json(value, exact: bool) -> Scalar:
     if isinstance(value, str):
         try:
             frac = Fraction(value)
+            return frac if exact else float(frac)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad scalar string {value!r}") from e
-        return frac if exact else float(frac)
+        except OverflowError as e:
+            raise ParseError(f"{value!r} is beyond the float range") from e
     raise ParseError(f"not a scalar: {value!r}")
 
 

@@ -362,6 +362,20 @@ def test_malformed_input_shapes_are_input_errors(tmp_path, command, payload,
     assert set(json.loads(proc.stderr)) == {"error"}
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("unipoly", {"coeffs": ["1e400", 1, 1]}),
+    ("matrix", {"rows": [[1, "-1e400"], [0, 1]]}),
+    ("form", {"n": 2, "d": 1, "terms": [{"exp": [1, 0], "coef": "1e400"}]}),
+    ("restrict", {"form": LINEAR_FORM, "x": ["1e400", 0], "v": [1, 0]}),
+])
+def test_float_mode_string_past_the_float_range_is_input_error(command,
+                                                               payload):
+    proc = run_cli([command, "--mode", "float"], payload)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "1e400" in json.loads(proc.stderr)["error"]
+
+
 @pytest.mark.parametrize("command,degree", [("form", -1), ("restrict", -2)])
 def test_negative_form_degree_is_input_error(command, degree):
     form = {"n": 2, "d": degree, "terms": []}

@@ -341,6 +341,36 @@ class TestSampling:
         x = sample_interior(Cone.second_order(n), seed)
         assert x[-1] > 0 and x[-1] ** 2 > sum(c * c for c in x[:-1])
 
+    # seeds 1 and 6 draw boundary points in R^3 first, with the last head
+    # entry of either sign
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    @example(seed=1, n=3)
+    @example(seed=6, n=3)
+    @settings(max_examples=100, deadline=None)
+    def test_second_order_points_are_int_and_in_the_cone(self, seed, n):
+        K = Cone.second_order(n)
+        rng = np.random.default_rng(seed)
+        points = [sample_cone(K, rng) for _ in range(4)]
+        points += [sample_interior(K, rng),
+                   *cones._soc_probe_points(K, 8, (seed,))]
+        for x in points:
+            assert all(type(c) is int for c in x)
+            assert x[-1] > 0 and x[-1] ** 2 >= sum(c * c for c in x[:-1])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    @example(seed=1, n=3)
+    @example(seed=6, n=3)
+    @settings(max_examples=200, deadline=None)
+    def test_second_order_boundary_draws_lie_on_the_boundary(self, seed, n):
+        x = sample_cone(Cone.second_order(n), seed)
+        slack = x[-1] ** 2 - sum(c * c for c in x[:-1])
+        # the first draw of the seed's generator picks the mode; the
+        # boundary of L^1 is the origin, so its draws are interior
+        if int(np.random.default_rng(seed).integers(3)) == 1 and n > 1:
+            assert slack == 0
+        else:
+            assert slack > 0
+
     def test_one_generator_draws_a_reproducible_sequence(self):
         K = Cone.polyhedral([(1, 0), (1, 3)])
         rng = np.random.default_rng(7)
@@ -439,24 +469,31 @@ class TestMatrixKPositive:
         assert matrix_k_positive(B, K).status == "fails"
 
     def test_soc_band_image_is_unknown_not_fails(self):
-        # diag(1, 1 + 10^-12) maps SOC(2) into its interior; the images of
-        # sampled boundary points sit inside the float band of the boundary
+        # diag(1, 1 + 10^-12) maps SOC(2) into its interior; with a float
+        # entry the images of sampled boundary points sit inside the float
+        # band of the boundary
         K = Cone.second_order(2)
-        A = SquareMatrix.from_rows([[1, 0], [0, 1 + Fraction(1, 10 ** 12)]])
+        A = SquareMatrix.from_rows([[1, 0], [0, 1 + 1e-12]])
         v = matrix_k_positive(A, K, trials=8, seed=0)
         assert v.status == "unknown" and v.witness[0] == "point"
         assert matrix_k_irreducible(A, K, trials=8, seed=0).status == "unknown"
         # the report of `conestab matrix --cone`, at its default trials
         rep = perron_frobenius_check(A, K)
         assert rep.k_positive.status == rep.k_irreducible.status == "unknown"
+        # the exact entry maps the int boundary points into the interior
+        exact = SquareMatrix.from_rows([[1, 0], [0, 1 + Fraction(1, 10 ** 12)]])
+        rep = perron_frobenius_check(exact, K)
+        assert rep.k_positive.status == "holds-sampled"
+        assert rep.k_irreducible.status == "holds-sampled"
 
     def test_soc_exact_boundary_image_refutes(self):
-        # the identity keeps the canonical boundary ray (1, 0, 1) on the
-        # boundary, exactly
+        # the identity keeps every boundary point on the boundary, exactly
         v = matrix_k_positive(SquareMatrix.identity(3), Cone.second_order(3),
                               trials=8, seed=0)
-        assert v.status == "fails" and v.witness == ("point", (1, 0, 1))
-        assert all(type(x) is int for x in v.witness[1])
+        assert v.status == "fails" and v.witness[0] == "point"
+        x = v.witness[1]
+        assert all(type(c) is int for c in x)
+        assert x[-1] ** 2 - sum(c * c for c in x[:-1]) == 0
 
 
 class TestPerronFrobenius:

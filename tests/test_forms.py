@@ -299,6 +299,18 @@ class TestLorentzianSampleCheck:
         rep2 = lorentzian_sample_check(g, Cone.orthant(2))
         assert rep2.verdict.status == "fails"
 
+    def test_linear_form_zero_on_the_soc_boundary_is_decided(self):
+        # 2 x1 + 2 x2 is 0 on the boundary ray (-1, 1) of L^2; the int
+        # boundary draws evaluate it to an exact 0, not a float in the band
+        form = {"n": 2, "d": 1, "terms": [{"exp": [1, 0], "coef": 2},
+                                          {"exp": [0, 1], "coef": 2}]}
+        rep = cli.cmd_form(form, {"type": "second_order", "n": 2},
+                           cli.RunConfig(trials=20, seed=14))
+        verdict = rep["checks"]["lorentzian_sampled"]["verdict"]
+        assert verdict["status"] == "holds-sampled"
+        tag, (x1, x2) = verdict["witness"]
+        assert tag == "point" and type(x1) is int and 2 * x1 + 2 * x2 == 0
+
 
 class TestClcNecessaryCheck:
     def test_power_of_sum_holds_sampled(self):

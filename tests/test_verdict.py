@@ -125,6 +125,15 @@ def test_strict_zero_slack_is_a_violation():
         assert led.verdict().status == FAILS
 
 
+def test_float_slack_in_the_band_is_indeterminate():
+    led = InequalityLedger()
+    assert led.require(1e-12, 0, witness="band")
+    assert led.require(0, 0, witness="exact zero")
+    assert led.indeterminate == ("band", 1e-12)
+    assert led.verdict().status == UNKNOWN
+    assert led.verdict().witness == "band"
+
+
 def test_empty_ledger_has_no_margin():
     led = InequalityLedger()
     assert led.min_margin is None

@@ -109,6 +109,27 @@ MUTANTS = (
            ("tests/test_verdict.py::"
             "test_float_slack_in_the_band_is_indeterminate",
             "tests/test_verdict.py::test_lazy_ledger_matches_eager_oracle")),
+    Mutant("berkowitz-toeplitz-sign", "numerics.py",
+           "c = [1, -a[r][r]]",
+           "c = [1, a[r][r]]",
+           ("tests/test_numerics.py::TestCharPoly::test_diagonal",)),
+    Mutant("char-poly-whole-fractions-give-ints", "numerics.py",
+           "    if D is not None:\n        c = [Fraction(ck, D ** (n - k))",
+           "    if D not in (None, 1):\n        c = [Fraction(ck, D ** (n - k))",
+           ("tests/test_numerics.py::TestCharPoly::"
+            "test_coefficient_types_of_rational_matrices[whole-fractions]",)),
+    Mutant("p-over-q-swapped", "numerics.py",
+           "frac = Fraction(int(num), int(den))",
+           "frac = Fraction(int(den), int(num))",
+           ("tests/test_numerics.py::TestToleranceAndSigns::"
+            "test_p_over_q_spellings_match_the_fraction_parser[plain]",)),
+    Mutant("realization-coefficient-shift", "lti.py",
+           "a, b = report.char_poly.coeff(k), normalized.coeff(k)",
+           "a, b = report.char_poly.coeff(k), normalized.coeff(k + 1)",
+           ("tests/test_lti.py::TestRealizationCheck::"
+            "test_square_of_sum_realization",
+            "tests/test_lti.py::TestRealizationCheck::"
+            "test_coefficient_mismatch_carries_index")),
 )
 
 

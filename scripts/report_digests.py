@@ -35,7 +35,10 @@ in the same order.  It covers every subcommand:
                    Delta_k, k < d, which stalls the fraction-free minor
                    recurrence, each with ``"p/q"`` coefficients and as
                    the ints of its coefficients times their common
-                   denominator.
+                   denominator;
+* ``lti/overflow/float-nonfinite/`` two float-mode matrices of finite
+                   entries whose characteristic polynomials overflow
+                   to nan or -inf coefficients.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -331,6 +334,10 @@ def corpus():
                {"coeffs": [fraction_string(a) for a in coeffs]}, None, [])
         yield (f"unipoly/stall/{i:03d}/int", "unipoly",
                {"coeffs": [int(a * den) for a in coeffs]}, None, [])
+    for i, rows in enumerate(([[-1e300, 1e300], [1e300, -1e300]],
+                              [[1e308, 1e308], [1e308, 1e308]])):
+        yield (f"lti/overflow/float-nonfinite/{i}", "matrix", {"rows": rows},
+               None, ["--mode", "float"])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

@@ -73,13 +73,18 @@ class RunConfig:
 
 def jsonable(obj):
     """Recursively convert reports/verdicts/scalars into JSON-fit values;
-    a type with no JSON form raises TypeError rather than reach a report."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    a type with no JSON form raises TypeError rather than reach a report.
+
+    The common types are told by their exact type first; subclasses,
+    other dataclasses, complex numbers and Fractions take the isinstance
+    chain after them."""
+    t = type(obj)
+    if t is str or t is int or obj is None or t is bool:
         return obj
-    if isinstance(obj, (float, Fraction)):
-        return scalar_to_json(obj)
-    if isinstance(obj, complex):
-        return [scalar_to_json(obj.real), scalar_to_json(obj.imag)]
+    if t is float:
+        return obj if math.isfinite(obj) else None
+    if t is tuple or t is list:
+        return [jsonable(v) for v in obj]
     if isinstance(obj, Verdict):
         out = {"status": obj.status}
         if obj.margin is not None:
@@ -89,6 +94,14 @@ def jsonable(obj):
         if obj.note:
             out["note"] = obj.note
         return out
+    if t is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (float, Fraction)):
+        return scalar_to_json(obj)
+    if isinstance(obj, complex):
+        return [scalar_to_json(obj.real), scalar_to_json(obj.imag)]
     if dataclasses.is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -138,13 +138,25 @@ def _minor_chain(p: UniPoly, coeffs, minors, tol: Tolerance,
     times those of a_k > 0 at its default scale, so each margin is the
     same rational, and the comparison with a minor row's float margin
     binds the same row.  The minor rows keep their exact minors and float
-    Hadamard scales."""
+    Hadamard scales.
+
+    A float coefficient that is inf or nan (an overflowed characteristic
+    polynomial) has no Hurwitz matrix; its row is indeterminate, required
+    here if ``coeffs`` skips it, and the minors are not taken."""
     led = InequalityLedger(tol)
     c, den = p.cleared
     for k in coeffs:
         led.require(c[k], 0, witness=("coefficient", k), strict=True,
                     floor=den)
     if led.has_violation:
+        return led.verdict()
+    # type first: math.isfinite raises OverflowError on a huge int
+    unbounded = next((k for k, v in enumerate(c)
+                      if type(v) is float and not math.isfinite(v)), None)
+    if unbounded is not None:
+        if led.indeterminate is None:
+            led.require(c[unbounded], 0, witness=("coefficient", unbounded),
+                        strict=True)
         return led.verdict()
     _, scaled = minor_data if minor_data is not None else _minor_data(p)
     for k in minors:

@@ -51,7 +51,7 @@ def _eigen_ground_truth(A: SquareMatrix, tol: Tolerance):
         return None, None, Verdict(UNKNOWN,
                                    note="entries beyond the float range")
     try:
-        vals = np.linalg.eig(M)[0]
+        vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as e:
         return None, None, Verdict(UNKNOWN, note=f"eigensolver failed: {e}")
     eigs = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))

@@ -69,8 +69,14 @@ def scalar_from_json(value, exact: bool) -> Scalar:
             return Fraction(repr(value))
         return value
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
-            frac = Fraction(value)
+            if (slash and value.isascii() and den.isdigit()
+                    and num.removeprefix("-").isdigit()):
+                # ASCII "p/q" or "-p/q": two ints, without the string parser
+                frac = Fraction(int(num), int(den))
+            else:
+                frac = Fraction(value)
             return frac if exact else float(frac)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad scalar string {value!r}") from e
@@ -488,18 +494,26 @@ def _berkowitz(a) -> list:
     T p_r, where p_r holds those of a_r and T has first column
     (1, -a_rr, -R C, -R a_r C, ..., -R a_r^(r-1) C).  No step divides, so
     int entries give int coefficients.
+
+    The Krylov products R a_r^k C run as numpy ``dot``s over an object
+    array, so each is one C loop over the Python scalars, exact on ints.
+    An object ``dot`` starts its sum from the first product and may give
+    -0.0 where a sum from int 0 gives 0.0; the Toeplitz product sums from
+    int 0, so every float coefficient is that of plain Python sums, bit
+    for bit.  Float overflow gives inf or nan, without a warning.
     """
+    A = np.array(a, dtype=object)
     p = [1]
-    for r in range(len(a)):
-        block = [row[:r] for row in a[:r]]
-        row = a[r][:r]
-        c = [1, -a[r][r]]
-        v = [a[i][r] for i in range(r)]
-        for k in range(r):
-            c.append(-_dot(row, v))
-            if k < r - 1:
-                v = [_dot(b, v) for b in block]
-        p = [_dot(c[i::-1], p[:i + 1]) for i in range(r + 2)]
+    with np.errstate(all="ignore"):
+        for r in range(len(a)):
+            block, row = A[:r, :r], A[r, :r]
+            c = [1, -a[r][r]]
+            v = A[:r, r]
+            for k in range(r):
+                c.append(-row.dot(v))
+                if k < r - 1:
+                    v = block.dot(v)
+            p = [_dot(c[i::-1], p[:i + 1]) for i in range(r + 2)]
     return p
 
 
@@ -510,16 +524,17 @@ def char_poly(A: SquareMatrix):
     Exact ``A`` is scaled by its common denominator D to the int matrix
     B = D A (:func:`_integer_rows`) and chi_B is computed division-free;
     then chi_A(t) = D^-n chi_B(D t), so coefficient k is the Fraction
-    c_k(B) / D^(n-k).  Every coefficient below the leading int 1 is a
-    Fraction.  Any other ``A`` runs on its entries converted to float,
-    which gives float coefficients below the leading int 1.
+    c_k(B) / D^(n-k).  The coefficients lie in the ring of A's entries, as
+    the minors of :func:`leading_minors` do: ints when every entry is an
+    int, Fractions below the leading int 1 when any entry is a Fraction
+    (D = 1 included).  Any other ``A`` runs on its entries converted to
+    float, which gives float coefficients below the leading int 1.
     """
     from .unipoly import UniPoly
 
     n = A.n
     if A.is_exact:
         B, D = _integer_rows(A.rows)
-        D = D or 1
     else:
         B, D = [[float(v) for v in r] for r in A.rows], None
     c = _berkowitz(B)[:0:-1]  # ascending, without the leading 1

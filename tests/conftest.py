@@ -85,6 +85,9 @@ RATIONAL_COEFFS = {
 }
 # roots and quadratic coefficients below 1 give coefficient products below
 # 1, where a row's scale is its floor
+# small exact matrix entries: ints and Fractions of denominator <= 4
+EXACT_SCALARS = st.one_of(st.integers(-6, 6),
+                          st.fractions(-6, 6, max_denominator=4))
 POSITIVE_FRACTION = st.one_of(st.fractions(0, 1, max_denominator=50),
                               st.fractions(0, 100, max_denominator=50)
                               ).filter(bool)

@@ -206,6 +206,25 @@ class TestMatrixCommand:
         assert rep["lti_report"]["char_poly"] == {
             "coeffs": [None, None, -3e200, 1]}
 
+    @pytest.mark.parametrize("rows,coeffs", [
+        # det = 1e600 - 1e600 is inf - inf
+        ([[-1e300, 1e300], [1e300, -1e300]], [None, 2e300, 1]),
+        # the trace overflows too
+        ([[1e308, 1e308], [1e308, 1e308]], [None, None, 1]),
+    ], ids=["cancelling", "saturating"])
+    def test_float_mode_nonfinite_char_poly_is_not_an_input_error(
+            self, rows, coeffs):
+        # finite entries whose float coefficients are nan or -inf, with no
+        # coefficient definitely negative: the coefficient rows stay
+        # indeterminate and no Hurwitz matrix is built from them
+        proc = run_cli(["matrix", "--mode", "float"], {"rows": rows})
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout, parse_constant=reject)["lti_report"]
+        assert rep["char_poly"] == {"coeffs": coeffs}
+        assert rep["routh_hurwitz"]["status"] == "unknown"
+        assert rep["routh_hurwitz"]["witness"] == ["coefficient", 0]
+        assert rep["conclusion"] == "criterion-inconclusive"
+
     def test_huge_exact_entries_decide_exactly(self):
         # exact slacks near 1e600 are compared with 0, never cast to float
         rep = run_json(["matrix"], {"rows": [[1e300, 1e300], [1e300, 1e300]]})

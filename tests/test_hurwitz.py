@@ -328,6 +328,18 @@ class TestLienardChipart:
         with pytest.raises(ValueError):
             lienard_chipart_stable(UniPoly((1, 1)), 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_is_indeterminate_in_every_variant(self,
+                                                                     bad):
+        # variants 3 and 4 require a_4, a_3 and a_1 of a quartic, not a_2,
+        # yet a_2 sits in the Hurwitz matrix; no variant builds it
+        p = UniPoly((1.0, 1.0, bad, 1.0, 1.0))
+        for variant in (1, 2, 3, 4):
+            verdict = lienard_chipart_stable(p, variant)
+            assert verdict.status == UNKNOWN
+            assert verdict.witness == ("coefficient", 2)
+        assert routh_hurwitz_stable(p).witness == ("coefficient", 2)
+
 
 class TestHermiteBiehler:
     def test_degree_two(self):

@@ -1,16 +1,20 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conestab import (Cone, DegreeMismatch, MultiForm, NotInterior,
                       SquareMatrix, UniPoly, alpha_criterion, char_poly,
                       is_univariate_clc, lti_report, restrict_line,
                       restriction_realization_check, routh_hurwitz_stable)
-
+from conestab.lti import _eigen_ground_truth
+from conestab.numerics import DEFAULT_TOL
 from conestab.verdict import HOLDS, Verdict
 
-from conftest import form_through_line, poly_from_roots
+from conftest import EXACT_SCALARS, form_through_line, poly_from_roots
 
 
 def companion_of(p: UniPoly) -> SquareMatrix:
@@ -35,6 +39,19 @@ def signed_permutation(rng, n) -> SquareMatrix:
 
 
 class TestLtiReport:
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(EXACT_SCALARS, min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_property_eigenvalues_are_those_of_eig_bitwise(self, rows):
+        # eigvals skips the eigenvectors, not a step of the eigenvalues
+        A = SquareMatrix.from_rows(rows)
+        eigs, _, _ = _eigen_ground_truth(A, DEFAULT_TOL)
+        want = sorted((complex(v) for v in np.linalg.eig(A.to_numpy())[0]),
+                      key=lambda z: (z.real, z.imag))
+        assert [(z.real.hex(), z.imag.hex()) for z in eigs] == [
+            (z.real.hex(), z.imag.hex()) for z in want]
+
     def test_stable_diagonal(self):
         rep = lti_report(SquareMatrix.from_rows([[-1, 0], [0, -2]]))
         assert rep.char_poly.coeffs == (2, 3, 1)

@@ -1,4 +1,6 @@
 import math
+import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 from conestab import (NonConvergence, SquareMatrix, Tolerance, UniPoly,
                       ZeroPolynomial, all_roots, char_poly, determinant,
                       hurwitz_matrix, leading_minors, sym_eigs)
-from conestab.numerics import Sign, classify_sign, is_exact, scalar_from_json
+from conestab.errors import ParseError
+from conestab.numerics import (Sign, _berkowitz, classify_sign, is_exact,
+                               scalar_from_json)
 
-from conftest import cofactor_det, rand_fraction_matrix, rand_int_matrix
+from conftest import (EXACT_SCALARS, cofactor_det, rand_fraction_matrix,
+                      rand_int_matrix)
 
 
 class IntSub(int):
@@ -97,8 +102,6 @@ def coprime_denominator_matrices(draw, max_n):
                                    for _ in range(n)])
 
 
-EXACT_SCALARS = st.one_of(st.integers(-6, 6),
-                          st.fractions(-6, 6, max_denominator=4))
 SPARSE_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2])
 SPARSE_FRACTIONS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
                                     Fraction(-1, 2), Fraction(2, 3)])
@@ -366,12 +369,12 @@ def cofactor_char_poly(A: SquareMatrix) -> UniPoly:
 
 
 @st.composite
-def exact_matrices(draw, max_n):
+def exact_matrices(draw, max_n, min_n=1):
     """Exact square matrices, dense or sparse.  Some are block upper
     triangular, so a column is already zero below the subdiagonal when the
     Hessenberg reduction reaches it; others have a zero subdiagonal pivot
     over a nonzero entry below it in the first column, forcing a swap."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     scalars = draw(st.sampled_from([EXACT_SCALARS, SPARSE_SCALARS]))
     rows = [[draw(scalars) for _ in range(n)] for _ in range(n)]
     shape = draw(st.sampled_from(["dense", "zero_column", "swap"]))
@@ -442,6 +445,46 @@ def hessenberg_char_poly(A: SquareMatrix) -> UniPoly:
     return UniPoly(tuple(p[-1]))
 
 
+def entry_ring(A: SquareMatrix):
+    """The ring of char_poly's coefficients below its leading int 1: int
+    when every entry of A is an int, Fraction when any entry is one."""
+    return int if all(isinstance(v, int) for r in A.rows for v in r) else Fraction
+
+
+def reference_berkowitz(a) -> list:
+    """Berkowitz's algorithm in plain Python sums, each from int 0: the
+    pure-Python kernel that the object-array one must match bit for bit."""
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    p = [1]
+    for r in range(len(a)):
+        block = [row[:r] for row in a[:r]]
+        row = a[r][:r]
+        c = [1, -a[r][r]]
+        v = [a[i][r] for i in range(r)]
+        for k in range(r):
+            c.append(-dot(row, v))
+            if k < r - 1:
+                v = [dot(b, v) for b in block]
+        p = [dot(c[i::-1], p[:i + 1]) for i in range(r + 2)]
+    return p
+
+
+def float_bits(values) -> list:
+    """Each value's type and exact bits: the sign of a zero counts, and
+    every nan is alike."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+# float entries whose Krylov products and coefficients reach signed zeros,
+# cancellation, inf and nan
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 1e308,
+                     -1e308, 1e-300, 5e-324]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
 def cayley_hamilton_residual(A: SquareMatrix, chi: UniPoly) -> SquareMatrix:
     """chi(A) by Horner's rule in exact matrix arithmetic."""
     ident = SquareMatrix.identity(A.n)
@@ -464,11 +507,10 @@ class TestCharPoly:
     def test_empty_matrix_is_one(self):
         assert char_poly(SquareMatrix.from_rows([])).coeffs == (1,)
 
-    def test_exact_coefficients_are_fractions_below_monic_one(self):
+    def test_int_matrix_gives_int_coefficients(self):
         chi = char_poly(SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [2, 0, 0]]))
         assert chi.coeffs == (-2, 0, 0, 1)
-        assert all(type(c) is Fraction for c in chi.coeffs[:-1])
-        assert type(chi.coeffs[-1]) is int
+        assert all(type(c) is int for c in chi.coeffs)
 
     def test_matches_symbolic_cofactor_oracle(self, rng):
         for _ in range(10):
@@ -488,12 +530,15 @@ class TestCharPoly:
         residual = cayley_hamilton_residual(A, chi)
         assert all(v == 0 for r in residual.rows for v in r)
 
-    @given(st.one_of(exact_matrices(8), coprime_denominator_matrices(6)))
+    # n = 11-12 is the top of the lti benchmark's range
+    @given(st.one_of(exact_matrices(8), exact_matrices(12, min_n=11),
+                     coprime_denominator_matrices(6)))
     @settings(max_examples=200, deadline=None)
     def test_property_matches_hessenberg_oracle_in_value_and_type(self, A):
+        # the oracle runs on Fractions; char_poly keeps the entries' ring
         got, want = char_poly(A).coeffs, hessenberg_char_poly(A).coeffs
         assert got == want
-        assert [type(c) for c in got] == [type(c) for c in want]
+        assert [type(c) for c in got] == [entry_ring(A)] * A.n + [int]
 
     @pytest.mark.parametrize("rows", [
         [[Fraction(1, 2), Fraction(-3, 7)], [Fraction(4), Fraction(5, 3)]],
@@ -501,6 +546,8 @@ class TestCharPoly:
         [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]],
     ], ids=["fraction", "mixed", "whole-fractions"])
     def test_coefficient_types_of_rational_matrices(self, rows):
+        # one Fraction entry, whole or not, makes every coefficient below
+        # the leading 1 a Fraction
         chi = char_poly(SquareMatrix.from_rows(rows))
         assert all(type(c) is Fraction for c in chi.coeffs[:-1])
         assert type(chi.coeffs[-1]) is int and chi.coeffs[-1] == 1
@@ -510,7 +557,22 @@ class TestCharPoly:
     def test_property_coprime_denominators_match_cofactor_oracle(self, A):
         chi = char_poly(A)
         assert chi.coeffs == cofactor_char_poly(A).coeffs
-        assert all(type(c) is Fraction for c in chi.coeffs[:-1])
+        assert all(type(c) is entry_ring(A) for c in chi.coeffs[:-1])
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(EXTREME_FLOATS, min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @example([[-0.0, 0.0], [0.0, -0.0]])
+    @example([[-1e300, 1e300], [1e300, -1e300]])
+    @example([[1e308, 1e308], [1e308, 1e308]])
+    @example([[1e200, 1e200, 0.0], [1e200, 1e200, 1e200],
+              [0.0, 1e200, 1e200]])
+    @settings(max_examples=300, deadline=None)
+    def test_property_float_berkowitz_matches_plain_sums_bitwise(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _berkowitz(rows)
+        assert float_bits(got) == float_bits(reference_berkowitz(rows))
 
     @given(coprime_denominator_matrices(10))
     @settings(max_examples=15, deadline=None)
@@ -586,6 +648,29 @@ class TestToleranceAndSigns:
         x = Fraction(num, den)
         expected = Sign.POS if x > 0 else Sign.NEG if x < 0 else Sign.ZERO
         assert classify_sign(x) is expected
+
+    @pytest.mark.parametrize("s", [
+        pytest.param(s, id=name) for name, s in [
+            ("plain", "3/4"), ("negative", "-3/4"), ("plus", "+3/4"),
+            ("spaces", " 3/4 "), ("underscore", "1_0/3"),
+            ("leading-zeros", "007/14"), ("negative-zero", "-0/5"),
+            ("negative-denominator", "3/-4"), ("zero-denominator", "1/0"),
+            ("decimal", "1.5/2"), ("superscript", "\u00b2/3"),
+            ("arabic-indic", "\u0663/4"), ("long", "1" * 5000 + "/3")]])
+    def test_p_over_q_spellings_match_the_fraction_parser(self, s):
+        # value, type and error of Fraction(s), whichever path reads s
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError) as e:
+            for exact in (True, False):
+                with pytest.raises(ParseError) as info:
+                    scalar_from_json(s, exact)
+                assert type(info.value.__cause__) is type(e)
+            return
+        got = scalar_from_json(s, True)
+        assert got == want and type(got) is Fraction
+        got = scalar_from_json(s, False)
+        assert got == float(want) and type(got) is float
 
     def test_scalar_parsing(self):
         assert scalar_from_json("3/4", True) == Fraction(3, 4)

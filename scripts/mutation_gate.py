@@ -130,6 +130,27 @@ MUTANTS = (
             "test_square_of_sum_realization",
             "tests/test_lti.py::TestRealizationCheck::"
             "test_coefficient_mismatch_carries_index")),
+    Mutant("pairing-without-transpose", "forms.py",
+           "pairings = _object_dot(G, _object_dot(Q2.to_objects(), G.T))",
+           "pairings = _object_dot(G, _object_dot(Q2.to_objects(), G))",
+           ("tests/test_forms.py::TestQuadraticPairingProducts::"
+            "test_simplicial_pairing_is_g_q_g_transpose",)),
+    Mutant("dichotomy-reused-on-second-order", "forms.py",
+           "        if K.kind != SECOND_ORDER:\n"
+           "            dichotomy = _first_call(dichotomy)",
+           "        if True:\n"
+           "            dichotomy = _first_call(dichotomy)",
+           ("tests/test_forms.py::TestQuadraticHessianOnce::"
+            "test_call_counts[second_order]",)),
+    Mutant("linear-factor-swapped", "forms.py",
+           "linear = [(xi * vi ** 0, xi ** 0 * vi) for xi, vi in zip(x, v)]",
+           "linear = [(vi * xi ** 0, vi ** 0 * xi) for xi, vi in zip(x, v)]",
+           ("tests/test_forms.py::TestRestrictLineLinearFactors::"
+            "test_float_direction_makes_the_constant_term_a_float",)),
+    Mutant("margin-inverted", "verdict.py",
+           "self._margin = Fraction(self._slack, self._scale)",
+           "self._margin = Fraction(self._scale, self._slack)",
+           ("tests/test_verdict.py::test_ties_go_to_the_first_witness",)),
 )
 
 

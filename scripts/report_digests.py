@@ -38,7 +38,10 @@ in the same order.  It covers every subcommand:
                    denominator;
 * ``lti/overflow/float-nonfinite/`` two float-mode matrices of finite
                    entries whose characteristic polynomials overflow
-                   to nan or -inf coefficients.
+                   to nan or -inf coefficients;
+* ``matrix-cone/overflow/polyhedral-facets/`` the identity over a
+                   polyhedral cone with a facet normal whose float norm
+                   overflows, in auto and exact mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -338,6 +341,11 @@ def corpus():
                               [[1e308, 1e308], [1e308, 1e308]])):
         yield (f"lti/overflow/float-nonfinite/{i}", "matrix", {"rows": rows},
                None, ["--mode", "float"])
+    facets = {"type": "polyhedral", "n": 2,
+              "generators": [[1, 0], [10 ** 200, 1]]}
+    for mode in ("auto", "exact"):
+        yield (f"matrix-cone/overflow/polyhedral-facets/{mode}", "matrix",
+               {"rows": [[1, 0], [0, 1]]}, facets, ["--mode", mode])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

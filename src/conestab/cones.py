@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       _integer_rows, _rank, all_exact, classify_sign,
-                       determinant, int_from_json, matrix_power,
-                       vector_from_json)
+                       _integer_rows, _object_dot, _rank, all_exact,
+                       classify_sign, determinant, int_from_json,
+                       matrix_power, vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
@@ -43,6 +43,30 @@ _FACET_ENUM_MAX_DIM = 6
 
 def _float_norm(v) -> float:
     return math.sqrt(sum(float(x) ** 2 for x in v))
+
+
+def _float_norm_or_inf(v) -> float:
+    """The float 2-norm of v, or inf when a square passes the float
+    range."""
+    try:
+        return _float_norm(v)
+    except OverflowError:
+        return math.inf
+
+
+def _facet_norm(h) -> float:
+    """The float 2-norm of the facet normal h.  Past the float range of
+    its squares it is that of ``math.hypot``, which scales the entries, so
+    that a float point's sign band stays finite; inf when an entry has no
+    float."""
+    try:
+        return _float_norm(h)
+    except OverflowError:
+        pass
+    try:
+        return math.hypot(*map(float, h))
+    except OverflowError:
+        return math.inf
 
 
 def _primitive(v):
@@ -126,6 +150,32 @@ class Cone:
         int vectors in the same proportions, for sampling."""
         return tuple(zip(*_integer_rows(self.generators)[0]))
 
+    # the data of the matrix tests over an orthant or polyhedral cone
+
+    @functools.cached_property
+    def _ray_array(self) -> np.ndarray:
+        """The extreme ray reps, as the rows of an object array."""
+        return np.array(self._extreme_ray_reps, dtype=object)
+
+    @functools.cached_property
+    def _facet_array(self) -> np.ndarray:
+        """The facet normals, as the rows of an object array."""
+        return np.array(self.facet_normals, dtype=object)
+
+    @functools.cached_property
+    def _facet_norms(self) -> tuple:
+        """The float 2-norms of the facet normals (``_facet_norm``)."""
+        return tuple(map(_facet_norm, self.facet_normals))
+
+    @functools.cached_property
+    def _ray_floors(self) -> tuple:
+        """The scale floors of the interior test: the float 2-norms of the
+        extreme ray reps, or past the float range their exact 1-norms, which
+        bound them from above."""
+        norms = map(_float_norm_or_inf, self._extreme_ray_reps)
+        return tuple(s if s < math.inf else sum(map(abs, g))
+                     for s, g in zip(norms, self._extreme_ray_reps))
+
 
 def _exact_vector(v) -> tuple:
     """v with each float entry replaced by its exact Fraction."""
@@ -161,18 +211,17 @@ def _signs(K: Cone, x, tol: Tolerance) -> list:
     (h.x >= 0), or the head x_n >= 0 and the slack x_n^2 - ||head||^2 >= 0
     for a second-order cone."""
     _check_dim(K, x)
-    try:
-        scale = max(_float_norm(x), 1.0)
-    except OverflowError:
-        if not all_exact(x):
-            raise
-        scale = 1.0  # exact signs compare with 0 and never read the scale
+    # exact signs compare with 0 and never read the scale, so an exact
+    # point takes no float norm
+    exact = all_exact(x)
+    scale = 1.0 if exact else max(_float_norm(x), 1.0)
     if K.kind == SECOND_ORDER:
         slack = x[-1] * x[-1] - sum(h * h for h in x[:-1])
         return [classify_sign(x[-1], tol, scale),
                 classify_sign(slack, tol, scale * scale)]
-    return [classify_sign(_dot(h, x), tol, scale * _float_norm(h))
-            for h in K.facet_normals]
+    norms = itertools.repeat(1.0) if exact else K._facet_norms
+    return [classify_sign(_dot(h, x), tol, scale * hs)
+            for h, hs in zip(K.facet_normals, norms)]
 
 
 def contains(K: Cone, x, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -354,13 +403,18 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
     where an interior test with a sign in the tolerance band and no
     refutation is ``unknown``; other cones pair the image of every extreme
     ray with every facet normal, strictly (with the ray's own norm as a
-    floor on the scale) when ``interior``."""
+    floor on the scale) when ``interior``.  The images of all points or
+    rays are one object-array product, and so are their pairings with the
+    facet normals."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     if K.kind == SECOND_ORDER:
+        points = _soc_probe_points(K, trials, tuple(flatten_seed(seed)))
+        images = _object_dot(A.to_objects(),
+                             np.array(points, dtype=object).T).T.tolist()
         undecided = None
-        for x in _soc_probe_points(K, trials, tuple(flatten_seed(seed))):
-            signs = _signs(K, A.mul_vec(x), tol)
+        for x, y in zip(points, images):
+            signs = _signs(K, y, tol)
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
             if interior and undecided is None and Sign.INDETERMINATE in signs:
@@ -368,24 +422,24 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
         if undecided is not None:
             return Verdict(UNKNOWN, witness=("point", undecided))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
+    images = _object_dot(A.to_objects(), K._ray_array.T)  # column j: A g_j
+    pairings = _object_dot(K._facet_array, images)  # [i, j]: h_i . A g_j
+    floors = K._ray_floors if interior else itertools.repeat(0.0)
+    facets = list(zip(K.facet_normals, K._facet_norms))
     led = InequalityLedger(tol)
-    facets = [(h, _float_norm(h)) for h in K.facet_normals]
-    for g in extreme_ray_reps(K):
-        y = A.mul_vec(g)
-        try:
-            ys = _float_norm(y)
-        except OverflowError:
-            ys = math.inf
+    for g, y, column, floor in zip(extreme_ray_reps(K), images.T.tolist(),
+                                   pairings.T.tolist(), floors):
+        ys = _float_norm_or_inf(y)
         exact_y = all_exact(y)
-        floor = _float_norm(g) if interior else 0.0
-        for h, hs in facets:
+        for (h, hs), slack in zip(facets, column):
             scale = ys * hs
-            if scale == math.inf and exact_y:
+            if not scale < math.inf:  # inf, or 0 * inf
                 # exact entries past the float range: the exact 1-norms
                 # bound the 2-norms from above, so the margin stays in
                 # [-1, 1] and no float overflows
-                scale = sum(map(abs, y)) * sum(map(abs, h))
-            led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
+                scale = (sum(map(abs, y)) * sum(map(abs, h)) if exact_y
+                         else math.inf)
+            led.require(slack, 0, witness=("ray", g, "facet", h),
                         strict=interior, scale=max(scale, floor))
     return led.verdict()
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # matrix_k_irreducible and perron_frobenius_check are unused here but stay
 # bound: perfbench/tracing.py wraps them by this module's name.
 from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
@@ -26,8 +28,9 @@ from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
                     matrix_k_irreducible, matrix_k_nonnegative,
                     perron_frobenius_check, sample_cone, sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
-from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _dot, all_exact,
-                       exact_div, int_from_json, scalar_from_json, sym_eigs)
+from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _object_dot,
+                       all_exact, exact_div, int_from_json, scalar_from_json,
+                       sym_eigs)
 from .sequences import is_log_concave
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
@@ -153,19 +156,29 @@ def _halved(M: SquareMatrix) -> SquareMatrix:
 def restrict_line(f: MultiForm, x, v) -> UniPoly:
     """The univariate restriction t -> f(x + t v), by binomial substitution:
     each monomial's factors (x_i + t v_i)^e are expanded and multiplied out.
-    Exact on exact input.
+    A linear factor multiplies the product in place, with the values
+    x_i v_i^0 and x_i^0 v_i of the binomial terms (a float v_i makes the
+    first a float) and the sums of ``_conv``.  Exact on exact input.
     """
     if len(x) != f.n or len(v) != f.n:
         raise DimensionMismatch("restriction point/direction dimension mismatch")
+    linear = [(xi * vi ** 0, xi ** 0 * vi) for xi, vi in zip(x, v)]
     coeffs = [0] * (f.d + 1)
     for exp, c in f.terms.items():
         poly = [c]
-        for xi, vi, e in zip(x, v, exp):
-            if e == 0:
-                continue
-            factor = [math.comb(e, j) * xi ** (e - j) * vi ** j
-                      for j in range(e + 1)]
-            poly = _conv(poly, factor)
+        for xi, vi, (x0, v1), e in zip(x, v, linear, exp):
+            if e == 1:
+                poly.append(0)
+                carry = 0  # the t^k term of the coefficient of t^(k-1)
+                for k, a in enumerate(poly):
+                    if a != 0:
+                        poly[k], carry = carry + a * x0, 0 + a * v1
+                    else:
+                        poly[k], carry = carry, 0
+            elif e:
+                factor = [math.comb(e, j) * xi ** (e - j) * vi ** j
+                          for j in range(e + 1)]
+                poly = _conv(poly, factor)
         for k, val in enumerate(poly):
             coeffs[k] = coeffs[k] + val
     return UniPoly(tuple(coeffs))
@@ -253,17 +266,20 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
     led = InequalityLedger(Tolerance(2 * tol.abs, tol.rel))
     if sampled:
         rng = _rng(seed)
-        for _ in range(trials):
-            x = sample_interior(K, rng)
-            led.require(_dot(x, Q2.mul_vec(x)), 0,
-                        witness=("interior-point", x), strict=True,
+        points = [sample_interior(K, rng) for _ in range(trials)]
+        X = np.array(points, dtype=object).reshape(trials, K.n)
+        QX = _object_dot(Q2.to_objects(), X.T)  # column t: Q2 x_t
+        with np.errstate(all="ignore"):
+            values = (X * QX.T).sum(axis=1) + 0  # x_t . Q2 x_t
+        for x, val in zip(points, values.tolist()):
+            led.require(val, 0, witness=("interior-point", x), strict=True,
                         scale=2 * sum(abs(c) for c in x) ** 2)
     else:
         reps = extreme_ray_reps(K)
-        for gx in reps:
-            qx = Q2.mul_vec(gx)
-            for gy in reps:
-                val = _dot(gy, qx)
+        G = K._ray_array
+        pairings = _object_dot(G, _object_dot(Q2.to_objects(), G.T))
+        for gx, column in zip(reps, pairings.T.tolist()):
+            for gy, val in zip(reps, column):  # val = gy . Q2 gx
                 led.require(val, 0, witness=("ray-pair", gx, gy),
                             scale=max(abs(val), 2))
     pairing = led.verdict()
@@ -443,6 +459,19 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
     return _sampled_check("clc-necessary", trials, trial, "lines", details)
 
 
+def _first_call(fn):
+    """fn, run at the first call only: every call returns that result,
+    whatever its arguments."""
+    result = []
+
+    def call(*args):
+        if not result:
+            result.append(fn(*args))
+        return result[0]
+
+    return call
+
+
 def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
                             tol: Tolerance = DEFAULT_TOL) -> FormReport:
     """At sampled interior points the Hessian must have exactly one positive
@@ -464,10 +493,23 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
 
     rng = _rng(seed)
 
+    def hessian(a):
+        H = f.hessian_at(a)
+        return H, sym_eigs(H)[0]
+
+    def dichotomy(H, singular, t):
+        return _dichotomy(H, K, singular, tol, 32, [seed, t, 1])
+
+    if f.d == 2:
+        # a quadratic's Hessian is the same at every point; off the
+        # second-order cone its dichotomy is exact and reads no seed
+        hessian = _first_call(hessian)
+        if K.kind != SECOND_ORDER:
+            dichotomy = _first_call(dichotomy)
+
     def trial(t):
         a = sample_interior(K, rng)
-        H = f.hessian_at(a)
-        vals = sym_eigs(H)[0]
+        H, vals = hessian(a)
         pos, band = _eig_positive_count(vals, tol)
         if pos != 1:
             if pos == 0 and band:
@@ -477,7 +519,7 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
         if not K.is_self_dual:
             return None
         singular = band > 0
-        kn, sub = _dichotomy(H, K, singular, tol, 32, [seed, t, 1])
+        kn, sub = dichotomy(H, singular, t)
         if sub.is_fails:
             kind = "singular" if singular else "nonsingular"
             prop = "irreducible" if kn.is_holds else "nonnegative"

@@ -12,6 +12,7 @@ named :class:`Tolerance`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,6 +28,16 @@ Scalar = Union[int, Fraction, float]
 
 def _dot(u, v):
     return sum(map(operator.mul, u, v))
+
+
+def _object_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of the object arrays a and b, each entry the ``_dot``
+    of its row and column, bit for bit.  An object ``dot`` sums from its
+    first product, so it may give -0.0 where a sum from int 0 gives 0.0;
+    adding 0 turns that into 0.0.  Float overflow gives inf, without a
+    warning."""
+    with np.errstate(all="ignore"):
+        return a.dot(b) + 0
 
 
 def is_exact(x) -> bool:
@@ -196,7 +207,7 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def is_exact(self) -> bool:
         return all(is_exact(v) for r in self.rows for v in r)
 
@@ -206,6 +217,10 @@ class SquareMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(v) for v in r] for r in self.rows], dtype=float)
+
+    def to_objects(self) -> np.ndarray:
+        """The entries as an n x n numpy object array."""
+        return np.array(self.rows, dtype=object).reshape(self.n, self.n)
 
     def transpose(self) -> "SquareMatrix":
         n = self.n
@@ -228,14 +243,8 @@ class SquareMatrix:
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if other.n != self.n:
             raise DimensionMismatch("size mismatch in matmul")
-        bt = other.transpose().rows
-        return SquareMatrix(tuple(tuple(_dot(ra, bc) for bc in bt)
-                                  for ra in self.rows))
-
-    def mul_vec(self, v) -> tuple:
-        if len(v) != self.n:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(_dot(r, v) for r in self.rows)
+        return SquareMatrix(_object_dot(self.to_objects(), other.to_objects())
+                            .tolist())
 
     def leading_block(self, k: int) -> "SquareMatrix":
         return SquareMatrix(tuple(r[:k] for r in self.rows[:k]))
@@ -245,16 +254,19 @@ class SquareMatrix:
 
 
 def matrix_power(M: SquareMatrix, k: int) -> SquareMatrix:
+    """M^k by repeated squaring.  M^0 is the identity, and no other power
+    is a product with it, so an int entry beside a Fraction or a float
+    stays an int."""
     if k < 0:
         raise ValueError("nonnegative powers only")
-    out = SquareMatrix.identity(M.n)
+    out = None
     base = M
     while k:
         if k & 1:
-            out = out @ base
+            out = base if out is None else out @ base
         base = base @ base if k > 1 else base
         k >>= 1
-    return out
+    return SquareMatrix.identity(M.n) if out is None else out
 
 
 def _integer_rows(rows):

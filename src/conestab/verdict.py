@@ -71,7 +71,7 @@ class InequalityLedger:
     def min_margin(self):
         """The smallest margin so far, or None before the first require."""
         if self._margin is None and self._slack is not None:
-            self._margin = Fraction(self._slack) / Fraction(self._scale)
+            self._margin = Fraction(self._slack, self._scale)
         return self._margin
 
     def require(self, lhs, rhs=0, *, witness=None, strict=None, scale=None,
@@ -98,7 +98,7 @@ class InequalityLedger:
             undecided = sign is Sign.INDETERMINATE
         if violated and self.violation is None:
             if margin is None:
-                margin = Fraction(slack) / Fraction(scale)
+                margin = Fraction(slack, scale)
             self.violation = (witness, margin)
         if undecided and self.indeterminate is None:
             self.indeterminate = (witness, margin)
@@ -109,7 +109,7 @@ class InequalityLedger:
             lower = slack * self._scale < self._slack * scale
         else:
             if margin is None:
-                margin = Fraction(slack) / Fraction(scale)
+                margin = Fraction(slack, scale)
             lower = margin < self.min_margin
         if lower:
             self._slack, self._scale, self._exact = slack, scale, exact

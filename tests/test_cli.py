@@ -273,6 +273,23 @@ class TestMatrixCommand:
         assert cm["perron"]["note"] == "entries beyond the float range"
         assert cm["perron"]["rho"] is None
 
+    @pytest.mark.parametrize("mode", ["auto", "float", "exact"])
+    def test_cone_route_facet_norms_beyond_float_range(self, tmp_path, mode):
+        # the facet (1, -10^200) has no float norm; its scale falls back to
+        # inf, then to the exact 1-norms, and the identity maps K onto K
+        cone_file = tmp_path / "cone.json"
+        cone_file.write_text(json.dumps({
+            "type": "polyhedral", "n": 2,
+            "generators": [[1, 0], [10 ** 200, 1]]}))
+        proc = run_cli(["matrix", "--mode", mode, "--cone", str(cone_file)],
+                       {"rows": [[1, 0], [0, 1]]})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        cm = json.loads(proc.stdout, parse_constant=reject)["cone_matrix_report"]
+        assert [cm[key]["status"] for key in
+                ("k_nonnegative", "k_positive", "k_irreducible")] == [
+                    "holds", "fails", "fails"]
+
     def test_cone_route_irreducible_permutation(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 3}))

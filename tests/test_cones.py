@@ -15,7 +15,10 @@ from conestab import (Cone, DimensionMismatch, Inapplicable, SquareMatrix,
                       perron_report, sample_cone, sample_interior)
 from conestab import cones
 from conestab.cones import _normal, cone_from_json, extreme_ray_reps
-from conestab.numerics import _rank, all_exact
+from conestab.numerics import (DEFAULT_TOL, Sign, _dot, _rank, all_exact,
+                               classify_sign)
+from conestab.verdict import (FAILS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
+                              Verdict)
 
 SMALL_INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
 SMALL_FRACTIONS = st.sampled_from([Fraction(0), Fraction(1, 2),
@@ -589,3 +592,145 @@ class TestPerronFrobenius:
         A = SquareMatrix.from_rows([[2, 0], [0, 1]])
         rep = perron_frobenius_check(A, K)
         assert rep.perron.other_semipositive_eigenvector
+
+
+def _signs_with_norms(K, x, tol):
+    """``cones._signs`` as it was before exact points skipped their float
+    norms: the scale is the point's norm, times each facet's."""
+    try:
+        scale = max(cones._float_norm(x), 1.0)
+    except OverflowError:
+        if not all_exact(x):
+            raise
+        scale = 1.0
+    if K.kind == "second_order":
+        slack = x[-1] * x[-1] - sum(h * h for h in x[:-1])
+        return [classify_sign(x[-1], tol, scale),
+                classify_sign(slack, tol, scale * scale)]
+    return [classify_sign(_dot(h, x), tol, scale * cones._float_norm(h))
+            for h in K.facet_normals]
+
+
+def maps_into_by_rays(A, K, interior, tol=DEFAULT_TOL, trials=8, seed=0):
+    """The oracle of ``cones._maps_into``: one image ``_dot`` per probe
+    point or extreme ray, and one pairing ``_dot`` per facet."""
+    def image(x):
+        return tuple(_dot(r, x) for r in A.rows)
+
+    if K.kind == "second_order":
+        undecided = None
+        for x in cones._soc_probe_points(K, trials, (seed,)):
+            signs = _signs_with_norms(K, image(x), tol)
+            if Sign.NEG in signs or (interior and Sign.ZERO in signs):
+                return Verdict(FAILS, witness=("point", x))
+            if interior and undecided is None and Sign.INDETERMINATE in signs:
+                undecided = x
+        if undecided is not None:
+            return Verdict(UNKNOWN, witness=("point", undecided))
+        return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
+    led = InequalityLedger(tol)
+    facets = [(h, cones._float_norm(h)) for h in K.facet_normals]
+    for g in extreme_ray_reps(K):
+        y = image(g)
+        try:
+            ys = cones._float_norm(y)
+        except OverflowError:
+            ys = math.inf
+        exact_y = all_exact(y)
+        floor = cones._float_norm(g) if interior else 0.0
+        for h, hs in facets:
+            scale = ys * hs
+            if scale == math.inf and exact_y:
+                scale = sum(map(abs, y)) * sum(map(abs, h))
+            led.require(_dot(h, y), 0, witness=("ray", g, "facet", h),
+                        strict=interior, scale=max(scale, floor))
+    return led.verdict()
+
+
+def outcome(run):
+    """A verdict's status, witness and margin bits (type, value and, for a
+    float, its hex), or the type of the exception it raised."""
+    try:
+        v = run()
+    except (OverflowError, ValueError) as e:
+        return type(e)
+    m = v.margin
+    return (v.status, v.witness, v.note, type(m),
+            m.hex() if isinstance(m, float) else m)
+
+
+MAPPING_CONES = [
+    Cone.orthant(3),
+    # (1, 1, 0) and (1, 1, 1) are redundant generators
+    Cone.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]),
+    # a square pyramid: four rays, four facets, not simplicial
+    Cone.polyhedral([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    Cone.polyhedral([(1, 0, 0), (1, 2, 0), (Fraction(1, 3), 1, 1)]),
+    Cone.second_order(3),
+]
+MAPPING_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), 0.0, -0.0,
+                     0.5, -1.5, 1e300, -1e300]),
+    st.floats(-10, 10, allow_nan=False))
+
+
+class TestMapsIntoProducts:
+    """The object-array products of ``_maps_into`` against the per-ray
+    loop they replace, on every observable of the verdict."""
+
+    @given(st.sampled_from(range(len(MAPPING_CONES))),
+           st.lists(MAPPING_ENTRIES, min_size=9, max_size=9),
+           st.booleans(), st.integers(0, 3))
+    @example(0, [-0.0, 0, 0, 0, -0.0, 0, 0, 0, 1], True, 0)
+    @example(1, [1e300, 1e300, 0, 0, 1, 0, 0, 0, 1], False, 0)
+    @example(4, [1e300, 0, 0, 0, 1, 0, 0, 0, 1e300], False, 0)
+    @example(2, [Fraction(1, 2), 0, 0.0, 0, -0.0, 0, 0, 0, 1], True, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_products_match_the_per_ray_loop(self, k, entries, interior,
+                                             seed):
+        K = MAPPING_CONES[k]
+        A = SquareMatrix.from_rows([entries[0:3], entries[3:6], entries[6:9]])
+        assert (outcome(lambda: cones._maps_into(A, K, interior, DEFAULT_TOL,
+                                                 8, seed))
+                == outcome(lambda: maps_into_by_rays(A, K, interior,
+                                                     seed=seed)))
+
+    def test_exact_images_of_huge_rays_match(self):
+        # exact images past the float range take the exact 1-norm scale
+        K = Cone.polyhedral([(1, 0), (10 ** 150, 1)])
+        for rows in ([[1, 0], [0, 1]], [[2, 10 ** 160], [0, 3]],
+                     [[Fraction(1, 3), 0], [1, 1]]):
+            A = SquareMatrix.from_rows(rows)
+            for interior in (False, True):
+                assert (outcome(lambda: cones._maps_into(
+                            A, K, interior, DEFAULT_TOL, 8, 0))
+                        == outcome(lambda: maps_into_by_rays(A, K, interior)))
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_norms_past_the_float_range(self, interior):
+        # the squares of the facet (1, -10^200) and of the ray (10^200, 1)
+        # overflow: the facet's norm is math.hypot's, and the ray's image
+        # and floor fall back to inf, then to the exact 1-norms; the
+        # identity maps K onto K
+        K = Cone.polyhedral([(1, 0), (10 ** 200, 1)])
+        assert K._facet_norms == (1.0, 1e200)
+        assert K._ray_floors == (1.0, 10 ** 200 + 1)
+        v = cones._maps_into(SquareMatrix.identity(2), K, interior,
+                             DEFAULT_TOL, 8, 0)
+        assert v.status == ("fails" if interior else "holds")
+        assert v.margin == 0
+        huge = Cone.polyhedral([(1, 0), (10 ** 400, 1)])
+        assert huge._facet_norms == (1.0, math.inf)
+
+    def test_float_points_keep_a_finite_band_on_huge_facets(self):
+        # (0, 1) is outside the wedge between (1, 0) and (10^200, 1): its
+        # pairing -1e200 with the facet (1, -10^200) is negative far beyond
+        # the band, which an inf facet norm would have made infinite
+        K = Cone.polyhedral([(1, 0), (10 ** 200, 1)])
+        assert not contains(K, (0.0, 1.0))
+        assert contains(K, (1.0, 0.0))
+        # so the eigenvector (0, 1) of the eigenvalue 1 is no other
+        # semipositive eigenvector, as over the wedge up to (1000, 1)
+        A = SquareMatrix.from_rows([[2, 0], [0, 1]])
+        for cone in (K, Cone.polyhedral([(1, 0), (1000, 1)])):
+            assert perron_report(A, cone).other_semipositive_eigenvector is False

@@ -14,8 +14,8 @@ from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       hurwitz_over_cone_check, is_log_concave,
                       lorentzian_sample_check, quadratic_lorentzian_check,
                       restrict_line, sym_eigs)
-from conestab.numerics import exact_div
-from conestab.verdict import UNKNOWN, Verdict
+from conestab.numerics import DEFAULT_TOL, Tolerance, exact_div
+from conestab.verdict import UNKNOWN, InequalityLedger, Verdict
 
 from conftest import form_through_line
 
@@ -962,3 +962,195 @@ class TestQuadraticMatrixExtraction:
                                     for i in range(n) for j in range(n))
             assert f.hessian_at((0,) * n).rows == tuple(
                 tuple(2 * q for q in row) for row in Q)
+
+
+def restrict_by_binomials(f, x, v) -> tuple:
+    """The oracle of ``restrict_line``: every factor (x_i + t v_i)^e as its
+    binomial terms C(e, j) x_i^(e-j) v_i^j, multiplied in by ``_conv``."""
+    coeffs = [0] * (f.d + 1)
+    for exp, c in f.terms.items():
+        poly = [c]
+        for xi, vi, e in zip(x, v, exp):
+            if e == 0:
+                continue
+            factor = [math.comb(e, j) * xi ** (e - j) * vi ** j
+                      for j in range(e + 1)]
+            poly = forms._conv(poly, factor)
+        for k, val in enumerate(poly):
+            coeffs[k] = coeffs[k] + val
+    return UniPoly(tuple(coeffs)).coeffs
+
+
+def bits(values) -> list:
+    """Each value's type and value, a float's as its hex (signed zeros
+    differ, and every nan is alike)."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+MIXED_COORDS = st.one_of(EXACT_COORDS, FLOAT_COORDS,
+                         st.sampled_from([0.0, -0.0, 0.25, Fraction(1, 2)]))
+
+
+class TestRestrictLineLinearFactors:
+    """Linear factors multiply the product in place; every coefficient
+    keeps the value and type of the binomial loop."""
+
+    def test_float_direction_makes_the_constant_term_a_float(self):
+        # x1^2 + 3 x1 x2 at x = (1/2, 1), v = (1, 0.25): the factor of x2 is
+        # 1 * 0.25^0 = 1.0, so the constant term is 1.75, not 7/4
+        f = MultiForm(2, 2, {(2, 0): 1, (1, 1): 3})
+        x, v = (Fraction(1, 2), 1), (1, 0.25)
+        got = restrict_line(f, x, v).coeffs
+        assert bits(got) == bits(restrict_by_binomials(f, x, v))
+        assert type(got[0]) is float and got[0] == 1.75
+
+    @given(restriction_inputs(MIXED_COORDS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_binomial_loop(self, case):
+        f, x, v = case
+        assert (bits(restrict_line(f, x, v).coeffs)
+                == bits(restrict_by_binomials(f, x, v)))
+
+
+def pairing_by_loops(Q2, K, tol, trials, seed) -> Verdict:
+    """The oracle of the pairing of ``_quadratic_verdict``: one ``_dot``
+    per image Q2 x, and one per value x^T Q2 x or g_y^T Q2 g_x."""
+    def dot(u, w):
+        return sum(a * b for a, b in zip(u, w))
+
+    def image(x):
+        return tuple(dot(r, x) for r in Q2.rows)
+
+    led = InequalityLedger(Tolerance(2 * tol.abs, tol.rel))
+    if K.kind == "second_order":
+        rng = cones._rng(seed)
+        for _ in range(trials):
+            x = cones.sample_interior(K, rng)
+            led.require(dot(x, image(x)), 0, witness=("interior-point", x),
+                        strict=True, scale=2 * sum(abs(c) for c in x) ** 2)
+    else:
+        reps = cones.extreme_ray_reps(K)
+        for gx in reps:
+            qx = image(gx)
+            for gy in reps:
+                val = dot(gy, qx)
+                led.require(val, 0, witness=("ray-pair", gx, gy),
+                            scale=max(abs(val), 2))
+    return led.verdict()
+
+
+def verdict_bits(v: Verdict) -> tuple:
+    m = v.margin
+    return (v.status, v.witness, type(m),
+            m.hex() if isinstance(m, float) else m)
+
+
+PAIRING_CONES = [
+    Cone.orthant(3),
+    # simplicial, with a generator matrix that is not symmetric
+    Cone.polyhedral([(1, 0, 0), (1, 2, 0), (Fraction(1, 3), 1, 1)]),
+    # (1, 1, 0) and (1, 1, 1) are redundant generators
+    Cone.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]),
+    Cone.polyhedral([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    Cone.second_order(3),
+]
+
+
+@st.composite
+def one_positive_eigenvalue(draw):
+    """2Q = c (u u^T - B^T B) for int u and B, which has at most one
+    positive eigenvalue, times an int, Fraction or float c; some entries
+    are then replaced by floats of the same value."""
+    u = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    B = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      min_size=1, max_size=2))
+    c = draw(st.sampled_from([1, 2, Fraction(1, 3), 0.5, 1.1, 1e150]))
+    rows = [[c * (u[i] * u[j] - sum(b[i] * b[j] for b in B))
+             for j in range(3)] for i in range(3)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 2),
+                                        st.integers(0, 2)), max_size=3)):
+        rows[i][j] = float(rows[i][j])
+    return SquareMatrix.from_rows(rows)
+
+
+class TestQuadraticPairingProducts:
+    """The pairing of ``_quadratic_verdict`` is G Q2 G^T over a polyhedral
+    cone and one product over the sampled points of a second-order cone;
+    its ledger equals that of the per-ray and per-point loops."""
+
+    @given(st.sampled_from(range(len(PAIRING_CONES))), one_positive_eigenvalue(),
+           st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_pairing_matches_the_loops(self, k, Q2, seed):
+        K = PAIRING_CONES[k]
+        report, band = forms._quadratic_verdict(Q2, K, DEFAULT_TOL, 8, seed)
+        if band is None:  # decided by the eigenvalue count alone
+            assert "pairing" not in report.details
+            return
+        assert (verdict_bits(report.details["pairing"])
+                == verdict_bits(pairing_by_loops(Q2, K, DEFAULT_TOL, 8, seed)))
+
+    def test_simplicial_pairing_is_g_q_g_transpose(self):
+        # e2(3) over a simplicial cone whose generator matrix is not
+        # symmetric: every ray pair pairs positively, with the rays' order
+        Q2 = SquareMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        K = PAIRING_CONES[1]
+        report, band = forms._quadratic_verdict(Q2, K, DEFAULT_TOL, 8, 0)
+        assert band == 0
+        assert (verdict_bits(report.details["pairing"])
+                == verdict_bits(pairing_by_loops(Q2, K, DEFAULT_TOL, 8, 0)))
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+QUADRATICS = {
+    "e2_3": elementary_symmetric(3, 2),
+    "e2_3_float": MultiForm(3, 2, {e: 0.5 for e in
+                                   elementary_symmetric(3, 2).terms}),
+    "sum_of_squares": MultiForm(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1,
+                                       (0, 0, 2): 1}),
+    # (x1 + x2 + x3)^2: a singular Hessian
+    "square_of_sum": power_of_sum(3, 2),
+}
+
+
+class TestQuadraticHessianOnce:
+    """A quadratic's Hessian and its eigenvalues are computed at the first
+    trial, and off the second-order cone so is its dichotomy; the report
+    is that of the per-trial loop."""
+
+    @pytest.mark.parametrize("f, K, dichotomies", [
+        (QUADRATICS["e2_3"], Cone.orthant(3), 1),
+        (LORENTZ_4, Cone.second_order(4), 5),
+    ], ids=["orthant", "second_order"])
+    def test_call_counts(self, monkeypatch, f, K, dichotomies):
+        calls = {"hessian_at": 0, "sym_eigs": 0, "_dichotomy": 0}
+        count_calls(monkeypatch, MultiForm, "hessian_at", calls)
+        count_calls(monkeypatch, forms, "sym_eigs", calls)
+        count_calls(monkeypatch, forms, "_dichotomy", calls)
+        rep = hessian_signature_check(f, K, trials=5, seed=2)
+        assert rep.details["tallies"]["nonsingular_irreducible"] == 5
+        assert calls == {"hessian_at": 1, "sym_eigs": 1,
+                         "_dichotomy": dichotomies}
+
+    @pytest.mark.parametrize("name", sorted(QUADRATICS) + ["lorentz_4"])
+    @pytest.mark.parametrize("kind", ["orthant", "second_order",
+                                      "polyhedral"])
+    def test_report_equals_the_per_trial_loop(self, monkeypatch, name, kind):
+        f = LORENTZ_4 if name == "lorentz_4" else QUADRATICS[name]
+        K = {"orthant": Cone.orthant(f.n),
+             "second_order": Cone.second_order(f.n),
+             "polyhedral": Cone.polyhedral(
+                 [tuple(int(i == j or j == 0) for j in range(f.n))
+                  for i in range(f.n)])}[kind]
+        once = hessian_signature_check(f, K, trials=6, seed=[4, 1])
+        monkeypatch.setattr(forms, "_first_call", lambda fn: fn)
+        assert once == hessian_signature_check(f, K, trials=6, seed=[4, 1])

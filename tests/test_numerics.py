@@ -13,7 +13,7 @@ from conestab import (NonConvergence, SquareMatrix, Tolerance, UniPoly,
                       hurwitz_matrix, leading_minors, sym_eigs)
 from conestab.errors import ParseError
 from conestab.numerics import (Sign, _berkowitz, classify_sign, is_exact,
-                               scalar_from_json)
+                               matrix_power, scalar_from_json)
 
 from conftest import (EXACT_SCALARS, cofactor_det, rand_fraction_matrix,
                       rand_int_matrix)
@@ -706,3 +706,92 @@ class TestMatrixBasics:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SquareMatrix.from_rows([[float("nan")]])
+
+
+def matmul_by_dots(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
+    """The oracle of ``@``: one ``_dot`` (a sum from int 0) per entry."""
+    cols = list(zip(*B.rows))
+    return SquareMatrix(tuple(tuple(sum(map(operator.mul, r, c)) for c in cols)
+                              for r in A.rows))
+
+
+def power_by_dots(M: SquareMatrix, k: int) -> SquareMatrix:
+    """The oracle of ``matrix_power``: repeated squaring from the
+    identity, by ``matmul_by_dots``."""
+    out, base = SquareMatrix.identity(M.n), M
+    while k:
+        if k & 1:
+            out = matmul_by_dots(out, base)
+        base = matmul_by_dots(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+def product_or_error(run):
+    """The entries' types and bits (``float_bits``), or the type of the
+    exception raised (a product past the float range is not finite)."""
+    try:
+        return [float_bits(r) for r in run().rows]
+    except ValueError as e:
+        return type(e)
+
+
+@st.composite
+def mixed_matrices_over(draw, scalars, min_n=1, max_n=4):
+    n = draw(st.integers(min_n, max_n))
+    return SquareMatrix.from_rows([[draw(scalars) for _ in range(n)]
+                                   for _ in range(n)])
+
+
+def mixed_matrices(min_n=1, max_n=4):
+    """Square matrices over the ints, the Fractions, the floats, or a mix
+    of them."""
+    return st.sampled_from([
+        EXACT_SCALARS, EXTREME_FLOATS,
+        st.one_of(EXACT_SCALARS, EXTREME_FLOATS)]).flatmap(
+            lambda scalars: mixed_matrices_over(scalars, min_n, max_n))
+
+
+class TestMatrixProducts:
+    """``@`` is one object ``dot`` plus 0, and ``matrix_power`` starts from
+    M's own power: both equal the ``_dot`` loops bit for bit."""
+
+    @given(mixed_matrices(), st.data())
+    @example(SquareMatrix.from_rows([[-0.0, 1.0], [0, -0.0]]), None)
+    @settings(max_examples=300, deadline=None)
+    def test_matmul_matches_the_dot_loop(self, A, data):
+        B = (A if data is None else
+             data.draw(mixed_matrices(A.n, A.n)))
+        assert (product_or_error(lambda: A @ B)
+                == product_or_error(lambda: matmul_by_dots(A, B)))
+
+    @given(st.sampled_from([st.integers(-6, 6),
+                            st.fractions(-6, 6, max_denominator=4),
+                            EXTREME_FLOATS]).flatmap(
+               lambda scalars: mixed_matrices_over(scalars)),
+           st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_power_of_i_plus_a_matches_the_dot_loop(self, A, k):
+        # I + A, the matrix that K-irreducibility raises to the power n - 1;
+        # its entries are sums from int 0, so none is -0.0
+        M = SquareMatrix.identity(A.n).add(A)
+        assert (product_or_error(lambda: matrix_power(M, k))
+                == product_or_error(lambda: power_by_dots(M, k)))
+
+    def test_matrix_power_keeps_ints_that_the_identity_converted(self):
+        # entries of one ring are bit for bit those of the loop from the
+        # identity; with ints beside a Fraction or a float, the identity's
+        # zeros (0 * 1/2, 0 * 0.5) turned the ints of their column into
+        # Fractions or floats of the same value, and M^1 now keeps them
+        for other in (Fraction(1, 2), 0.5):
+            M = SquareMatrix.from_rows([[1, other], [0, 1]])
+            assert matrix_power(M, 1).rows == M.rows
+            assert type(matrix_power(M, 1)[1, 1]) is int
+            assert type(power_by_dots(M, 1)[1, 1]) is type(other)
+            for k in range(5):
+                assert matrix_power(M, k).rows == power_by_dots(M, k).rows
+        assert matrix_power(M, 0).rows == ((1, 0), (0, 1))
+        with pytest.raises(ValueError):
+            matrix_power(M, -1)
+
+

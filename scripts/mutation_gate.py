@@ -131,8 +131,8 @@ MUTANTS = (
             "tests/test_lti.py::TestRealizationCheck::"
             "test_coefficient_mismatch_carries_index")),
     Mutant("pairing-without-transpose", "forms.py",
-           "pairings = _object_dot(G, _object_dot(Q2.to_objects(), G.T))",
-           "pairings = _object_dot(G, _object_dot(Q2.to_objects(), G))",
+           "return _object_dot(G, _object_dot(Q2.to_objects(), G.T))",
+           "return _object_dot(G, _object_dot(Q2.to_objects(), G))",
            ("tests/test_forms.py::TestQuadraticPairingProducts::"
             "test_simplicial_pairing_is_g_q_g_transpose",)),
     Mutant("dichotomy-reused-on-second-order", "forms.py",
@@ -147,6 +147,21 @@ MUTANTS = (
            "linear = [(vi * xi ** 0, vi ** 0 * xi) for xi, vi in zip(x, v)]",
            ("tests/test_forms.py::TestRestrictLineLinearFactors::"
             "test_float_direction_makes_the_constant_term_a_float",)),
+    Mutant("routh-rule-without-coefficients", "hurwitz.py",
+           "(all(c > 0 for c in p.cleared[0])\n            and all(m > 0",
+           "(all(m > 0",
+           ("tests/test_sign_rules.py::TestRouth::"
+            "test_coefficient_test_refutes_a_negative_constant",)),
+    Mutant("k-positivity-rule-admits-zero", "cones.py",
+           "(values > 0).all() if interior",
+           "(values >= 0).all() if interior",
+           ("tests/test_sign_rules.py::TestConeMatrices::"
+            "test_identity_is_not_k_positive",)),
+    Mutant("second-order-rule-without-tail", "cones.py",
+           "return images, np.array([tails, slacks])",
+           "return images, np.array([slacks, slacks])",
+           ("tests/test_sign_rules.py::TestConeMatrices::"
+            "test_minus_identity_reverses_the_second_order_tail",)),
     Mutant("margin-inverted", "verdict.py",
            "self._margin = Fraction(self._slack, self._scale)",
            "self._margin = Fraction(self._scale, self._slack)",

@@ -41,7 +41,9 @@ in the same order.  It covers every subcommand:
                    to nan or -inf coefficients;
 * ``matrix-cone/overflow/polyhedral-facets/`` the identity over a
                    polyhedral cone with a facet normal whose float norm
-                   overflows, in auto and exact mode.
+                   overflows, in auto and exact mode;
+* ``form/zero/``   the zero form of degree 4 in 3 variables over the
+                   orthant and over a square pyramid.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -346,6 +348,11 @@ def corpus():
     for mode in ("auto", "exact"):
         yield (f"matrix-cone/overflow/polyhedral-facets/{mode}", "matrix",
                {"rows": [[1, 0], [0, 1]]}, facets, ["--mode", mode])
+    pyramid = {"type": "polyhedral",
+               "generators": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}
+    for name, cone in (("orthant", None), ("pyramid", pyramid)):
+        yield (f"form/zero/{name}", "form", {"n": 3, "d": 4, "terms": []},
+               cone, ["--trials", "10"])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

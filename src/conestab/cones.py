@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, Unsupported)
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
-                       _integer_rows, _object_dot, _rank, all_exact,
-                       classify_sign, determinant, int_from_json,
+                       _integer_rows, _object_dot, _object_power, _rank,
+                       all_exact, classify_sign, determinant, int_from_json,
                        matrix_power, vector_from_json)
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
@@ -211,17 +211,24 @@ def _signs(K: Cone, x, tol: Tolerance) -> list:
     (h.x >= 0), or the head x_n >= 0 and the slack x_n^2 - ||head||^2 >= 0
     for a second-order cone."""
     _check_dim(K, x)
+    if K.kind == SECOND_ORDER:
+        return _soc_signs(x, x[-1], x[-1] * x[-1] - sum(h * h for h in x[:-1]),
+                          tol)
     # exact signs compare with 0 and never read the scale, so an exact
     # point takes no float norm
     exact = all_exact(x)
     scale = 1.0 if exact else max(_float_norm(x), 1.0)
-    if K.kind == SECOND_ORDER:
-        slack = x[-1] * x[-1] - sum(h * h for h in x[:-1])
-        return [classify_sign(x[-1], tol, scale),
-                classify_sign(slack, tol, scale * scale)]
     norms = itertools.repeat(1.0) if exact else K._facet_norms
     return [classify_sign(_dot(h, x), tol, scale * hs)
             for h, hs in zip(K.facet_normals, norms)]
+
+
+def _soc_signs(x, tail, slack, tol: Tolerance) -> list:
+    """The signs of the tail of x and of its slack tail^2 - |head|^2, the
+    inequalities of a second-order cone; an exact x takes no float norm."""
+    scale = 1.0 if all_exact(x) else max(_float_norm(x), 1.0)
+    return [classify_sign(tail, tol, scale),
+            classify_sign(slack, tol, scale * scale)]
 
 
 def contains(K: Cone, x, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -396,6 +403,37 @@ def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
     return _maps_into(A, K, True, tol, trials, seed)
 
 
+def _comparisons(M: np.ndarray, K: Cone, points=None) -> tuple:
+    """The exact comparisons of ``_maps_into`` for the object array M, as
+    ``(images, values)``, column j of each for one extreme ray or probe
+    point: over an orthant or polyhedral cone the images M g_j of the
+    extreme rays and their pairings F M G^T with the facet normals; over a
+    second-order cone the images M x_j of the probe ``points`` and, in
+    rows 0 and 1, the tail of each image and its tail^2 - |head|^2.  Each
+    is one object-array product, so an exact M gives exact values, and M
+    maps K into K (into its interior) when every value is >= 0 (> 0)."""
+    if K.kind == SECOND_ORDER:
+        X = np.array(points, dtype=object).reshape(len(points), K.n)
+        images = _object_dot(M, X.T)
+        tails, heads = images[-1], images[:-1]
+        with np.errstate(all="ignore"):  # inf - inf is nan, as in _signs
+            slacks = tails * tails - (heads * heads).sum(axis=0)
+        return images, np.array([tails, slacks])
+    images = _object_dot(M, K._ray_array.T)  # column j: M g_j
+    return images, _object_dot(K._facet_array, images)  # [i, j]: h_i . M g_j
+
+
+def _maps_into_by_sign(M: np.ndarray, K: Cone, interior: bool, trials: int,
+                       seed) -> bool:
+    """``_maps_into``'s status on the exact object array M, from the signs
+    of its ``_comparisons`` alone: does M map K into K, or into its
+    interior when ``interior``?"""
+    points = (_soc_probe_points(K, trials, tuple(flatten_seed(seed)))
+              if K.kind == SECOND_ORDER else None)
+    values = _comparisons(M, K, points)[1]
+    return bool((values > 0).all() if interior else (values >= 0).all())
+
+
 def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
                trials: int, seed) -> Verdict:
     """Does A map nonzero points of K into K, or into its interior when
@@ -403,18 +441,25 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
     where an interior test with a sign in the tolerance band and no
     refutation is ``unknown``; other cones pair the image of every extreme
     ray with every facet normal, strictly (with the ray's own norm as a
-    floor on the scale) when ``interior``.  The images of all points or
-    rays are one object-array product, and so are their pairings with the
-    facet normals."""
+    floor on the scale) when ``interior``.  The comparisons are those of
+    ``_comparisons``, but for the first probe point, whose image is taken
+    on its own by ``_dot`` (which ``_object_dot`` equals bit for bit) and
+    signed by ``_signs``, so a refutation there costs one image."""
     if A.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
     if K.kind == SECOND_ORDER:
         points = _soc_probe_points(K, trials, tuple(flatten_seed(seed)))
-        images = _object_dot(A.to_objects(),
-                             np.array(points, dtype=object).T).T.tolist()
+
+        def probe_signs():
+            yield points[0], _signs(K, [_dot(r, points[0]) for r in A.rows],
+                                    tol)
+            images, values = _comparisons(A.to_objects(), K, points[1:])
+            for x, y, (tail, slack) in zip(points[1:], images.T.tolist(),
+                                           values.T.tolist()):
+                yield x, _soc_signs(y, tail, slack, tol)
+
         undecided = None
-        for x, y in zip(points, images):
-            signs = _signs(K, y, tol)
+        for x, signs in probe_signs():
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
             if interior and undecided is None and Sign.INDETERMINATE in signs:
@@ -422,8 +467,7 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
         if undecided is not None:
             return Verdict(UNKNOWN, witness=("point", undecided))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
-    images = _object_dot(A.to_objects(), K._ray_array.T)  # column j: A g_j
-    pairings = _object_dot(K._facet_array, images)  # [i, j]: h_i . A g_j
+    images, pairings = _comparisons(A.to_objects(), K)
     floors = K._ray_floors if interior else itertools.repeat(0.0)
     facets = list(zip(K.facet_normals, K._facet_norms))
     led = InequalityLedger(tol)
@@ -470,6 +514,16 @@ def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
     if verdict.status == HOLDS and kn.status == HOLDS_SAMPLED:
         return Verdict(HOLDS_SAMPLED, margin=verdict.margin, witness=verdict.witness)
     return verdict
+
+
+def _k_irreducible_by_sign(M: np.ndarray, K: Cone, trials: int,
+                           seed) -> bool:
+    """``_k_irreducible_given``'s status on the exact object array M, which
+    maps K into K, by sign alone: does (I + M)^(n-1) map the nonzero
+    points of K into int K?"""
+    n = len(M)
+    B = _object_power(np.identity(n, dtype=object) + M, n - 1)
+    return _maps_into_by_sign(B, K, True, trials, seed)
 
 
 @dataclass(frozen=True)

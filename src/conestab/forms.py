@@ -12,6 +12,10 @@ here implement the refutation side of the cone-positivity hierarchy:
 
 The four sampled checks share one refutation loop, ``_sampled_check``;
 quadratic forms and Hessians share one self-dual dichotomy, ``_dichotomy``.
+A trial on exact data first decides by the signs of the products its
+kernel forms (the ``_by_sign`` rules, each beside its kernel); a trial
+that passes builds no verdict, and any other runs the kernel, whose
+verdict the report keeps.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ import numpy as np
 
 # matrix_k_irreducible and perron_frobenius_check are unused here but stay
 # bound: perfbench/tracing.py wraps them by this module's name.
-from .cones import (SECOND_ORDER, Cone, _k_irreducible_given,  # noqa: F401
-                    _rng, extreme_ray_reps, interior_contains,
-                    matrix_k_irreducible, matrix_k_nonnegative,
-                    perron_frobenius_check, sample_cone, sample_interior)
+from .cones import (SECOND_ORDER, Cone, _k_irreducible_by_sign,  # noqa: F401
+                    _k_irreducible_given, _maps_into_by_sign, _rng,
+                    extreme_ray_reps, interior_contains, matrix_k_irreducible,
+                    matrix_k_nonnegative, perron_frobenius_check, sample_cone,
+                    sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _object_dot,
                        all_exact, exact_div, int_from_json, scalar_from_json,
                        sym_eigs)
-from .sequences import is_log_concave
+from .sequences import _log_concave_by_sign, is_log_concave, is_univariate_clc
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
@@ -236,12 +241,32 @@ def _quadratic_check(Q2: SquareMatrix, K: Cone, tol: Tolerance, trials: int,
     return report
 
 
+def _halved_eigenvalues(Q2: SquareMatrix) -> list:
+    """The eigenvalues of Q = Q2 / 2, descending."""
+    return [v / 2 for v in sym_eigs(Q2)[0]]
+
+
+def _ray_pairings(Q2: SquareMatrix, K: Cone) -> np.ndarray:
+    """G Q2 G^T over the extreme rays of the orthant or polyhedral K:
+    entry [i, j] is g_i . Q2 g_j."""
+    G = K._ray_array
+    return _object_dot(G, _object_dot(Q2.to_objects(), G.T))
+
+
+def _pairing_by_sign(Q2: SquareMatrix, K: Cone) -> bool:
+    """The pairing status of ``_quadratic_verdict`` on the exact Q2 over
+    the orthant or polyhedral K, by sign alone: is every ray pairing
+    >= 0?"""
+    return bool((_ray_pairings(Q2, K) >= 0).all())
+
+
 def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
-                       trials: int, seed):
+                       trials: int, seed, vals=None):
     """``_quadratic_check`` without the self-dual details, which no
     verdict reads.  Also returns the number of eigenvalues in the zero
     band, or None when the eigenvalue count alone decided (no pairing was
-    computed).
+    computed).  ``vals`` are Q's eigenvalues (``_halved_eigenvalues``),
+    when the caller has taken them.
 
     The report carries Q's values: the eigenvalues of 2Q are halved
     (exactly, in binary), and the pairing ledger reads x^T 2Q y against a
@@ -249,7 +274,8 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
     margin is that of x^T Q y."""
     if Q2.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
-    vals = [v / 2 for v in sym_eigs(Q2)[0]]
+    if vals is None:
+        vals = _halved_eigenvalues(Q2)
     pos, band = _eig_positive_count(vals, tol)
     details = {"eigenvalues": vals}
     if pos > 1:
@@ -276,8 +302,7 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
                         scale=2 * sum(abs(c) for c in x) ** 2)
     else:
         reps = extreme_ray_reps(K)
-        G = K._ray_array
-        pairings = _object_dot(G, _object_dot(Q2.to_objects(), G.T))
+        pairings = _ray_pairings(Q2, K)
         for gx, column in zip(reps, pairings.T.tolist()):
             for gy, val in zip(reps, column):  # val = gy . Q2 gx
                 led.require(val, 0, witness=("ray-pair", gx, gy),
@@ -327,6 +352,16 @@ def _dichotomy(Q: SquareMatrix, K: Cone, singular: bool, tol: Tolerance,
     except Inapplicable as e:
         return kn, Verdict(UNKNOWN if kn.is_unknown else FAILS,
                            witness=e.witness, note=str(e))
+
+
+def _dichotomy_by_sign(Q: SquareMatrix, K: Cone, singular: bool, trials: int,
+                      seed) -> bool:
+    """``_dichotomy``'s branch status on the exact Q, by sign alone: is Q
+    K-nonnegative and, when nonsingular, K-irreducible?  The comparisons
+    are those of the cone-matrix checks under the same trials and seed."""
+    M = Q.to_objects()
+    return (_maps_into_by_sign(M, K, False, trials, seed)
+            and (singular or _k_irreducible_by_sign(M, K, trials, seed)))
 
 
 def _sampled_check(check: str, trials: int, trial, noun: str,
@@ -403,8 +438,14 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         for a in dirs:
             q = q.dir_derivative(a)
         Q2 = q.hessian_at((0,) * q.n)
+        vals = _halved_eigenvalues(Q2)
+        if (Q2.is_exact and K.kind != SECOND_ORDER
+                and _eig_positive_count(vals, tol)[0] == 1
+                and _pairing_by_sign(Q2, K)):
+            return None
         inner_trials, inner_seed = max(8, trials // 10), [seed, t, 1]
-        inner, band = _quadratic_verdict(Q2, K, tol, inner_trials, inner_seed)
+        inner, band = _quadratic_verdict(Q2, K, tol, inner_trials, inner_seed,
+                                         vals)
         if inner.verdict.is_fails:
             # the dichotomy is reported for the refuted reduction only
             _add_dichotomy(inner, Q2, K, band, tol, inner_trials, inner_seed)
@@ -430,6 +471,12 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
     """
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
+    if f.is_zero:
+        # the Lorentzian class contains 0: the zero-polynomial convention
+        # of is_univariate_clc, with nothing sampled
+        return FormReport("clc-necessary",
+                          is_univariate_clc(UniPoly(), strict, tol),
+                          {"trials_run": 0})
     details = {"note": "boundary coverage is sampled and incomplete"}
     boundary_flagged = []
     rng = _rng(seed)
@@ -442,6 +489,8 @@ def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
             return None
         p = restrict_line(f, x, v)
         weighted = [math.factorial(k) * p.coeff(k) for k in range(f.d + 1)]
+        if p.is_exact and _log_concave_by_sign(weighted, strict):
+            return None
         verdict = is_log_concave(weighted, strict=strict, tol=tol)
         if verdict.is_fails:
             if strict and not (interior_contains(K, x, tol)
@@ -498,6 +547,10 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
         return H, sym_eigs(H)[0]
 
     def dichotomy(H, singular, t):
+        """None when the signs of an exact H show that its branch holds,
+        else ``_dichotomy``'s (kn, verdict)."""
+        if H.is_exact and _dichotomy_by_sign(H, K, singular, 32, [seed, t, 1]):
+            return None
         return _dichotomy(H, K, singular, tol, 32, [seed, t, 1])
 
     if f.d == 2:
@@ -519,14 +572,16 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
         if not K.is_self_dual:
             return None
         singular = band > 0
-        kn, sub = dichotomy(H, singular, t)
-        if sub.is_fails:
-            kind = "singular" if singular else "nonsingular"
-            prop = "irreducible" if kn.is_holds else "nonnegative"
-            return refuted({"point": a, "inner": sub.witness},
-                           f"{kind} Hessian is not K-{prop}")
-        if sub.is_unknown:
-            return UNKNOWN
+        outcome = dichotomy(H, singular, t)
+        if outcome is not None:
+            kn, sub = outcome
+            if sub.is_fails:
+                kind = "singular" if singular else "nonsingular"
+                prop = "irreducible" if kn.is_holds else "nonnegative"
+                return refuted({"point": a, "inner": sub.witness},
+                               f"{kind} Hessian is not K-{prop}")
+            if sub.is_unknown:
+                return UNKNOWN
         tallies["singular_nonnegative" if singular
                 else "nonsingular_irreducible"] += 1
         return None
@@ -539,7 +594,7 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
                             tol: Tolerance = DEFAULT_TOL) -> FormReport:
     """Sampled refutation of Hurwitz stability over the cone: every sampled
     interior line restriction must be Hurwitz-stable."""
-    from .hurwitz import routh_hurwitz_stable
+    from .hurwitz import _routh_by_sign, routh_hurwitz_stable
 
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
@@ -554,6 +609,8 @@ def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         p = restrict_line(f, x, v)
         if p.is_zero or p.degree < 1:
             return UNKNOWN
+        if p.is_exact and _routh_by_sign(p):
+            return None
         verdict = routh_hurwitz_stable(p, tol)
         if verdict.is_fails:
             return _line_refutation(verdict, x, v)

@@ -174,6 +174,16 @@ def routh_hurwitz_stable(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     return _minor_chain(p, range(p.degree + 1), range(1, p.degree), tol)
 
 
+def _routh_by_sign(p: UniPoly) -> bool:
+    """``routh_hurwitz_stable``'s status on the exact p of degree >= 1, by
+    sign alone: are the cleared coefficients > 0 and the minors
+    Delta_1..Delta_{d-1} of ``leading_minors`` > 0?  The Hadamard scales
+    of ``_scaled_minors`` only set margins, so none is taken."""
+    p = _positive_leading(p)
+    return (all(c > 0 for c in p.cleared[0])
+            and all(m > 0 for m in leading_minors(hurwitz_matrix(p))[:-1]))
+
+
 def _lc_indices(d: int, variant: int):
     """Coefficient and minor indices of an alternating-chain variant."""
     if variant in (1, 2):

@@ -254,19 +254,27 @@ class SquareMatrix:
 
 
 def matrix_power(M: SquareMatrix, k: int) -> SquareMatrix:
-    """M^k by repeated squaring.  M^0 is the identity, and no other power
-    is a product with it, so an int entry beside a Fraction or a float
-    stays an int."""
+    """M^k by repeated squaring (``_object_power``).  M^0 is the identity,
+    and no other power is a product with it, so an int entry beside a
+    Fraction or a float stays an int."""
+    return SquareMatrix(_object_power(M.to_objects(), k).tolist())
+
+
+def _object_power(a: np.ndarray, k: int) -> np.ndarray:
+    """The k-th power of the square object array a by repeated squaring,
+    each product an ``_object_dot``; the int identity when k is 0.  Every
+    product feeds the result, so an entry past the float range leaves a
+    non-finite entry in it."""
     if k < 0:
         raise ValueError("nonnegative powers only")
     out = None
-    base = M
+    base = a
     while k:
         if k & 1:
-            out = base if out is None else out @ base
-        base = base @ base if k > 1 else base
+            out = base if out is None else _object_dot(out, base)
+        base = _object_dot(base, base) if k > 1 else base
         k >>= 1
-    return SquareMatrix.identity(M.n) if out is None else out
+    return np.identity(len(a), dtype=object) if out is None else out
 
 
 def _integer_rows(rows):

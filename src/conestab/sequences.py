@@ -34,6 +34,17 @@ def is_log_concave(seq, strict: bool = False, tol: Tolerance = DEFAULT_TOL) -> V
     return led.verdict()
 
 
+def _log_concave_by_sign(seq, strict: bool = False) -> bool:
+    """``is_log_concave``'s status on the exact nonempty ``seq``, by sign
+    alone: every entry > 0 and a_k^2 >= a_{k-1} a_{k+1} (strict: >)."""
+    if not all(a > 0 for a in seq):
+        return False
+    triples = zip(seq, seq[1:], seq[2:])
+    if strict:
+        return all(b * b > a * c for a, b, c in triples)
+    return all(b * b >= a * c for a, b, c in triples)
+
+
 def is_ultra_log_concave(seq, strict: bool = False,
                          tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Binomial-normalized log-concavity of c_0..c_n: entries nonnegative and

@@ -186,6 +186,27 @@ class TestFormCommand:
         status = rep["checks"]["lorentzian_sampled"]["verdict"]["status"]
         assert status.endswith("-sampled") or status in ("fails", "unknown")
 
+    @pytest.mark.parametrize("cone", [
+        None, {"type": "polyhedral", "generators": [[1, 0, 1], [0, 1, 1],
+                                                    [-1, 0, 1], [0, -1, 1]]}],
+        ids=["orthant", "pyramid"])
+    def test_zero_form_holds_by_convention(self, tmp_path, cone):
+        # 0 is in the Lorentzian class: clc_necessary takes the zero
+        # polynomial convention of is_univariate_clc and samples nothing;
+        # the other checks leave every degree-0 reduction undecided
+        args = ["form", "--trials", "10"]
+        if cone is not None:
+            (tmp_path / "cone.json").write_text(json.dumps(cone))
+            args += ["--cone", str(tmp_path / "cone.json")]
+        checks = run_json(args, {"n": 3, "d": 4, "terms": []})["checks"]
+        assert checks["clc_necessary"] == {
+            "check": "clc-necessary", "details": {"trials_run": 0},
+            "verdict": {"note": "zero polynomial convention",
+                        "status": "holds"}}
+        for name in ("lorentzian_sampled", "hessian_signature",
+                     "hurwitz_over_cone"):
+            assert checks[name]["verdict"]["status"] == "unknown"
+
     def test_dimension_mismatch_is_input_error(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 5}))

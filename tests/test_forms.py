@@ -385,19 +385,39 @@ def count_cone_matrix_checks(monkeypatch) -> dict:
     return calls
 
 
+def diagonal_quadratic(coefs) -> MultiForm:
+    n = len(coefs)
+    return MultiForm(n, 2, {tuple(2 * (j == i) for j in range(n)): c
+                            for i, c in enumerate(coefs)})
+
+
 class TestConeMatrixVerdictsComputedOnce:
-    def test_hessian_check_one_verdict_of_each_per_trial(self, monkeypatch):
-        # -x1^2 - x2^2 - x3^2 + x4^2: a constant nonsingular Hessian
-        f = MultiForm(4, 2, {(2, 0, 0, 0): -1, (0, 2, 0, 0): -1,
-                             (0, 0, 2, 0): -1, (0, 0, 0, 2): 1})
+    @pytest.mark.parametrize("coefs, K, expected", [
+        # -x1^2 - x2^2 - x3^2 + x4^2: a constant nonsingular Hessian,
+        # K-irreducible over the second-order cone
+        ((-1, -1, -1, 1), Cone.second_order(4), {}),
+        # its negative diagonal is not K-nonnegative over the orthant
+        ((-1, -1, -1, 1), Cone.orthant(4), {"matrix_k_nonnegative": 1}),
+        # x1^2 - x2^2 - x3^2 - x4^2 maps the cone's axis out of the cone
+        ((1, -1, -1, -1), Cone.second_order(4), {"matrix_k_nonnegative": 1}),
+    ], ids=["holds", "orthant-refuted", "second-order-refuted"])
+    def test_hessian_check_verdicts_only_for_the_refuting_trial(
+            self, monkeypatch, coefs, K, expected):
+        # a passing exact trial decides by sign and builds no cone-matrix
+        # verdict; the refuting trial builds the kernel's, once
         calls = count_cone_matrix_checks(monkeypatch)
         trials = 3
-        rep = hessian_signature_check(f, Cone.second_order(4), trials=trials,
-                                      seed=5)
-        assert rep.verdict.status == "holds-sampled"
-        assert rep.details["tallies"]["nonsingular_irreducible"] == trials
-        assert calls == {"matrix_k_nonnegative": trials,
-                         "matrix_k_positive": trials}
+        rep = hessian_signature_check(diagonal_quadratic(coefs), K,
+                                      trials=trials, seed=5)
+        if expected:
+            assert rep.verdict.status == "fails"
+            assert rep.details["trials_run"] == 1
+            assert rep.details["tallies"]["nonsingular_irreducible"] == 0
+        else:
+            assert rep.verdict.status == "holds-sampled"
+            assert rep.details["tallies"]["nonsingular_irreducible"] == trials
+        assert calls == {"matrix_k_nonnegative": 0, "matrix_k_positive": 0,
+                         **expected}
 
     @pytest.mark.parametrize("Q, K", [
         (SquareMatrix.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0],
@@ -1124,22 +1144,25 @@ QUADRATICS = {
 
 class TestQuadraticHessianOnce:
     """A quadratic's Hessian and its eigenvalues are computed at the first
-    trial, and off the second-order cone so is its dichotomy; the report
-    is that of the per-trial loop."""
+    trial, and off the second-order cone so is its dichotomy's sign
+    decision; the report is that of the per-trial loop."""
 
-    @pytest.mark.parametrize("f, K, dichotomies", [
+    @pytest.mark.parametrize("f, K, sign_decisions", [
         (QUADRATICS["e2_3"], Cone.orthant(3), 1),
         (LORENTZ_4, Cone.second_order(4), 5),
     ], ids=["orthant", "second_order"])
-    def test_call_counts(self, monkeypatch, f, K, dichotomies):
-        calls = {"hessian_at": 0, "sym_eigs": 0, "_dichotomy": 0}
+    def test_call_counts(self, monkeypatch, f, K, sign_decisions):
+        # every trial passes by sign, so none builds the dichotomy's verdicts
+        calls = {"hessian_at": 0, "sym_eigs": 0, "_dichotomy": 0,
+                 "_dichotomy_by_sign": 0}
         count_calls(monkeypatch, MultiForm, "hessian_at", calls)
         count_calls(monkeypatch, forms, "sym_eigs", calls)
         count_calls(monkeypatch, forms, "_dichotomy", calls)
+        count_calls(monkeypatch, forms, "_dichotomy_by_sign", calls)
         rep = hessian_signature_check(f, K, trials=5, seed=2)
         assert rep.details["tallies"]["nonsingular_irreducible"] == 5
-        assert calls == {"hessian_at": 1, "sym_eigs": 1,
-                         "_dichotomy": dichotomies}
+        assert calls == {"hessian_at": 1, "sym_eigs": 1, "_dichotomy": 0,
+                         "_dichotomy_by_sign": sign_decisions}
 
     @pytest.mark.parametrize("name", sorted(QUADRATICS) + ["lorentz_4"])
     @pytest.mark.parametrize("kind", ["orthant", "second_order",
@@ -1154,3 +1177,68 @@ class TestQuadraticHessianOnce:
         once = hessian_signature_check(f, K, trials=6, seed=[4, 1])
         monkeypatch.setattr(forms, "_first_call", lambda fn: fn)
         assert once == hessian_signature_check(f, K, trials=6, seed=[4, 1])
+
+
+def without_sign_stage(monkeypatch):
+    """Every sign rule of the form checks reads "not decided", so each
+    trial runs its kernel."""
+    for owner, name in ((forms, "_dichotomy_by_sign"),
+                        (forms, "_pairing_by_sign"),
+                        (forms, "_log_concave_by_sign"),
+                        (hurwitz, "_routh_by_sign")):
+        monkeypatch.setattr(owner, name, lambda *args: False)
+
+
+SIGN_STAGE_FORMS = {
+    "e3_4": E3_4,
+    "e3_4_float": MultiForm(4, 3, {e: 1.0 for e in E3_4.terms}),
+    "lorentz_4": LORENTZ_4,
+    "lorentz_4_float": MultiForm(4, 2, {e: float(c)
+                                        for e, c in LORENTZ_4.terms.items()}),
+    # refuted on every cone: its first quadratic reduction has more than
+    # one positive eigenvalue
+    "cubic": MultiForm(4, 3, {(3, 0, 0, 0): 1, (1, 2, 0, 0): -3,
+                              (0, 0, 3, 0): 1, (0, 0, 0, 3): 1}),
+    "rational": MultiForm(4, 3, {e: Fraction(3, 2) for e in E3_4.terms}),
+}
+SIGN_STAGE_CONES = {
+    "orthant": Cone.orthant(4),
+    "polyhedral": Cone.polyhedral([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                   (0, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 1)]),
+    "second_order": Cone.second_order(4),
+}
+
+
+def form_check_reports(f, K) -> list:
+    """The reports of the four sampled form checks, clc_necessary in both
+    modes, at 8 trials."""
+    return [lorentzian_sample_check(f, K, trials=8, seed=[1, 1]),
+            clc_necessary_check(f, K, trials=8, seed=[1, 2]),
+            clc_necessary_check(f, K, trials=8, seed=[1, 2], strict=True),
+            hessian_signature_check(f, K, trials=8, seed=[1, 3]),
+            hurwitz_over_cone_check(f, K, trials=8, seed=[1, 4])]
+
+
+class TestSignStage:
+    """A trial on exact data first decides by sign; one that passes builds
+    no verdict, and any other runs the kernel, whose verdict the report
+    keeps.  So every report equals the report of the kernels alone."""
+
+    @pytest.mark.parametrize("name", sorted(SIGN_STAGE_FORMS))
+    @pytest.mark.parametrize("kind", sorted(SIGN_STAGE_CONES))
+    def test_reports_equal_those_of_the_kernels(self, monkeypatch, name,
+                                                kind):
+        f, K = SIGN_STAGE_FORMS[name], SIGN_STAGE_CONES[kind]
+        signed = form_check_reports(f, K)
+        without_sign_stage(monkeypatch)
+        assert signed == form_check_reports(f, K)
+
+    def test_exact_refutations_follow_passing_trials(self):
+        # refutations after the first trial, whose earlier trials passed
+        # by sign, so the equality above covers both stages in one report
+        late = {rep.check
+                for name, f in SIGN_STAGE_FORMS.items() if f.is_exact
+                for K in SIGN_STAGE_CONES.values()
+                for rep in form_check_reports(f, K)
+                if rep.verdict.is_fails and rep.details.get("trials_run", 1) > 1}
+        assert late == {"clc-necessary", "hurwitz-over-cone"}

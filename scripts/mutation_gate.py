@@ -48,6 +48,7 @@ HURWITZ_MINORS = (
     "tests/test_hurwitz.py::TestHurwitzMinorsFromCoefficients")
 SHAPED_MINORS = ("tests/test_numerics.py::TestBareissKernel::"
                  "test_hurwitz_shaped_minors_match_cofactor_oracle")
+RAY_WITNESSES = "tests/test_lorentzian_rays.py::TestWitnesses::"
 
 MUTANTS = (
     Mutant("routh-divisor", "numerics.py",
@@ -162,6 +163,18 @@ MUTANTS = (
            "return images, np.array([slacks, slacks])",
            ("tests/test_sign_rules.py::TestConeMatrices::"
             "test_minus_identity_reverses_the_second_order_tail",)),
+    Mutant("lorentzian-without-sign-test", "forms.py",
+           "        if terms[exp] < 0:\n",
+           "        if False:\n",
+           (RAY_WITNESSES + "test_negative_coefficient",)),
+    Mutant("lorentzian-without-exchange", "forms.py",
+           "exchange = _exchange_failure(support)",
+           "exchange = None",
+           (RAY_WITNESSES + "test_support_without_the_exchange_property",)),
+    Mutant("lorentzian-admits-no-positive-eigenvalue", "forms.py",
+           "if k > 1:",
+           "if k > 0:",
+           (RAY_WITNESSES + "test_elementary_symmetric_forms_hold",)),
     Mutant("margin-inverted", "verdict.py",
            "self._margin = Fraction(self._slack, self._scale)",
            "self._margin = Fraction(self._scale, self._slack)",

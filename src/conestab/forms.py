@@ -6,9 +6,12 @@ here implement the refutation side of the cone-positivity hierarchy:
 * quadratic forms get an exact verdict over polyhedral cones (one positive
   eigenvalue plus nonnegative pairing on extreme rays) and a sampled one
   over second-order cones;
-* higher-degree checks reduce through sampled interior directional
-  derivatives or line restrictions, so their non-refuted verdicts are
-  "holds-sampled" -- sampling can refute but never certify.
+* the Lorentzian property of an exact form of higher degree over the
+  orthant or a polyhedral cone is decided exactly, by Branden-Huh's
+  finite test of the form composed with the extreme rays;
+* every other higher-degree check reduces through sampled interior
+  directional derivatives or line restrictions, so its non-refuted
+  verdicts are "holds-sampled" -- sampling can refute but never certify.
 
 The four sampled checks share one refutation loop, ``_sampled_check``;
 quadratic forms and Hessians share one self-dual dichotomy, ``_dichotomy``.
@@ -21,21 +24,23 @@ verdict the report keeps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # matrix_k_irreducible and perron_frobenius_check are unused here but stay
 # bound: perfbench/tracing.py wraps them by this module's name.
-from .cones import (SECOND_ORDER, Cone, _k_irreducible_by_sign,  # noqa: F401
-                    _k_irreducible_given, _maps_into_by_sign, _rng,
-                    extreme_ray_reps, interior_contains, matrix_k_irreducible,
+from .cones import (ORTHANT, SECOND_ORDER, Cone,  # noqa: F401
+                    _k_irreducible_by_sign, _k_irreducible_given,
+                    _maps_into_by_sign, _rng, extreme_ray_reps,
+                    interior_contains, matrix_k_irreducible,
                     matrix_k_nonnegative, perron_frobenius_check, sample_cone,
                     sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _object_dot,
-                       all_exact, exact_div, int_from_json, scalar_from_json,
-                       sym_eigs)
+                       all_exact, exact_div, int_from_json,
+                       positive_eigenvalue_count, scalar_from_json, sym_eigs)
 from .sequences import _log_concave_by_sign, is_log_concave, is_univariate_clc
 from .unipoly import UniPoly
 from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
@@ -253,20 +258,12 @@ def _ray_pairings(Q2: SquareMatrix, K: Cone) -> np.ndarray:
     return _object_dot(G, _object_dot(Q2.to_objects(), G.T))
 
 
-def _pairing_by_sign(Q2: SquareMatrix, K: Cone) -> bool:
-    """The pairing status of ``_quadratic_verdict`` on the exact Q2 over
-    the orthant or polyhedral K, by sign alone: is every ray pairing
-    >= 0?"""
-    return bool((_ray_pairings(Q2, K) >= 0).all())
-
-
 def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
-                       trials: int, seed, vals=None):
+                       trials: int, seed):
     """``_quadratic_check`` without the self-dual details, which no
     verdict reads.  Also returns the number of eigenvalues in the zero
     band, or None when the eigenvalue count alone decided (no pairing was
-    computed).  ``vals`` are Q's eigenvalues (``_halved_eigenvalues``),
-    when the caller has taken them.
+    computed).
 
     The report carries Q's values: the eigenvalues of 2Q are halved
     (exactly, in binary), and the pairing ledger reads x^T 2Q y against a
@@ -274,8 +271,7 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
     margin is that of x^T Q y."""
     if Q2.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
-    if vals is None:
-        vals = _halved_eigenvalues(Q2)
+    vals = _halved_eigenvalues(Q2)
     pos, band = _eig_positive_count(vals, tol)
     details = {"eigenvalues": vals}
     if pos > 1:
@@ -417,11 +413,19 @@ def _nonnegative_on_cone(f: MultiForm, K: Cone, tol: Tolerance,
 
 def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
                             tol: Tolerance = DEFAULT_TOL) -> FormReport:
-    """Sampled refutation of the Lorentzian property: reduce f to a
-    quadratic along tuples of interior directions and run the quadratic
-    check; the first refuted tuple is the witness."""
+    """The Lorentzian property of f over K.  The zero form holds by
+    convention; degree <= 1 is nonnegativity on K and degree 2 the
+    quadratic check.  From degree 3 an exact f over the orthant or a
+    polyhedral K is decided over the extreme rays
+    (``_lorentzian_over_rays``); any other f is reduced to quadratics along
+    tuples of sampled interior directions (``_sampled_reductions``)."""
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
+    if f.is_zero:
+        # the Lorentzian class contains 0, as in clc_necessary_check
+        return FormReport("lorentzian-sampled",
+                          Verdict(HOLDS, note="zero polynomial convention"),
+                          {"trials_run": 0})
     if f.d <= 1:
         return _nonnegative_on_cone(f, K, tol, trials, seed)
     if f.d == 2:
@@ -429,7 +433,16 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         inner = _quadratic_check(f.hessian_at((0,) * f.n), K, tol, trials,
                                  seed)
         return FormReport("lorentzian-sampled", inner.verdict, inner.details)
+    if f.is_exact and K.kind != SECOND_ORDER:
+        return _lorentzian_over_rays(f, K)
+    return _sampled_reductions(f, K, trials, seed, tol)
 
+
+def _sampled_reductions(f: MultiForm, K: Cone, trials: int, seed,
+                        tol: Tolerance) -> FormReport:
+    """Sampled refutation of the Lorentzian property of f, d >= 3: reduce
+    f to a quadratic along tuples of interior directions and run the
+    quadratic check; the first refuted tuple is the witness."""
     rng = _rng(seed)
 
     def trial(t):
@@ -438,14 +451,8 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         for a in dirs:
             q = q.dir_derivative(a)
         Q2 = q.hessian_at((0,) * q.n)
-        vals = _halved_eigenvalues(Q2)
-        if (Q2.is_exact and K.kind != SECOND_ORDER
-                and _eig_positive_count(vals, tol)[0] == 1
-                and _pairing_by_sign(Q2, K)):
-            return None
         inner_trials, inner_seed = max(8, trials // 10), [seed, t, 1]
-        inner, band = _quadratic_verdict(Q2, K, tol, inner_trials, inner_seed,
-                                         vals)
+        inner, band = _quadratic_verdict(Q2, K, tol, inner_trials, inner_seed)
         if inner.verdict.is_fails:
             # the dichotomy is reported for the refuted reduction only
             _add_dichotomy(inner, Q2, K, band, tol, inner_trials, inner_seed)
@@ -456,6 +463,139 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
 
     return _sampled_check("lorentzian-sampled", max(1, trials), trial,
                           "reductions", {})
+
+
+def _lorentzian_over_rays(f: MultiForm, K: Cone) -> FormReport:
+    """The exact decision for the exact f of degree d >= 3 over the orthant
+    or the polyhedral K: f is K-Lorentzian iff g = f o G is Lorentzian on
+    R^m_+, G the n x m matrix of the extreme ray reps (README, "Exact
+    Lorentzian decisions").  By Branden-Huh (Ann. Math. 192, 2020, Thm
+    2.25) g is Lorentzian iff, in this order,
+
+    1. every coefficient of g is >= 0;
+    2. the support of g is M-convex;
+    3. for each alpha with |alpha| = d - 2, the constant Hessian of
+       d^alpha g has at most one positive eigenvalue.
+
+    The first failure is the witness, in the coordinates of g: y_j is the
+    weight of the j-th extreme ray."""
+    rays = extreme_ray_reps(K)
+    terms = f.terms if K.kind == ORTHANT else _composed_terms(f, rays)
+    details = {"rays": len(rays), "quadratics": 0, "trials_run": 0}
+
+    def report(status, note, witness=None):
+        return FormReport("lorentzian-sampled",
+                          Verdict(status, witness=witness, note=note), details)
+
+    support = sorted(terms)
+    for exp in support:
+        if terms[exp] < 0:
+            return report(FAILS, "f o G has a negative coefficient",
+                          ("coefficient", exp, terms[exp]))
+    exchange = _exchange_failure(support)
+    if exchange is not None:
+        return report(FAILS, "the support of f o G is not M-convex",
+                      ("exchange", *exchange))
+    for alpha, H in sorted(_alpha_hessians(terms).items()):
+        details["quadratics"] += 1
+        k = positive_eigenvalue_count(H) if len(H) > 1 else 0
+        if k > 1:
+            return report(FAILS, "a (d-2)-nd partial of f o G has more than "
+                          "one positive eigenvalue",
+                          ("alpha-positive-eigenvalues", alpha, k))
+    return report(HOLDS, "f o G is Lorentzian (Branden-Huh, Thm 2.25)")
+
+
+def _composed_terms(f: MultiForm, rays) -> dict:
+    """The nonzero terms of g(y) = f(sum_j y_j rays[j])."""
+    m = len(rays)
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    # x_i = sum_j rays[j][i] y_j, and its powers as they are needed
+    powers = {(i, 1): {unit[j]: g[i] for j, g in enumerate(rays) if g[i]}
+              for i in range(f.n)}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = _product(power(i, e - 1), powers[i, 1])
+        return powers[i, e]
+
+    out = {}
+    for exp, c in f.terms.items():
+        poly = {(0,) * m: c}
+        for i, e in enumerate(exp):
+            if e:
+                poly = _product(poly, power(i, e))
+        for k, v in poly.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two sparse polynomials, exponent -> coefficient."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(operator.add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _exchange_failure(support: list):
+    """The first ``(alpha, beta, i)`` of the sorted support, in that
+    order, that breaks the exchange property of M-convex sets: alpha_i >
+    beta_i, and alpha - e_i + e_j lies outside the support for every j
+    with alpha_j < beta_j.  None when the support is M-convex.
+
+    The exponents are coded as the ints key(v) = sum_k v_k (d + 1)^k; on
+    the exchanges tested, alpha - e_i + e_j has entries in [0, d], so its
+    key is that of no other such vector."""
+    A = np.array(support, dtype=np.int64)
+    N, m = A.shape
+    d = int(A[0].sum())
+    w = np.array([(d + 1) ** k for k in range(m)],
+                 dtype=np.int64 if (d + 1) ** m < 2 ** 62 else object)
+    keys = A.dot(w)
+    # member[a, i, j]: is alpha_a - e_i + e_j in the support?
+    member = np.isin(keys[:, None, None] - w[:, None] + w[None, :], keys)
+    step = max(1, 2 ** 18 // (N * m * m))
+    for lo in range(0, N, step):
+        block = A[lo:lo + step, None, :]
+        below = (block < A[None, :, :]).astype(np.int64)  # alpha_j < beta_j
+        # exchanged[a, b, i]: some j with alpha_j < beta_j exchanges i
+        exchanged = np.matmul(below, member[lo:lo + step].transpose(0, 2, 1)
+                              .astype(np.int64))
+        broken = (block > A[None, :, :]) & (exchanged == 0)
+        if broken.any():
+            a, b, i = np.unravel_index(np.argmax(broken), broken.shape)
+            return support[lo + a], support[b], int(i)
+    return None
+
+
+def _alpha_hessians(terms: dict) -> dict:
+    """alpha -> the constant Hessian of d^alpha g over alpha!, with its zero
+    rows and columns dropped, for each alpha with |alpha| = d - 2 and
+    d^alpha g != 0.  Entry (i, j) is c_beta beta!/alpha!, beta = alpha +
+    e_i + e_j: c_beta beta_i beta_j off the diagonal, c_beta beta_i
+    (beta_i - 1) on it.  A positive factor and zero rows change no
+    positive eigenvalue."""
+    entries = {}
+    for beta, c in terms.items():
+        nz = [i for i, b in enumerate(beta) if b]
+        for p, i in enumerate(nz):
+            for j in nz[p:]:
+                if i == j and beta[i] < 2:
+                    continue
+                alpha = list(beta)
+                alpha[i] -= 1
+                alpha[j] -= 1
+                coef = beta[i] * (beta[j] - (i == j))
+                entries.setdefault(tuple(alpha), {})[i, j] = coef * c
+    out = {}
+    for alpha, H in entries.items():
+        idx = sorted({k for ij in H for k in ij})
+        out[alpha] = [[H.get((min(i, j), max(i, j)), 0) for j in idx]
+                      for i in idx]
+    return out
 
 
 def clc_necessary_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,

@@ -537,6 +537,17 @@ def _berkowitz(a) -> list:
     return p
 
 
+def positive_eigenvalue_count(rows) -> int:
+    """The number of positive eigenvalues, with multiplicity, of the exact
+    symmetric matrix ``rows``, counted exactly.  The characteristic
+    polynomial of a symmetric matrix has only real roots, so Descartes'
+    rule of signs is exact on it: its positive roots are the sign changes
+    of its coefficients, here those of the int matrix D rows
+    (:func:`_integer_rows`, D > 0) by :func:`_berkowitz`."""
+    signs = [c > 0 for c in _berkowitz(_integer_rows(rows)[0]) if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def char_poly(A: SquareMatrix):
     """Characteristic polynomial det(tI - A), monic, ascending coefficients,
     computed by :func:`_berkowitz` on every input.

@@ -191,20 +191,22 @@ class TestFormCommand:
                                                     [-1, 0, 1], [0, -1, 1]]}],
         ids=["orthant", "pyramid"])
     def test_zero_form_holds_by_convention(self, tmp_path, cone):
-        # 0 is in the Lorentzian class: clc_necessary takes the zero
-        # polynomial convention of is_univariate_clc and samples nothing;
-        # the other checks leave every degree-0 reduction undecided
+        # 0 is in the Lorentzian class: clc_necessary and
+        # lorentzian_sampled take the zero polynomial convention of
+        # is_univariate_clc and sample nothing; the other checks leave
+        # every degree-0 reduction undecided
         args = ["form", "--trials", "10"]
         if cone is not None:
             (tmp_path / "cone.json").write_text(json.dumps(cone))
             args += ["--cone", str(tmp_path / "cone.json")]
         checks = run_json(args, {"n": 3, "d": 4, "terms": []})["checks"]
-        assert checks["clc_necessary"] == {
-            "check": "clc-necessary", "details": {"trials_run": 0},
-            "verdict": {"note": "zero polynomial convention",
-                        "status": "holds"}}
-        for name in ("lorentzian_sampled", "hessian_signature",
-                     "hurwitz_over_cone"):
+        for name, check in (("clc_necessary", "clc-necessary"),
+                            ("lorentzian_sampled", "lorentzian-sampled")):
+            assert checks[name] == {
+                "check": check, "details": {"trials_run": 0},
+                "verdict": {"note": "zero polynomial convention",
+                            "status": "holds"}}
+        for name in ("hessian_signature", "hurwitz_over_cone"):
             assert checks[name]["verdict"]["status"] == "unknown"
 
     def test_dimension_mismatch_is_input_error(self, tmp_path):

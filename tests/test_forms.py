@@ -14,7 +14,8 @@ from conestab import (Cone, DimensionMismatch, MultiForm, SquareMatrix,
                       hurwitz_over_cone_check, is_log_concave,
                       lorentzian_sample_check, quadratic_lorentzian_check,
                       restrict_line, sym_eigs)
-from conestab.numerics import DEFAULT_TOL, Tolerance, exact_div
+from conestab.numerics import (DEFAULT_TOL, Tolerance, exact_div,
+                               positive_eigenvalue_count)
 from conestab.verdict import UNKNOWN, InequalityLedger, Verdict
 
 from conftest import form_through_line
@@ -286,10 +287,20 @@ class TestLorentzianSampleCheck:
         assert rep.verdict.status == "fails"
 
     def test_power_of_sum_holds_sampled(self):
+        # float coefficients take the sampled reductions
         for d in (3, 4, 5):
-            f = power_of_sum(2, d)
+            f = power_of_sum(2, d).scale(1.0)
             rep = lorentzian_sample_check(f, Cone.orthant(2), trials=15, seed=2)
             assert rep.verdict.status == "holds-sampled", d
+
+    def test_power_of_sum_holds_exactly(self):
+        # int coefficients are decided over the extreme rays
+        for d in (3, 4, 5):
+            rep = lorentzian_sample_check(power_of_sum(2, d), Cone.orthant(2),
+                                          trials=15, seed=2)
+            assert rep.verdict.status == "holds", d
+            assert rep.details == {"rays": 2, "quadratics": d - 1,
+                                   "trials_run": 0}
 
     def test_linear_form_degenerate_case(self):
         f = MultiForm(2, 1, {(1, 0): 1, (0, 1): 2})
@@ -436,18 +447,23 @@ class TestConeMatrixVerdictsComputedOnce:
 
 
 E3_4 = elementary_symmetric(4, 3)
-# x1^3 - 3 x1 x2^2, refuted at its first reduction over the orthant
+# x1^3 - 3 x1 x2^2: a negative coefficient, and with float coefficients
+# refuted at its first sampled reduction over the orthant
 CUBIC = MultiForm(2, 3, {(3, 0): 1, (1, 2): -3})
+CUBE_2, CUBE_3 = power_of_sum(2, 3), power_of_sum(3, 3)
 LORENTZ_4 = MultiForm(4, 2, {(2, 0, 0, 0): -1, (0, 2, 0, 0): -1,
                              (0, 0, 2, 0): -1, (0, 0, 0, 2): 1})
 
 
 class TestFormChecksComputeOnlyWhatTheyReport:
     @pytest.mark.parametrize("f, expected", [
-        (E3_4, {"matrix_k_nonnegative": 0, "matrix_k_positive": 0}),
+        # float coefficients, so that the reductions are sampled
+        (E3_4.scale(1.0), {"matrix_k_nonnegative": 0,
+                           "matrix_k_positive": 0}),
         # the refuted reduction's report carries K-nonnegativity, which
         # fails, so irreducibility is not asked
-        (CUBIC, {"matrix_k_nonnegative": 1, "matrix_k_positive": 0}),
+        (CUBIC.scale(1.0), {"matrix_k_nonnegative": 1,
+                            "matrix_k_positive": 0}),
     ])
     def test_dichotomy_only_for_the_refuted_reduction(self, monkeypatch,
                                                       f, expected):
@@ -523,12 +539,16 @@ SQ_X3 = MultiForm(3, 3, {(2, 0, 1): 1, (1, 1, 1): 2, (0, 2, 1): 1})
 # size about 10^3
 TINY = MultiForm(2, 3, {(2, 1): 1e-21, (1, 2): 1e-21})
 ZERO = MultiForm(2, 2, {})
+# the same cubics with float coefficients take the sampled reductions
+CUBIC_FLOAT, CUBE_2_FLOAT = CUBIC.scale(1.0), CUBE_2.scale(1.0)
+# 3 x3^3 + x1^2 x3 over the square pyramid: the quadratic d^alpha (f o G)
+# of the ray (1, 0, 1) has two positive eigenvalues
+PYRAMID = Cone.polyhedral([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
+PYRAMID_CUBIC = MultiForm(3, 3, {(0, 0, 3): 3, (2, 0, 1): 1})
 # x1 x2 - x2^2 / 2e12: a nonsingular Hessian with one positive eigenvalue
 # whose K-nonnegativity is undecided on its float band entry -1e-12
 KN_BAND = MultiForm(2, 2, {(1, 1): 1, (0, 2): -0.5e-12})
 E2 = elementary_symmetric_2()
-CUBE_2, CUBE_3 = power_of_sum(2, 3), power_of_sum(3, 3)
-
 LOR, CLC = "lorentzian_sample_check", "clc_necessary_check"
 HES, HUR = "hessian_signature_check", "hurwitz_over_cone_check"
 NONE_FOUND = "refutation sampled, none found"
@@ -536,6 +556,9 @@ QUAD = ("dichotomy", "dichotomy_branch", "eigenvalues", "k_nonnegative",
         "pairing", "singular")
 HIT = ("inner", "v", "x")
 TALLY = ("tallies", "trials_run")
+RAYS = ("quadratics", "rays", "trials_run")
+ZERO_CONVENTION = ("holds", "zero polynomial convention", 0, None,
+                   ("trials_run",), None)
 LINE = ("note", "trials_run")
 BOUNDARY = ("boundary_note", "boundary_violations", "note", "trials_run")
 
@@ -565,6 +588,10 @@ BRANCHES = [
      ("fails", None, None, "ray", ("degenerate_degree",), None)),
     ("lorentzian/linear/soc", (LOR, LINEAR, Cone.second_order(2), False),
      ("holds-sampled", None, None, "point", ("degenerate_degree",), None)),
+    # ... the zero form holds by convention at every degree and cone
+    ("lorentzian/zero/orthant", (LOR, ZERO, O2, False), ZERO_CONVENTION),
+    ("lorentzian/zero/soc", (LOR, ZERO, Cone.second_order(2), False),
+     ZERO_CONVENTION),
     # ... degree 2 is the quadratic check
     ("lorentzian/sum-sq/orthant", (LOR, SUM_SQ, O2, False),
      ("fails", "more than one positive eigenvalue", None,
@@ -582,14 +609,30 @@ BRANCHES = [
       None, None, QUAD, None)),
     ("lorentzian/lorentz4/soc", (LOR, LORENTZ_4, Cone.second_order(4), False),
      ("holds-sampled", None, None, None, QUAD, None)),
-    # ... degree >= 3 samples reductions
+    # ... from degree 3 an exact form off the second-order cone is
+    # decided over the extreme rays
     ("lorentzian/cubic/orthant", (LOR, CUBIC, O2, False),
+     ("fails", "f o G has a negative coefficient", 0, "coefficient", RAYS,
+      None)),
+    ("lorentzian/diag-cubic/orthant", (LOR, DIAG_CUBIC, O2, False),
+     ("fails", "the support of f o G is not M-convex", 0, "exchange", RAYS,
+      None)),
+    ("lorentzian/pyramid-cubic/pyramid", (LOR, PYRAMID_CUBIC, PYRAMID, False),
+     ("fails", "a (d-2)-nd partial of f o G has more than one positive "
+      "eigenvalue", 0, "alpha-positive-eigenvalues", RAYS, None)),
+    ("lorentzian/cube2/orthant", (LOR, CUBE_2, O2, False),
+     ("holds", "f o G is Lorentzian (Branden-Huh, Thm 2.25)", 0, None, RAYS,
+      None)),
+    # ... and any other form samples reductions
+    ("lorentzian/cubic-float/orthant", (LOR, CUBIC_FLOAT, O2, False),
      ("fails", None, 1, ("directions", "inner"),
       ("inner_details", "trials_run"), None)),
     ("lorentzian/tiny/orthant", (LOR, TINY, O2, False),
      ("unknown", "8/8 reductions indeterminate", 8, None, ("trials_run",),
       None)),
-    ("lorentzian/cube2/orthant", (LOR, CUBE_2, O2, False),
+    ("lorentzian/cube2-float/orthant", (LOR, CUBE_2_FLOAT, O2, False),
+     ("holds-sampled", NONE_FOUND, 8, None, ("trials_run",), None)),
+    ("lorentzian/cube2/soc", (LOR, CUBE_2, Cone.second_order(2), False),
      ("holds-sampled", NONE_FOUND, 8, None, ("trials_run",), None)),
     # clc_necessary_check
     ("clc/cubic/orthant", (CLC, CUBIC, O2, False),
@@ -688,7 +731,7 @@ class TestFormCheckBranches:
             assert perron.eigenvector_interior
 
     def test_refuted_reduction_carries_the_dichotomy(self):
-        rep = lorentzian_sample_check(CUBIC, O2, trials=8, seed=0)
+        rep = lorentzian_sample_check(CUBIC_FLOAT, O2, trials=8, seed=0)
         assert tuple(sorted(rep.details["inner_details"])) == QUAD
         assert (rep.details["inner_details"]["dichotomy"].note
                 == "not K-nonnegative")
@@ -790,11 +833,61 @@ def positive_count(M):
     return None if pos == 0 and max(vals) >= -band else pos
 
 
+def exact_positive_count(M):
+    """positive_count, counted exactly when every entry of M is exact:
+    a small positive eigenvalue of a large exact matrix may fall inside
+    the float band.  The exact count is checked against eigvalsh in
+    test_lorentzian_rays."""
+    if all(isinstance(v, (int, Fraction)) for r in M for v in r):
+        return positive_eigenvalue_count(M)
+    return positive_count(M)
+
+
 def image_outside(K, y):
     """y is outside the self-dual cone K."""
     if K.kind == "second_order":
         return y[-1] < 0 or y[-1] ** 2 < sum(c * c for c in y[:-1])
     return min(y) < 0
+
+
+def ray_derivative(f, K, beta):
+    """D_{g_1}^{beta_1} ... D_{g_m}^{beta_m} f over the extreme rays g_j of
+    K: the form d^beta (f o G) o G^-1, by MultiForm.dir_derivative.  Its
+    degree is d - |beta|; at |beta| = d it is the constant beta! c_beta of
+    the coefficient c_beta of f o G."""
+    for g, b in zip(cones.extreme_ray_reps(K), beta):
+        for _ in range(b):
+            f = f.dir_derivative(g)
+    return f
+
+
+def reverify_over_rays(f, K, w):
+    """Re-derive a witness of the exact decision over the extreme rays by
+    ray_derivative and numpy's eigvalsh."""
+    def coefficient(beta):  # beta! c_beta
+        return ray_derivative(f, K, beta).eval((0,) * f.n)
+
+    if w[0] == "coefficient":
+        beta, c = w[1:]
+        assert c < 0 and coefficient(beta) == c * math.prod(
+            map(math.factorial, beta))
+    elif w[0] == "exchange":
+        alpha, beta, i = w[1:]
+        assert coefficient(alpha) != 0 and coefficient(beta) != 0
+        assert alpha[i] > beta[i]
+        for j in range(len(alpha)):
+            if alpha[j] < beta[j]:
+                swapped = list(alpha)
+                swapped[i] -= 1
+                swapped[j] += 1
+                assert coefficient(swapped) == 0
+    else:
+        assert w[0] == "alpha-positive-eigenvalues"
+        H = ray_derivative(f, K, w[1]).hessian_at((0,) * f.n).rows
+        rays = cones.extreme_ray_reps(K)
+        GHG = [[sum(gi[a] * H[a][b] * gj[b] for a in range(f.n)
+                    for b in range(f.n)) for gj in rays] for gi in rays]
+        assert exact_positive_count(GHG) == w[2]
 
 
 def reverify(name, f, K, verdict):
@@ -806,13 +899,17 @@ def reverify(name, f, K, verdict):
         if f.d <= 1:
             assert f.eval(w[1]) < 0
             return
+        if f.d >= 3 and isinstance(w, tuple):  # decided over the rays
+            reverify_over_rays(f, K, w)
+            return
         q, inner = f, w
         if f.d >= 3:
             for a in w["directions"]:
                 q = q.dir_derivative(a)
             inner = w["inner"]
         if inner[0] == "positive-eigenvalues":
-            assert positive_count(q.hessian_at((0,) * q.n).rows) == inner[1]
+            assert (exact_positive_count(q.hessian_at((0,) * q.n).rows)
+                    == inner[1])
         elif inner[0] == "ray-pair":
             gx, gy = inner[1:]
             both = tuple(a + b for a, b in zip(gx, gy))
@@ -822,7 +919,8 @@ def reverify(name, f, K, verdict):
     elif name == "hessian_signature":
         a = w["point"]
         if "positive_count" in w:
-            assert positive_count(f.hessian_at(a).rows) == w["positive_count"]
+            assert (exact_positive_count(f.hessian_at(a).rows)
+                    == w["positive_count"])
             return
         assert verdict.note.endswith("not K-nonnegative")
         # the K-nonnegativity witness: a ray of the orthant, or a point of
@@ -915,12 +1013,16 @@ class TestFormCheckProperties:
                        lambda *args, **kwargs: undecided)
             mp.setattr(forms, "_quadratic_verdict", undecided_quadratic)
             checks = form_checks(f, K, trials=4, seed=seed)
-            if f.d == 2 and K.is_self_dual:
+            if f.d == 2 and K.is_self_dual and not f.is_zero:
                 details = checks["lorentzian_sampled"].details
                 assert not details["dichotomy"].is_fails
         for name, rep in checks.items():
-            if name == "lorentzian_sampled" and f.d <= 1:
-                continue  # nonnegativity on K rests on no inner verdict
+            if name == "lorentzian_sampled" and (
+                    f.d <= 1 or f.d >= 3 and f.is_exact
+                    and K.kind != "second_order"):
+                # nonnegativity on K, and the exact decision over the
+                # extreme rays of an int form, rest on no inner verdict
+                continue
             if name == "hessian_signature" and rep.verdict.is_fails:
                 # the eigenvalue count itself refutes
                 assert "positive_count" in rep.verdict.witness
@@ -1183,7 +1285,6 @@ def without_sign_stage(monkeypatch):
     """Every sign rule of the form checks reads "not decided", so each
     trial runs its kernel."""
     for owner, name in ((forms, "_dichotomy_by_sign"),
-                        (forms, "_pairing_by_sign"),
                         (forms, "_log_concave_by_sign"),
                         (hurwitz, "_routh_by_sign")):
         monkeypatch.setattr(owner, name, lambda *args: False)

@@ -44,8 +44,8 @@ REDUNDANT_ORTHANT = {"type": "polyhedral", "n": 4,
 WEDGE_3 = {"type": "polyhedral", "n": 3,
            "generators": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1],
                           [1, 1, 2]]}
-# x1^3 - 3 x1 x2^2: refuted at the first reduction, whose inner details
-# carry the self-dual K-nonnegativity and dichotomy
+# x1^3 - 3 x1 x2^2: lorentzian_sampled refutes it exactly by its negative
+# coefficient, and each sampled check at its first refuting trial
 CUBIC_FORM = {"n": 2, "d": 3, "terms": [{"exp": [3, 0], "coef": 1},
                                         {"exp": [1, 2], "coef": -3}]}
 SQUARE_FORM = {"n": 2, "d": 2, "terms": [{"exp": [2, 0], "coef": 1},

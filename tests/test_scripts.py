@@ -73,6 +73,15 @@ def test_lti_sufficiency_holds_on_realized_linear_form_products():
     assert len(lines) == 1 and lines[0].endswith(", 0 counterexamples")
 
 
+def test_forms_sweep_finds_no_false_refutation():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "forms_sweep.py"),
+         "--count", "2", "--trials", "8"], env=scripts_env(),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 false refutations"
+
+
 def script_module(monkeypatch, name):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     return importlib.import_module(name)

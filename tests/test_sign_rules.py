@@ -181,40 +181,3 @@ class TestLogConcavity:
     def test_equality_is_strictness(self, seq, strict, holds):
         assert is_log_concave(seq, strict=strict).is_holds is holds
         assert _log_concave_by_sign(seq, strict) is holds
-
-
-@st.composite
-def one_positive_eigenvalue(draw):
-    """2Q = c (u u^T - B^T B) for int u and B and an int or Fraction
-    c > 0, which has at most one positive eigenvalue."""
-    u = draw(st.lists(st.integers(-1, 3), min_size=4, max_size=4))
-    B = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
-                      min_size=1, max_size=3))
-    c = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
-    return SquareMatrix.from_rows(
-        [[c * (u[i] * u[j] - sum(b[i] * b[j] for b in B)) for j in range(4)]
-         for i in range(4)])
-
-
-class TestRayPairings:
-    @seed(0)
-    @given(st.sampled_from(range(2)), one_positive_eigenvalue())
-    @settings(max_examples=300, deadline=None)
-    def test_rule_is_the_pairing_status(self, k, Q2):
-        K = CONES[k]
-        report, band = forms._quadratic_verdict(Q2, K, DEFAULT_TOL, TRIALS, 0)
-        if band is None:  # the eigenvalue count alone decided
-            return
-        assert (forms._pairing_by_sign(Q2, K)
-                == report.details["pairing"].is_holds)
-
-    def test_elementary_symmetric_pairs_positively(self):
-        # 2 e2(x1..x4) = x^T (J - I) x pairs every ray pair positively
-        Q2 = SquareMatrix.from_rows([[int(i != j) for j in range(4)]
-                                     for i in range(4)])
-        for K in CONES[:2]:
-            report, band = forms._quadratic_verdict(Q2, K, DEFAULT_TOL,
-                                                    TRIALS, 0)
-            assert band == 0 and report.details["pairing"].is_holds
-            assert forms._pairing_by_sign(Q2, K)
-            assert forms._pairing_by_sign(Q2.scale(-1), K) is False

@@ -6,7 +6,8 @@ sampled checks make of them.
 Families: elementary symmetric forms e_k; products of linear forms inside
 the dual cone; such products plus one small term; sparse forms with small
 int coefficients.  Cones: the orthant, a simplicial cone drawn per form,
-and the square pyramid, all in R^3.
+and the pyramid over a cross-polytope (the square pyramid in R^3), in R^3,
+and for e_k in R^3 or R^4, so that e_3 and e_4 are drawn.
 
 Each form's label is ``lorentzian_sample_check``, which decides these
 inputs exactly.  Per sampled check, a ``fails`` on a form labelled
@@ -38,7 +39,6 @@ from conestab.numerics import DEFAULT_TOL
 
 FAMILIES = ("e_k", "product", "perturbed", "sparse")
 CONE_KINDS = ("orthant", "simplicial", "pyramid")
-PYRAMID = Cone.polyhedral([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
 CHECKS = {
     "reductions": lambda f, K, trials, seed: _sampled_reductions(
         f, K, trials, seed, DEFAULT_TOL),
@@ -49,14 +49,16 @@ CHECKS = {
 }
 
 
-def random_cone(rng, kind):
+def random_cone(rng, kind, n):
     if kind == "orthant":
-        return Cone.orthant(3)
-    if kind == "pyramid":
-        return PYRAMID
+        return Cone.orthant(n)
+    if kind == "pyramid":  # the rays e_n +- e_i, i < n
+        return Cone.polyhedral([[s * (k == i) + (k == n - 1)
+                                 for k in range(n)]
+                                for i in range(n - 1) for s in (1, -1)])
     # triangular generators with a positive diagonal are independent
     return Cone.polyhedral([[rng.randint(-1, 3) if i > j else 2 * (i == j)
-                             for i in range(3)] for j in range(3)])
+                             for i in range(n)] for j in range(n)])
 
 
 def dual_interior(rng, K):
@@ -68,11 +70,10 @@ def dual_interior(rng, K):
 
 
 def random_form(rng, family, K):
-    n, d = K.n, rng.randint(3, 4)
+    n, d = K.n, rng.randint(3, min(4, K.n) if family == "e_k" else 4)
     if family == "e_k":
-        k = min(d, n)
-        return MultiForm(n, k, {tuple(int(i in S) for i in range(n)): 1
-                                for S in itertools.combinations(range(n), k)})
+        return MultiForm(n, d, {tuple(int(i in S) for i in range(n)): 1
+                                for S in itertools.combinations(range(n), d)})
     exps = [e for e in itertools.product(range(d + 1), repeat=n)
             if sum(e) == d]
     if family == "sparse":
@@ -98,11 +99,13 @@ def main(argv=None):
     outcomes = Counter()  # (check, trials, label, sampled status)
     for family, kind in itertools.product(FAMILIES, CONE_KINDS):
         for i in range(args.count):
-            K = random_cone(rng, kind)
+            K = random_cone(rng, kind,
+                            rng.randint(3, 4) if family == "e_k" else 3)
             f = random_form(rng, family, K)
             if f.is_zero:
                 continue
             label = lorentzian_sample_check(f, K).verdict.status
+            assert label in ("holds", "fails"), (f, K, label)
             labels[family, label] += 1
             for (name, check), trials in itertools.product(CHECKS.items(),
                                                            args.trials):

@@ -8,7 +8,8 @@ here implement the refutation side of the cone-positivity hierarchy:
   over second-order cones;
 * the Lorentzian property of an exact form of higher degree over the
   orthant or a polyhedral cone is decided exactly, by Branden-Huh's
-  finite test of the form composed with the extreme rays;
+  finite test of the form composed with the extreme rays, while that
+  composition has at most ``EXACT_MONOMIALS_MAX`` possible monomials;
 * every other higher-degree check reduces through sampled interior
   directional derivatives or line restrictions, so its non-refuted
   verdicts are "holds-sampled" -- sampling can refute but never certify.
@@ -411,14 +412,24 @@ def _nonnegative_on_cone(f: MultiForm, K: Cone, tol: Tolerance,
                       {"degenerate_degree": f.d})
 
 
+# The exact decision over the extreme rays tests the exchange property on
+# every pair of the up to C(m + d - 1, d) monomials of f o G, so its cost
+# grows as that count squared; past this count it costs more than the
+# sampled reductions at the default 200 trials (README, "Exact Lorentzian
+# decisions").
+EXACT_MONOMIALS_MAX = 200
+
+
 def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
                             tol: Tolerance = DEFAULT_TOL) -> FormReport:
     """The Lorentzian property of f over K.  The zero form holds by
     convention; degree <= 1 is nonnegativity on K and degree 2 the
     quadratic check.  From degree 3 an exact f over the orthant or a
-    polyhedral K is decided over the extreme rays
-    (``_lorentzian_over_rays``); any other f is reduced to quadratics along
-    tuples of sampled interior directions (``_sampled_reductions``)."""
+    polyhedral K with m extreme rays is decided over the extreme rays
+    (``_lorentzian_over_rays``) while f o G has at most
+    ``EXACT_MONOMIALS_MAX`` possible monomials, C(m + d - 1, d); any other
+    f is reduced to quadratics along tuples of sampled interior directions
+    (``_sampled_reductions``)."""
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.is_zero:
@@ -433,7 +444,9 @@ def lorentzian_sample_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
         inner = _quadratic_check(f.hessian_at((0,) * f.n), K, tol, trials,
                                  seed)
         return FormReport("lorentzian-sampled", inner.verdict, inner.details)
-    if f.is_exact and K.kind != SECOND_ORDER:
+    if (f.is_exact and K.kind != SECOND_ORDER
+            and math.comb(len(extreme_ray_reps(K)) + f.d - 1, f.d)
+            <= EXACT_MONOMIALS_MAX):
         return _lorentzian_over_rays(f, K)
     return _sampled_reductions(f, K, trials, seed, tol)
 
@@ -544,30 +557,25 @@ def _exchange_failure(support: list):
     """The first ``(alpha, beta, i)`` of the sorted support, in that
     order, that breaks the exchange property of M-convex sets: alpha_i >
     beta_i, and alpha - e_i + e_j lies outside the support for every j
-    with alpha_j < beta_j.  None when the support is M-convex.
+    with alpha_j < beta_j.  None when the support is M-convex."""
+    members = set(support)
+    m = len(support[0])
 
-    The exponents are coded as the ints key(v) = sum_k v_k (d + 1)^k; on
-    the exchanges tested, alpha - e_i + e_j has entries in [0, d], so its
-    key is that of no other such vector."""
-    A = np.array(support, dtype=np.int64)
-    N, m = A.shape
-    d = int(A[0].sum())
-    w = np.array([(d + 1) ** k for k in range(m)],
-                 dtype=np.int64 if (d + 1) ** m < 2 ** 62 else object)
-    keys = A.dot(w)
-    # member[a, i, j]: is alpha_a - e_i + e_j in the support?
-    member = np.isin(keys[:, None, None] - w[:, None] + w[None, :], keys)
-    step = max(1, 2 ** 18 // (N * m * m))
-    for lo in range(0, N, step):
-        block = A[lo:lo + step, None, :]
-        below = (block < A[None, :, :]).astype(np.int64)  # alpha_j < beta_j
-        # exchanged[a, b, i]: some j with alpha_j < beta_j exchanges i
-        exchanged = np.matmul(below, member[lo:lo + step].transpose(0, 2, 1)
-                              .astype(np.int64))
-        broken = (block > A[None, :, :]) & (exchanged == 0)
-        if broken.any():
-            a, b, i = np.unravel_index(np.argmax(broken), broken.shape)
-            return support[lo + a], support[b], int(i)
+    def moved(alpha, i, j):  # alpha - e_i + e_j
+        v = list(alpha)
+        v[i] -= 1
+        v[j] += 1
+        return tuple(v)
+
+    for alpha in support:
+        # reach[i]: the j with alpha - e_i + e_j in the support
+        reach = {i: {j for j in range(m) if moved(alpha, i, j) in members}
+                 for i in range(m) if alpha[i]}
+        for beta in support:
+            up = {j for j in range(m) if alpha[j] < beta[j]}
+            for i in range(m):
+                if alpha[i] > beta[i] and reach[i].isdisjoint(up):
+                    return alpha, beta, i
     return None
 
 

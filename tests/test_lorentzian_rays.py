@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from conestab import Cone, MultiForm, forms, lorentzian_sample_check
 from conestab.numerics import DEFAULT_TOL, positive_eigenvalue_count
 
-from test_forms import (elementary_symmetric, power_of_sum, positive_count,
-                        product_of_linear_forms, reverify_over_rays)
+from test_forms import (elementary_symmetric, inertia_positive_count,
+                        power_of_sum, positive_count, product_of_linear_forms,
+                        reverify_over_rays)
 
 PYRAMID = Cone.polyhedral([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
 # inside the orthant, so every e_k is Lorentzian on it
@@ -93,6 +94,17 @@ class TestWitnesses:
                      (f, Cone.second_order(3))):
             rep = lorentzian_sample_check(g, K, trials=8, seed=0)
             assert "rays" not in rep.details and rep.details["trials_run"]
+
+    def test_forms_past_the_monomial_bound_are_sampled(self):
+        # over R^5_+, f o G = f has at most C(9, 5) = 126 monomials at
+        # d = 5 and C(10, 6) = 210 at d = 6
+        assert forms.EXACT_MONOMIALS_MAX == 200
+        rep = decide(power_of_sum(5, 5), Cone.orthant(5))
+        assert rep.verdict.status == "holds"
+        rep = lorentzian_sample_check(power_of_sum(5, 6), Cone.orthant(5),
+                                      trials=4, seed=0)
+        assert rep.verdict.status == "holds-sampled"
+        assert rep.details == {"trials_run": 4}
 
 
 def dual_interior(K, weights):
@@ -187,6 +199,18 @@ class TestProperties:
         if np.any(np.abs(vals) <= 1e-7 * max(1.0, max(abs(vals)))):
             return
         assert positive_eigenvalue_count(S) == positive_count(S)
+
+    @seed(0)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.sampled_from([1, Fraction(2, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_inertia_is_that_of_symmetric_elimination(self, rows, c):
+        # singular matrices too: no band is needed between exact counts
+        n = len(rows)
+        S = [[c * (rows[i][j] + rows[j][i]) for j in range(n)]
+             for i in range(n)]
+        assert positive_eigenvalue_count(S) == inertia_positive_count(S)
 
     def test_inertia_counts_zero_eigenvalues_as_zero(self):
         # (1, 1, 1)(1, 1, 1)^T - e_1 e_1^T: eigenvalues of both signs and 0

@@ -919,14 +919,6 @@ def reverify_over_rays(f, K, w):
         assert exact_positive_count(GHG) == w[2]
 
 
-def decided_over_rays(f, K):
-    """lorentzian_sample_check decides f over the extreme rays of K."""
-    return (f.d >= 3 and f.is_exact and not f.is_zero
-            and K.kind != "second_order"
-            and math.comb(len(cones.extreme_ray_reps(K)) + f.d - 1, f.d)
-            <= forms.EXACT_MONOMIALS_MAX)
-
-
 def reverify(name, f, K, verdict):
     """Re-derive a ``fails`` witness without the code path that found it:
     values by MultiForm.eval and dir_derivative, line restrictions by
@@ -1033,8 +1025,9 @@ class TestFormCheckProperties:
     def test_every_refutation_reverifies(self, case, seed):
         f, K = case
         reports = form_checks(f, K, trials=4, seed=seed)
-        if decided_over_rays(f, K):
-            # the sampled reductions still serve float forms on this cone
+        if "rays" in reports["lorentzian_sampled"].details:
+            # decided over the extreme rays; the sampled reductions still
+            # serve float forms on this cone
             reports["sampled_reductions"] = forms._sampled_reductions(
                 f, K, 4, seed, DEFAULT_TOL)
         for name, rep in reports.items():
@@ -1064,14 +1057,14 @@ class TestFormCheckProperties:
             if f.d == 2 and K.is_self_dual and not f.is_zero:
                 details = checks["lorentzian_sampled"].details
                 assert not details["dichotomy"].is_fails
-            if decided_over_rays(f, K):
+            decided = "rays" in checks["lorentzian_sampled"].details
+            if decided:
                 # the sampled reductions still serve float forms on this
                 # cone
                 checks["sampled_reductions"] = forms._sampled_reductions(
                     f, K, 4, seed, DEFAULT_TOL)
         for name, rep in checks.items():
-            if name == "lorentzian_sampled" and (f.d <= 1
-                                                 or decided_over_rays(f, K)):
+            if name == "lorentzian_sampled" and (f.d <= 1 or decided):
                 # nonnegativity on K, and the exact decision over the
                 # extreme rays of an int form, rest on no inner verdict
                 continue

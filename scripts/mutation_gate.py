@@ -163,6 +163,11 @@ MUTANTS = (
            "return images, np.array([slacks, slacks])",
            ("tests/test_sign_rules.py::TestConeMatrices::"
             "test_minus_identity_reverses_the_second_order_tail",)),
+    Mutant("irreducibility-power-short", "cones.py",
+           "return _object_power(np.identity(n, dtype=object) + M, n - 1)",
+           "return _object_power(np.identity(n, dtype=object) + M, n - 2)",
+           ("tests/test_cones.py::TestMatrixKIrreducible::"
+            "test_cyclic_permutation",)),
     Mutant("lorentzian-without-sign-test", "forms.py",
            "        if terms[exp] < 0:\n",
            "        if False:\n",

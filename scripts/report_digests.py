@@ -43,7 +43,13 @@ in the same order.  It covers every subcommand:
                    polyhedral cone with a facet normal whose float norm
                    overflows, in auto and exact mode;
 * ``form/zero/``   the zero form of degree 4 in 3 variables over the
-                   orthant and over a square pyramid.
+                   orthant and over a square pyramid;
+* ``matrix-cone/overflow/float-power/`` float-mode matrices of finite
+                   entries whose (I + A)^(n-1) overflows: all 1e120 over
+                   an orthant, and 1e120 I over a second-order cone;
+* ``form/overflow/`` 10^400 x1^2 + x1 x2 + x2^2, whose Hessian has no
+                   float, over an orthant, a polyhedral and a
+                   second-order cone, in auto and exact mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -353,6 +359,25 @@ def corpus():
     for name, cone in (("orthant", None), ("pyramid", pyramid)):
         yield (f"form/zero/{name}", "form", {"n": 3, "d": 4, "terms": []},
                cone, ["--trials", "10"])
+    for name, rows, cone in (
+            ("orthant", [[1e120] * 4] * 4, {"type": "orthant", "n": 4}),
+            ("second_order", [[1e120 * (i == j) for j in range(4)]
+                              for i in range(4)],
+             {"type": "second_order", "n": 4})):
+        yield (f"matrix-cone/overflow/float-power/{name}", "matrix",
+               {"rows": rows}, cone, ["--mode", "float"])
+    huge_form = {"n": 2, "d": 2,
+                 "terms": [{"exp": [2, 0], "coef": 10 ** 400},
+                           {"exp": [1, 1], "coef": 1},
+                           {"exp": [0, 2], "coef": 1}]}
+    for name, cone in (("orthant", {"type": "orthant", "n": 2}),
+                       ("polyhedral", {"type": "polyhedral",
+                                       "generators": [[1, 0], [1, 1],
+                                                      [0, 1]]}),
+                       ("second_order", {"type": "second_order", "n": 2})):
+        for mode in ("auto", "exact"):
+            yield (f"form/overflow/{name}/{mode}", "form", huge_form, cone,
+                   ["--mode", mode, "--trials", "5"])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

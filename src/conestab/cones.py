@@ -30,8 +30,8 @@ from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
 from .numerics import (DEFAULT_TOL, Sign, SquareMatrix, Tolerance, _dot,
                        _integer_rows, _object_dot, _object_power, _rank,
                        all_exact, classify_sign, determinant, int_from_json,
-                       matrix_power, vector_from_json)
-from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
+                       vector_from_json)
+from .verdict import (FAILS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
                       Verdict)
 
 ORTHANT = "orthant"
@@ -162,20 +162,6 @@ class Cone:
         """The facet normals, as the rows of an object array."""
         return np.array(self.facet_normals, dtype=object)
 
-    @functools.cached_property
-    def _facet_norms(self) -> tuple:
-        """The float 2-norms of the facet normals (``_facet_norm``)."""
-        return tuple(map(_facet_norm, self.facet_normals))
-
-    @functools.cached_property
-    def _ray_floors(self) -> tuple:
-        """The scale floors of the interior test: the float 2-norms of the
-        extreme ray reps, or past the float range their exact 1-norms, which
-        bound them from above."""
-        norms = map(_float_norm_or_inf, self._extreme_ray_reps)
-        return tuple(s if s < math.inf else sum(map(abs, g))
-                     for s, g in zip(norms, self._extreme_ray_reps))
-
 
 def _exact_vector(v) -> tuple:
     """v with each float entry replaced by its exact Fraction."""
@@ -218,9 +204,9 @@ def _signs(K: Cone, x, tol: Tolerance) -> list:
     # point takes no float norm
     exact = all_exact(x)
     scale = 1.0 if exact else max(_float_norm(x), 1.0)
-    norms = itertools.repeat(1.0) if exact else K._facet_norms
-    return [classify_sign(_dot(h, x), tol, scale * hs)
-            for h, hs in zip(K.facet_normals, norms)]
+    return [classify_sign(_dot(h, x), tol,
+                          scale if exact else scale * _facet_norm(h))
+            for h in K.facet_normals]
 
 
 def _soc_signs(x, tail, slack, tol: Tolerance) -> list:
@@ -370,14 +356,16 @@ def sample_cone(K: Cone, seed=0) -> tuple:
     return _int_combination(K, weights)
 
 
-# One entry: the K-positivity of (I + A)^(n-1) probes the points that the
-# K-nonnegativity of A has just probed under the same trials and seed
-# (``seed`` is the flattened, hashable seed).
-@functools.lru_cache(maxsize=1)
-def _soc_probe_points(K: Cone, trials: int, seed: tuple) -> tuple:
+def _probe_points(K: Cone, trials: int, seed):
+    """The probe points of the matrix tests over a second-order cone:
+    ``trials`` draws of ``sample_cone`` from one generator seeded by
+    ``seed``, then the axis ray and a few canonical boundary rays, which
+    catch easy refutations.  None over any other cone, whose tests read
+    its extreme rays."""
+    if K.kind != SECOND_ORDER:
+        return None
     rng = _rng(seed)
     pts = [sample_cone(K, rng) for _ in range(trials)]
-    # the axis ray and a few canonical boundary rays catch easy refutations
     pts.append(tuple([0] * (K.n - 1) + [1]))
     for i in range(min(K.n - 1, 4)):
         e = [0] * K.n
@@ -387,20 +375,22 @@ def _soc_probe_points(K: Cone, trials: int, seed: tuple) -> tuple:
         e2 = list(e)
         e2[i] = -1
         pts.append(tuple(e2))
-    return tuple(pts)
+    return pts
 
 
 def matrix_k_nonnegative(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
                          trials: int = 200, seed=0) -> Verdict:
     """Does A map K into K?  Exact over extreme rays for orthant/polyhedral
     cones; sampled refutation for second-order cones."""
-    return _maps_into(A, K, False, tol, trials, seed)
+    return _maps_into(A.to_objects(), K, False, tol,
+                      _probe_points(K, trials, seed))
 
 
 def matrix_k_positive(A: SquareMatrix, K: Cone, tol: Tolerance = DEFAULT_TOL,
                       trials: int = 200, seed=0) -> Verdict:
     """Does A map nonzero points of K into the interior of K?"""
-    return _maps_into(A, K, True, tol, trials, seed)
+    return _maps_into(A.to_objects(), K, True, tol,
+                      _probe_points(K, trials, seed))
 
 
 def _comparisons(M: np.ndarray, K: Cone, points=None) -> tuple:
@@ -423,43 +413,32 @@ def _comparisons(M: np.ndarray, K: Cone, points=None) -> tuple:
     return images, _object_dot(K._facet_array, images)  # [i, j]: h_i . M g_j
 
 
-def _maps_into_by_sign(M: np.ndarray, K: Cone, interior: bool, trials: int,
-                       seed) -> bool:
+def _maps_into_by_sign(M: np.ndarray, K: Cone, interior: bool,
+                       points) -> bool:
     """``_maps_into``'s status on the exact object array M, from the signs
     of its ``_comparisons`` alone: does M map K into K, or into its
     interior when ``interior``?"""
-    points = (_soc_probe_points(K, trials, tuple(flatten_seed(seed)))
-              if K.kind == SECOND_ORDER else None)
     values = _comparisons(M, K, points)[1]
     return bool((values > 0).all() if interior else (values >= 0).all())
 
 
-def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
-               trials: int, seed) -> Verdict:
-    """Does A map nonzero points of K into K, or into its interior when
-    ``interior``?  Second-order cones are probed at nonzero int points,
-    where an interior test with a sign in the tolerance band and no
-    refutation is ``unknown``; other cones pair the image of every extreme
-    ray with every facet normal, strictly (with the ray's own norm as a
-    floor on the scale) when ``interior``.  The comparisons are those of
-    ``_comparisons``, but for the first probe point, whose image is taken
-    on its own by ``_dot`` (which ``_object_dot`` equals bit for bit) and
-    signed by ``_signs``, so a refutation there costs one image."""
-    if A.n != K.n:
+def _maps_into(M: np.ndarray, K: Cone, interior: bool, tol: Tolerance,
+               points) -> Verdict:
+    """Does the object array M map nonzero points of K into K, or into its
+    interior when ``interior``?  Second-order cones are probed at the
+    ``points`` of ``_probe_points``, where an interior test with a sign in
+    the tolerance band and no refutation is ``unknown``; other cones pair
+    the image of every extreme ray with every facet normal, strictly (with
+    the ray's own norm as a floor on the scale) when ``interior``.  The
+    comparisons are those of ``_comparisons``."""
+    if len(M) != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
+    images, values = _comparisons(M, K, points)
     if K.kind == SECOND_ORDER:
-        points = _soc_probe_points(K, trials, tuple(flatten_seed(seed)))
-
-        def probe_signs():
-            yield points[0], _signs(K, [_dot(r, points[0]) for r in A.rows],
-                                    tol)
-            images, values = _comparisons(A.to_objects(), K, points[1:])
-            for x, y, (tail, slack) in zip(points[1:], images.T.tolist(),
-                                           values.T.tolist()):
-                yield x, _soc_signs(y, tail, slack, tol)
-
         undecided = None
-        for x, signs in probe_signs():
+        for x, y, (tail, slack) in zip(points, images.T.tolist(),
+                                       values.T.tolist()):
+            signs = _soc_signs(y, tail, slack, tol)
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
             if interior and undecided is None and Sign.INDETERMINATE in signs:
@@ -467,14 +446,17 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
         if undecided is not None:
             return Verdict(UNKNOWN, witness=("point", undecided))
         return Verdict(HOLDS_SAMPLED, note="refutation sampled, none found")
-    images, pairings = _comparisons(A.to_objects(), K)
-    floors = K._ray_floors if interior else itertools.repeat(0.0)
-    facets = list(zip(K.facet_normals, K._facet_norms))
+    facets = [(h, _facet_norm(h)) for h in K.facet_normals]
     led = InequalityLedger(tol)
-    for g, y, column, floor in zip(extreme_ray_reps(K), images.T.tolist(),
-                                   pairings.T.tolist(), floors):
+    for g, y, column in zip(extreme_ray_reps(K), images.T.tolist(),
+                            values.T.tolist()):
         ys = _float_norm_or_inf(y)
         exact_y = all_exact(y)
+        # the scale floor of the interior test: the ray's float 2-norm, or
+        # past the float range its exact 1-norm, which bounds it from above
+        floor = _float_norm_or_inf(g) if interior else 0.0
+        if floor == math.inf:
+            floor = sum(map(abs, g))
         for (h, hs), slack in zip(facets, column):
             scale = ys * hs
             if not scale < math.inf:  # inf, or 0 * inf
@@ -486,6 +468,14 @@ def _maps_into(A: SquareMatrix, K: Cone, interior: bool, tol: Tolerance,
             led.require(slack, 0, witness=("ray", g, "facet", h),
                         strict=interior, scale=max(scale, floor))
     return led.verdict()
+
+
+def _irreducibility_power(M: np.ndarray) -> np.ndarray:
+    """(I + M)^(n-1) for the n x n object array M: an M that maps K into K
+    is K-irreducible iff this power maps the nonzero points of K into
+    int K (Vandergraft, SIAM J. Appl. Math. 16, 1968)."""
+    n = len(M)
+    return _object_power(np.identity(n, dtype=object) + M, n - 1)
 
 
 def matrix_k_irreducible(A: SquareMatrix, K: Cone,
@@ -505,25 +495,21 @@ def _k_irreducible_given(A: SquareMatrix, K: Cone, kn: Verdict,
                          seed=0) -> Verdict:
     """``matrix_k_irreducible`` for a caller that already holds ``kn``,
     the K-nonnegativity verdict of A under the same tol, trials and seed.
-    The Inapplicable it raises says whether kn failed or is undecided."""
+    The Inapplicable it raises says whether kn failed or is undecided.
+    A float (I + A)^(n-1) past the float range has non-finite entries,
+    whose comparisons read ``unknown``."""
     if not kn.is_holds:
         raise Inapplicable("K-nonnegativity undecided" if kn.is_unknown
                            else "not K-nonnegative", witness=kn)
-    B = matrix_power(SquareMatrix.identity(A.n).add(A), A.n - 1)
-    verdict = matrix_k_positive(B, K, tol, trials=trials, seed=seed)
-    if verdict.status == HOLDS and kn.status == HOLDS_SAMPLED:
-        return Verdict(HOLDS_SAMPLED, margin=verdict.margin, witness=verdict.witness)
-    return verdict
+    return _maps_into(_irreducibility_power(A.to_objects()), K, True, tol,
+                      _probe_points(K, trials, seed))
 
 
-def _k_irreducible_by_sign(M: np.ndarray, K: Cone, trials: int,
-                           seed) -> bool:
+def _k_irreducible_by_sign(M: np.ndarray, K: Cone, points) -> bool:
     """``_k_irreducible_given``'s status on the exact object array M, which
     maps K into K, by sign alone: does (I + M)^(n-1) map the nonzero
     points of K into int K?"""
-    n = len(M)
-    B = _object_power(np.identity(n, dtype=object) + M, n - 1)
-    return _maps_into_by_sign(B, K, True, trials, seed)
+    return _maps_into_by_sign(_irreducibility_power(M), K, True, points)
 
 
 @dataclass(frozen=True)

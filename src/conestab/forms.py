@@ -34,8 +34,8 @@ import numpy as np
 # bound: perfbench/tracing.py wraps them by this module's name.
 from .cones import (ORTHANT, SECOND_ORDER, Cone,  # noqa: F401
                     _k_irreducible_by_sign, _k_irreducible_given,
-                    _maps_into_by_sign, _rng, extreme_ray_reps,
-                    interior_contains, matrix_k_irreducible,
+                    _maps_into_by_sign, _probe_points, _rng,
+                    extreme_ray_reps, interior_contains, matrix_k_irreducible,
                     matrix_k_nonnegative, perron_frobenius_check, sample_cone,
                     sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
@@ -264,7 +264,8 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
     """``_quadratic_check`` without the self-dual details, which no
     verdict reads.  Also returns the number of eigenvalues in the zero
     band, or None when the eigenvalue count alone decided (no pairing was
-    computed).
+    computed).  Entries with no float leave the eigenvalues ``None`` and
+    the verdict ``unknown``.
 
     The report carries Q's values: the eigenvalues of 2Q are halved
     (exactly, in binary), and the pairing ledger reads x^T 2Q y against a
@@ -272,7 +273,13 @@ def _quadratic_verdict(Q2: SquareMatrix, K: Cone, tol: Tolerance,
     margin is that of x^T Q y."""
     if Q2.n != K.n:
         raise DimensionMismatch("matrix/cone dimension mismatch")
-    vals = _halved_eigenvalues(Q2)
+    try:
+        vals = _halved_eigenvalues(Q2)
+    except OverflowError:
+        return FormReport("quadratic-lorentzian",
+                          Verdict(UNKNOWN,
+                                  note="entries beyond the float range"),
+                          {"eigenvalues": None}), None
     pos, band = _eig_positive_count(vals, tol)
     details = {"eigenvalues": vals}
     if pos > 1:
@@ -351,14 +358,15 @@ def _dichotomy(Q: SquareMatrix, K: Cone, singular: bool, tol: Tolerance,
                            witness=e.witness, note=str(e))
 
 
-def _dichotomy_by_sign(Q: SquareMatrix, K: Cone, singular: bool, trials: int,
-                      seed) -> bool:
+def _dichotomy_by_sign(Q: SquareMatrix, K: Cone, singular: bool,
+                       points) -> bool:
     """``_dichotomy``'s branch status on the exact Q, by sign alone: is Q
     K-nonnegative and, when nonsingular, K-irreducible?  The comparisons
-    are those of the cone-matrix checks under the same trials and seed."""
+    are those of the cone-matrix checks at the probe ``points`` of
+    ``_probe_points``."""
     M = Q.to_objects()
-    return (_maps_into_by_sign(M, K, False, trials, seed)
-            and (singular or _k_irreducible_by_sign(M, K, trials, seed)))
+    return (_maps_into_by_sign(M, K, False, points)
+            and (singular or _k_irreducible_by_sign(M, K, points)))
 
 
 def _sampled_check(check: str, trials: int, trial, noun: str,
@@ -691,13 +699,18 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     rng = _rng(seed)
 
     def hessian(a):
+        """H at a and its eigenvalues, None when an entry has no float."""
         H = f.hessian_at(a)
-        return H, sym_eigs(H)[0]
+        try:
+            return H, sym_eigs(H)[0]
+        except OverflowError:
+            return H, None
 
     def dichotomy(H, singular, t):
         """None when the signs of an exact H show that its branch holds,
         else ``_dichotomy``'s (kn, verdict)."""
-        if H.is_exact and _dichotomy_by_sign(H, K, singular, 32, [seed, t, 1]):
+        if H.is_exact and _dichotomy_by_sign(
+                H, K, singular, _probe_points(K, 32, [seed, t, 1])):
             return None
         return _dichotomy(H, K, singular, tol, 32, [seed, t, 1])
 
@@ -711,6 +724,8 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     def trial(t):
         a = sample_interior(K, rng)
         H, vals = hessian(a)
+        if vals is None:
+            return UNKNOWN
         pos, band = _eig_positive_count(vals, tol)
         if pos != 1:
             if pos == 0 and band:

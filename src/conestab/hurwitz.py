@@ -16,7 +16,6 @@ for stability, so a nonpositive coefficient refutes outright.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,22 +404,12 @@ def quintic_criterion(p: UniPoly, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     return led.verdict()
 
 
-@functools.lru_cache(maxsize=None)
 def _alpha_bracket() -> tuple:
-    """Rational bisection bracket [lo, hi] of the positive root of
-    t^3 - t^2 - 2t - 1, with hi - lo <= 1e-14."""
-    def cubic(t):
-        return t * t * t - t * t - 2 * t - 1
-
-    lo, hi = Fraction(2), Fraction(3)
-    width = Fraction(1, 10 ** 14)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if cubic(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    """Rational bracket [lo, hi] of the positive root of t^3 - t^2 - 2t - 1,
+    with hi - lo = 2^-47 <= 1e-14: the interval that bisection of [2, 3]
+    keeps after 47 halvings."""
+    return (Fraction(302289915525922, 2 ** 47),
+            Fraction(302289915525923, 2 ** 47))
 
 
 def alpha_constant() -> float:

@@ -253,18 +253,12 @@ class SquareMatrix:
         return float(np.linalg.norm(self.to_numpy())) if self.n else 0.0
 
 
-def matrix_power(M: SquareMatrix, k: int) -> SquareMatrix:
-    """M^k by repeated squaring (``_object_power``).  M^0 is the identity,
-    and no other power is a product with it, so an int entry beside a
-    Fraction or a float stays an int."""
-    return SquareMatrix(_object_power(M.to_objects(), k).tolist())
-
-
 def _object_power(a: np.ndarray, k: int) -> np.ndarray:
     """The k-th power of the square object array a by repeated squaring,
-    each product an ``_object_dot``; the int identity when k is 0.  Every
-    product feeds the result, so an entry past the float range leaves a
-    non-finite entry in it."""
+    each product an ``_object_dot``; the int identity when k is 0.  No
+    other power is a product with the identity, so an int entry beside a
+    Fraction or a float stays an int.  Every product feeds the result, so
+    an entry past the float range leaves a non-finite entry in it."""
     if k < 0:
         raise ValueError("nonnegative powers only")
     out = None

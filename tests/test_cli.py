@@ -209,6 +209,35 @@ class TestFormCommand:
         for name in ("hessian_signature", "hurwitz_over_cone"):
             assert checks[name]["verdict"]["status"] == "unknown"
 
+    @pytest.mark.parametrize("cone", [
+        {"type": "orthant", "n": 2},
+        {"type": "polyhedral", "generators": [[1, 0], [1, 1], [0, 1]]},
+        {"type": "second_order", "n": 2}],
+        ids=["orthant", "polyhedral", "second_order"])
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_exact_coefficients_past_the_float_range(self, tmp_path, cone,
+                                                      mode):
+        # 10^400 x1^2 + x1 x2 + x2^2: the Hessian has no float, so the
+        # eigenvalue checks read unknown; the line checks stay exact
+        (tmp_path / "cone.json").write_text(json.dumps(cone))
+        payload = {"n": 2, "d": 2,
+                   "terms": [{"exp": [2, 0], "coef": 10 ** 400},
+                             {"exp": [1, 1], "coef": 1},
+                             {"exp": [0, 2], "coef": 1}]}
+        proc = run_cli(["form", "--mode", mode, "--trials", "5", "--cone",
+                        str(tmp_path / "cone.json")], payload)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        checks = json.loads(proc.stdout, parse_constant=reject)["checks"]
+        assert checks["lorentzian_sampled"]["verdict"] == {
+            "note": "entries beyond the float range", "status": "unknown"}
+        assert checks["lorentzian_sampled"]["details"] == {"eigenvalues": None}
+        assert checks["hessian_signature"]["verdict"] == {
+            "note": "5/5 points indeterminate", "status": "unknown"}
+        for name in ("clc_necessary", "hurwitz_over_cone"):
+            assert checks[name]["verdict"]["status"] in ("holds-sampled",
+                                                         "fails")
+
     def test_dimension_mismatch_is_input_error(self, tmp_path):
         cone_file = tmp_path / "cone.json"
         cone_file.write_text(json.dumps({"type": "orthant", "n": 5}))
@@ -312,6 +341,25 @@ class TestMatrixCommand:
         assert [cm[key]["status"] for key in
                 ("k_nonnegative", "k_positive", "k_irreducible")] == [
                     "holds", "fails", "fails"]
+
+    @pytest.mark.parametrize("rows, cone", [
+        ([[1e120] * 4] * 4, {"type": "orthant", "n": 4}),
+        ([[1e120 * (i == j) for j in range(4)] for i in range(4)],
+         {"type": "second_order", "n": 4})],
+        ids=["orthant", "second_order"])
+    def test_cone_route_float_power_past_the_float_range(self, tmp_path,
+                                                         rows, cone):
+        # finite float entries whose (I + A)^3 overflows: the power's
+        # non-finite comparisons leave K-irreducibility undecided
+        cone_file = tmp_path / "cone.json"
+        cone_file.write_text(json.dumps(cone))
+        proc = run_cli(["matrix", "--mode", "float", "--cone",
+                        str(cone_file)], {"rows": rows})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        cm = json.loads(proc.stdout, parse_constant=reject)["cone_matrix_report"]
+        assert cm["k_nonnegative"]["status"] in ("holds", "holds-sampled")
+        assert cm["k_irreducible"]["status"] == "unknown"
 
     def test_cone_route_irreducible_permutation(self, tmp_path):
         cone_file = tmp_path / "cone.json"

@@ -355,10 +355,21 @@ class TestSampling:
         rng = np.random.default_rng(seed)
         points = [sample_cone(K, rng) for _ in range(4)]
         points += [sample_interior(K, rng),
-                   *cones._soc_probe_points(K, 8, (seed,))]
+                   *cones._probe_points(K, 8, seed)]
         for x in points:
             assert all(type(c) is int for c in x)
             assert x[-1] > 0 and x[-1] ** 2 >= sum(c * c for c in x[:-1])
+
+    def test_probe_points_are_second_order_data(self):
+        # the matrix tests over other cones read their extreme rays; a
+        # nested seed draws the points of its flattened list
+        for K in (Cone.orthant(3), Cone.polyhedral([(1, 0), (1, 2)])):
+            assert cones._probe_points(K, 8, 0) is None
+        K = Cone.second_order(3)
+        nested = cones._probe_points(K, 8, [5, [2, (1,)]])
+        assert nested == cones._probe_points(K, 8, [5, 2, 1])
+        assert nested != cones._probe_points(K, 8, [5, 2, 2])
+        assert len(nested) == 8 + 1 + 2 * 2
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
     @example(seed=1, n=3)
@@ -425,9 +436,11 @@ class TestMatrixKNonnegative:
 
 class TestMatrixKIrreducible:
     def test_cyclic_permutation(self):
+        # (I + P)^2 is entrywise positive, but I + P is not
         K = Cone.orthant(3)
         P = SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert matrix_k_irreducible(P, K).status == "holds"
+        assert cones._k_irreducible_by_sign(P.to_objects(), K, None)
 
     def test_block_diagonal_fails(self):
         K = Cone.orthant(3)
@@ -619,7 +632,7 @@ def maps_into_by_rays(A, K, interior, tol=DEFAULT_TOL, trials=8, seed=0):
 
     if K.kind == "second_order":
         undecided = None
-        for x in cones._soc_probe_points(K, trials, (seed,)):
+        for x in cones._probe_points(K, trials, seed):
             signs = _signs_with_norms(K, image(x), tol)
             if Sign.NEG in signs or (interior and Sign.ZERO in signs):
                 return Verdict(FAILS, witness=("point", x))
@@ -690,8 +703,9 @@ class TestMapsIntoProducts:
                                              seed):
         K = MAPPING_CONES[k]
         A = SquareMatrix.from_rows([entries[0:3], entries[3:6], entries[6:9]])
-        assert (outcome(lambda: cones._maps_into(A, K, interior, DEFAULT_TOL,
-                                                 8, seed))
+        assert (outcome(lambda: cones._maps_into(
+                    A.to_objects(), K, interior, DEFAULT_TOL,
+                    cones._probe_points(K, 8, seed)))
                 == outcome(lambda: maps_into_by_rays(A, K, interior,
                                                      seed=seed)))
 
@@ -703,24 +717,41 @@ class TestMapsIntoProducts:
             A = SquareMatrix.from_rows(rows)
             for interior in (False, True):
                 assert (outcome(lambda: cones._maps_into(
-                            A, K, interior, DEFAULT_TOL, 8, 0))
+                            A.to_objects(), K, interior, DEFAULT_TOL, None))
                         == outcome(lambda: maps_into_by_rays(A, K, interior)))
 
     @pytest.mark.parametrize("interior", [False, True])
     def test_norms_past_the_float_range(self, interior):
         # the squares of the facet (1, -10^200) and of the ray (10^200, 1)
         # overflow: the facet's norm is math.hypot's, and the ray's image
-        # and floor fall back to inf, then to the exact 1-norms; the
-        # identity maps K onto K
+        # falls back to inf, then to the exact 1-norms; the identity maps
+        # K onto K
         K = Cone.polyhedral([(1, 0), (10 ** 200, 1)])
-        assert K._facet_norms == (1.0, 1e200)
-        assert K._ray_floors == (1.0, 10 ** 200 + 1)
-        v = cones._maps_into(SquareMatrix.identity(2), K, interior,
-                             DEFAULT_TOL, 8, 0)
+        assert list(map(cones._facet_norm, K.facet_normals)) == [1.0, 1e200]
+        kernel = matrix_k_positive if interior else matrix_k_nonnegative
+        v = kernel(SquareMatrix.identity(2), K)
         assert v.status == ("fails" if interior else "holds")
         assert v.margin == 0
         huge = Cone.polyhedral([(1, 0), (10 ** 400, 1)])
-        assert huge._facet_norms == (1.0, math.inf)
+        assert list(map(cones._facet_norm, huge.facet_normals)) == [1.0,
+                                                                    math.inf]
+
+    def test_ray_floor_past_the_float_range(self):
+        # v w^T maps both rays of K onto v, in int K, with pairings
+        # 10^-300 with the facet (0, 1) and 10^-100 with (1, -10^200); the
+        # float norm of v is about 2e-100, so the interior test's scale is
+        # the floor of each ray: 1 for (1, 0) and, for (10^200, 1), whose
+        # square overflows, its exact 1-norm 10^200 + 1, which binds
+        K = Cone.polyhedral([(1, 0), (10 ** 200, 1)])
+        v = (Fraction(2, 10 ** 100), Fraction(1, 10 ** 300))
+        w = (1, 1 - 10 ** 200)
+        A = SquareMatrix.from_rows([[a * b for b in w] for a in v])
+        positive = matrix_k_positive(A, K)
+        assert positive.status == "holds"
+        assert positive.margin == Fraction(1, 10 ** 300 * (10 ** 200 + 1))
+        assert positive.witness == ("ray", (10 ** 200, 1), "facet", (0, 1))
+        # no floor without the interior test
+        assert matrix_k_nonnegative(A, K).margin == Fraction(1, 10 ** 300)
 
     def test_float_points_keep_a_finite_band_on_huge_facets(self):
         # (0, 1) is outside the wedge between (1, 0) and (10^200, 1): its

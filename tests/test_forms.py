@@ -378,20 +378,18 @@ class TestHessianSignatureCheck:
 
 
 def count_cone_matrix_checks(monkeypatch) -> dict:
-    """Count calls of matrix_k_nonnegative / matrix_k_positive through every
-    module that binds them."""
-    calls = {}
-    for name in ("matrix_k_nonnegative", "matrix_k_positive"):
-        calls[name] = 0
-        original = getattr(cones, name)
+    """Count the runs of the cone-matrix kernel ``cones._maps_into``, by
+    the test each run decides: K-nonnegativity, or the K-positivity that
+    K-positive and K-irreducible matrices (through (I + A)^(n-1)) share."""
+    calls = {"matrix_k_nonnegative": 0, "matrix_k_positive": 0}
+    original = cones._maps_into
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(M, K, interior, *args):
+        calls["matrix_k_positive" if interior
+              else "matrix_k_nonnegative"] += 1
+        return original(M, K, interior, *args)
 
-        for module in (cones, forms):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(cones, "_maps_into", counted)
     return calls
 
 

@@ -650,6 +650,16 @@ class TestAlpha:
         assert lo < hi and hi - lo <= Fraction(1, 10 ** 14)
         assert lo ** 3 - lo ** 2 - 2 * lo - 1 < 0 < hi ** 3 - hi ** 2 - 2 * hi - 1
 
+    def test_rational_bracket_is_the_bisection_of_2_3(self):
+        lo, hi = Fraction(2), Fraction(3)
+        while hi - lo > Fraction(1, 10 ** 14):
+            mid = (lo + hi) / 2
+            if mid ** 3 - mid ** 2 - 2 * mid - 1 > 0:
+                hi = mid
+            else:
+                lo = mid
+        assert _alpha_bracket() == (lo, hi)
+
 
 class TestAlphaCriterion:
     def test_square_mode_implies_product_mode(self):

@@ -12,8 +12,8 @@ from conestab import (NonConvergence, SquareMatrix, Tolerance, UniPoly,
                       ZeroPolynomial, all_roots, char_poly, determinant,
                       hurwitz_matrix, leading_minors, sym_eigs)
 from conestab.errors import ParseError
-from conestab.numerics import (Sign, _berkowitz, classify_sign, is_exact,
-                               matrix_power, scalar_from_json)
+from conestab.numerics import (Sign, _berkowitz, _object_power, classify_sign,
+                               is_exact, scalar_from_json)
 
 from conftest import (EXACT_SCALARS, cofactor_det, rand_fraction_matrix,
                       rand_int_matrix)
@@ -715,8 +715,14 @@ def matmul_by_dots(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
                               for r in A.rows))
 
 
+def object_power(M: SquareMatrix, k: int) -> SquareMatrix:
+    """``_object_power`` on M's entries, as a SquareMatrix, which rejects
+    a non-finite entry."""
+    return SquareMatrix(_object_power(M.to_objects(), k).tolist())
+
+
 def power_by_dots(M: SquareMatrix, k: int) -> SquareMatrix:
-    """The oracle of ``matrix_power``: repeated squaring from the
+    """The oracle of ``_object_power``: repeated squaring from the
     identity, by ``matmul_by_dots``."""
     out, base = SquareMatrix.identity(M.n), M
     while k:
@@ -753,7 +759,7 @@ def mixed_matrices(min_n=1, max_n=4):
 
 
 class TestMatrixProducts:
-    """``@`` is one object ``dot`` plus 0, and ``matrix_power`` starts from
+    """``@`` is one object ``dot`` plus 0, and ``_object_power`` starts from
     M's own power: both equal the ``_dot`` loops bit for bit."""
 
     @given(mixed_matrices(), st.data())
@@ -775,7 +781,7 @@ class TestMatrixProducts:
         # I + A, the matrix that K-irreducibility raises to the power n - 1;
         # its entries are sums from int 0, so none is -0.0
         M = SquareMatrix.identity(A.n).add(A)
-        assert (product_or_error(lambda: matrix_power(M, k))
+        assert (product_or_error(lambda: object_power(M, k))
                 == product_or_error(lambda: power_by_dots(M, k)))
 
     def test_matrix_power_keeps_ints_that_the_identity_converted(self):
@@ -785,13 +791,13 @@ class TestMatrixProducts:
         # Fractions or floats of the same value, and M^1 now keeps them
         for other in (Fraction(1, 2), 0.5):
             M = SquareMatrix.from_rows([[1, other], [0, 1]])
-            assert matrix_power(M, 1).rows == M.rows
-            assert type(matrix_power(M, 1)[1, 1]) is int
+            assert object_power(M, 1).rows == M.rows
+            assert type(object_power(M, 1)[1, 1]) is int
             assert type(power_by_dots(M, 1)[1, 1]) is type(other)
             for k in range(5):
-                assert matrix_power(M, k).rows == power_by_dots(M, k).rows
-        assert matrix_power(M, 0).rows == ((1, 0), (0, 1))
+                assert object_power(M, k).rows == power_by_dots(M, k).rows
+        assert object_power(M, 0).rows == ((1, 0), (0, 1))
         with pytest.raises(ValueError):
-            matrix_power(M, -1)
+            object_power(M, -1)
 
 

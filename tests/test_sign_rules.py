@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conestab import Cone, SquareMatrix, UniPoly, forms
 from conestab.cones import (_k_irreducible_by_sign, _maps_into_by_sign,
-                            matrix_k_nonnegative, matrix_k_positive)
+                            _probe_points, matrix_k_nonnegative,
+                            matrix_k_positive)
 from conestab.hurwitz import _routh_by_sign, routh_hurwitz_stable
 from conestab.numerics import DEFAULT_TOL, scalar_from_json
 from conestab.sequences import _log_concave_by_sign, is_log_concave
@@ -116,7 +117,8 @@ class TestConeMatrices:
         kernel = matrix_k_positive if interior else matrix_k_nonnegative
         verdict = kernel(A, K, trials=TRIALS, seed=probes)
         assert not verdict.is_unknown
-        assert (_maps_into_by_sign(A.to_objects(), K, interior, TRIALS, probes)
+        assert (_maps_into_by_sign(A.to_objects(), K, interior,
+                                   _probe_points(K, TRIALS, probes))
                 == verdict.is_holds)
 
     def test_identity_is_not_k_positive(self):
@@ -124,15 +126,16 @@ class TestConeMatrices:
         for K in CONES[:2]:
             I = SquareMatrix.identity(4)
             assert matrix_k_positive(I, K).is_fails
-            assert _maps_into_by_sign(I.to_objects(), K, True, TRIALS, 0) is False
-            assert _maps_into_by_sign(I.to_objects(), K, False, TRIALS, 0)
+            assert _maps_into_by_sign(I.to_objects(), K, True, None) is False
+            assert _maps_into_by_sign(I.to_objects(), K, False, None)
 
     def test_minus_identity_reverses_the_second_order_tail(self):
         # -I keeps tail^2 - |head|^2 and negates the tail
         K = CONES[2]
         A = SquareMatrix.identity(4).scale(-1)
         assert matrix_k_nonnegative(A, K, trials=TRIALS, seed=0).is_fails
-        assert _maps_into_by_sign(A.to_objects(), K, False, TRIALS, 0) is False
+        assert _maps_into_by_sign(A.to_objects(), K, False,
+                                  _probe_points(K, TRIALS, 0)) is False
 
     def test_irreducibility_rule_raises_i_plus_a(self):
         # (I + J - I)^3 = J^3 has only positive entries: J - I is
@@ -143,8 +146,8 @@ class TestConeMatrices:
                                     for i in range(4)])
         D = SquareMatrix.from_rows([[(i + 1) * (i == j) for j in range(4)]
                                     for i in range(4)])
-        assert _k_irreducible_by_sign(J.to_objects(), K, TRIALS, 0)
-        assert not _k_irreducible_by_sign(D.to_objects(), K, TRIALS, 0)
+        assert _k_irreducible_by_sign(J.to_objects(), K, None)
+        assert not _k_irreducible_by_sign(D.to_objects(), K, None)
 
 
 class TestDichotomy:
@@ -157,7 +160,8 @@ class TestDichotomy:
         _, verdict = forms._dichotomy(Q, K, singular, DEFAULT_TOL, TRIALS,
                                       probes)
         assert not verdict.is_unknown
-        assert (forms._dichotomy_by_sign(Q, K, singular, TRIALS, probes)
+        assert (forms._dichotomy_by_sign(Q, K, singular,
+                                         _probe_points(K, TRIALS, probes))
                 == verdict.is_holds)
 
 

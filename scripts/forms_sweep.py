@@ -5,23 +5,38 @@ sampled checks make of them.
 
 Families: elementary symmetric forms e_k; products of linear forms inside
 the dual cone; such products plus one small term; sparse forms with small
-int coefficients.  Cones: the orthant, a simplicial cone drawn per form,
-and the pyramid over a cross-polytope (the square pyramid in R^3), in R^3,
-and for e_k in R^3 or R^4, so that e_3 and e_4 are drawn.
+int coefficients; determinantal forms det(sum_i l_i(x) B_i B_i^T), with
+small int B_i of 3 or 4 rows and l_i = x_i on the orthant, l_i inside the
+dual cone elsewhere.  Cones: the orthant, a simplicial cone drawn per
+form, and the pyramid over a cross-polytope (the square pyramid in R^3),
+in R^3, and for e_k and determinantal forms in R^3 or R^4, so that e_3
+and e_4 are drawn.
 
 Each form's label is ``lorentzian_sample_check``, which decides these
-inputs exactly.  Per sampled check, a ``fails`` on a form labelled
-``holds`` is a false refutation, and a ``fails`` label that the check
-does not refute is a miss.  The checks are the sampled reductions that
+inputs exactly.  Three families are Lorentzian by construction, not by
+that decision: e_k on the orthant, and products of linear forms and
+determinantal forms on every cone, because f o G is a product of linear
+forms with positive coefficients or det(sum_j y_j C_j) with positive
+semidefinite C_j, real stable (Borcea-Branden, Duke Math. J. 143, 2008)
+and hence Lorentzian (Branden-Huh, Ann. Math. 192, 2020).  A label other
+than ``holds`` on them is a disagreement with the construction.
+
+The sampled checks are the sampled reductions that
 ``lorentzian_sample_check`` ran on such inputs before it decided them
-exactly (``forms._sampled_reductions``), ``clc_necessary`` and
-``hessian_signature``: each is a necessary condition for a K-Lorentzian
-form, so a false refutation is a defect.  ``hurwitz_over_cone`` is not
-swept: a Lorentzian form need not be stable.
+exactly (``forms._sampled_reductions``), ``clc_necessary``,
+``hessian_signature`` and ``hurwitz_over_cone``.  The first three are
+necessary conditions for a K-Lorentzian form, and ``conestab form`` reads
+the last two as implied by a ``holds`` label (``forms.implied_checks``);
+``hurwitz_over_cone`` is implied, and swept, only where the label is a
+strictly Lorentzian ``holds`` of degree <= 4 over the orthant or a
+simplicial cone.  A ``fails`` where the label implies the check is a
+false refutation, and a ``fails`` label that the check does not refute is
+a miss.
 
     python scripts/forms_sweep.py --count 100 --trials 8 50
 
-Exits 1 when any check refutes a form labelled ``holds``.
+Exits 1 when any check refutes a form whose label implies it, or when a
+label disagrees with the construction.
 """
 
 import argparse
@@ -33,19 +48,19 @@ from collections import Counter
 from lti_sufficiency import linear_form_product
 
 from conestab import (Cone, MultiForm, clc_necessary_check,
-                      hessian_signature_check, lorentzian_sample_check)
-from conestab.forms import _sampled_reductions
+                      hessian_signature_check, hurwitz_over_cone_check,
+                      lorentzian_sample_check)
+from conestab.forms import _sampled_reductions, implied_checks
 from conestab.numerics import DEFAULT_TOL
 
-FAMILIES = ("e_k", "product", "perturbed", "sparse")
+FAMILIES = ("e_k", "product", "perturbed", "sparse", "determinantal")
 CONE_KINDS = ("orthant", "simplicial", "pyramid")
 CHECKS = {
     "reductions": lambda f, K, trials, seed: _sampled_reductions(
         f, K, trials, seed, DEFAULT_TOL),
-    "clc_necessary": lambda f, K, trials, seed: clc_necessary_check(
-        f, K, trials=trials, seed=seed),
-    "hessian_signature": lambda f, K, trials, seed: hessian_signature_check(
-        f, K, trials=trials, seed=seed),
+    "clc_necessary": clc_necessary_check,
+    "hessian_signature": hessian_signature_check,
+    "hurwitz_over_cone": hurwitz_over_cone_check,
 }
 
 
@@ -69,7 +84,39 @@ def dual_interior(rng, K):
             for i in range(K.n)]
 
 
-def random_form(rng, family, K):
+def determinant(entries) -> MultiForm:
+    """det of the s x s matrix whose entry (k, l) is the linear form with
+    coefficients entries[k][l], by Leibniz's formula."""
+    s, n = len(entries), len(entries[0][0])
+    total = MultiForm(n, s, {})
+    for perm in itertools.permutations(range(s)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total + linear_form_product(
+            [entries[k][perm[k]] for k in range(s)]).scale(sign)
+    return total
+
+
+def determinantal_form(rng, kind, K):
+    """det(sum_i l_i(x) B_i B_i^T), B_i of s = 3 or 4 rows, rank 1 to s."""
+    s = rng.randint(3, 4)
+    if kind == "orthant":
+        lines = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
+    else:
+        lines = [dual_interior(rng, K) for _ in range(K.n)]
+    grams = []
+    for _ in lines:
+        r = rng.randint(1, s)
+        B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(s)]
+        grams.append([[sum(x * y for x, y in zip(a, b)) for b in B]
+                      for a in B])
+    return determinant([[[sum(l[j] * P[k][m] for l, P in zip(lines, grams))
+                          for j in range(K.n)] for m in range(s)]
+                        for k in range(s)])
+
+
+def random_form(rng, family, kind, K):
+    if family == "determinantal":
+        return determinantal_form(rng, kind, K)
     n, d = K.n, rng.randint(3, min(4, K.n) if family == "e_k" else 4)
     if family == "e_k":
         return MultiForm(n, d, {tuple(int(i in S) for i in range(n)): 1
@@ -85,6 +132,11 @@ def random_form(rng, family, K):
     return f
 
 
+def lorentzian_by_construction(family, kind) -> bool:
+    return family in ("product", "determinantal") or (
+        family == "e_k" and kind == "orthant")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=40,
@@ -96,24 +148,38 @@ def main(argv=None):
 
     rng = random.Random(args.seed)
     labels = Counter()
+    constructed = Counter()  # family -> forms Lorentzian by construction
+    disagree = Counter()
     outcomes = Counter()  # (check, trials, label, sampled status)
     for family, kind in itertools.product(FAMILIES, CONE_KINDS):
         for i in range(args.count):
-            K = random_cone(rng, kind,
-                            rng.randint(3, 4) if family == "e_k" else 3)
-            f = random_form(rng, family, K)
+            K = random_cone(rng, kind, rng.randint(3, 4) if family in (
+                "e_k", "determinantal") else 3)
+            f = random_form(rng, family, kind, K)
             if f.is_zero:
                 continue
-            label = lorentzian_sample_check(f, K).verdict.status
+            report = lorentzian_sample_check(f, K)
+            label = report.verdict.status
             assert label in ("holds", "fails"), (f, K, label)
             labels[family, label] += 1
+            if lorentzian_by_construction(family, kind):
+                constructed[family] += 1
+                disagree[family] += label != "holds"
+            hurwitz = "hurwitz-over-cone" in implied_checks(f, report)
             for (name, check), trials in itertools.product(CHECKS.items(),
                                                            args.trials):
-                status = check(f, K, trials, [args.seed, i]).verdict.status
+                # Hurwitz stability is necessary only where it is implied
+                if name == "hurwitz_over_cone" and not hurwitz:
+                    continue
+                status = check(f, K, trials=trials,
+                               seed=[args.seed, i]).verdict.status
                 outcomes[name, trials, label, status] += 1
     print("labels: " + ", ".join(
         f"{family} {labels[family, 'holds']} holds / "
         f"{labels[family, 'fails']} fails" for family in FAMILIES))
+    print("Lorentzian by construction: " + ", ".join(
+        f"{family} {constructed[family]}, {disagree[family]} disagree"
+        for family in constructed))
     print(f"{'check':<18} {'trials':>6} {'holds':>6} "
           f"{'false refutations':>17} {'fails':>6} {'refuted':>8} "
           f"{'missed':>7}")
@@ -122,13 +188,18 @@ def main(argv=None):
         held, failed = ({s: outcomes[name, trials, label, s]
                          for s in ("holds-sampled", "unknown", "fails")}
                         for label in ("holds", "fails"))
+        if name == "hurwitz_over_cone":  # not run on fails labels
+            fails = refuted = misses = "-"
+        else:
+            fails, refuted = sum(failed.values()), failed["fails"]
+            misses = failed["holds-sampled"] + failed["unknown"]
         false += held["fails"]
         print(f"{name:<18} {trials:>6} {sum(held.values()):>6} "
-              f"{held['fails']:>17} {sum(failed.values()):>6} "
-              f"{failed['fails']:>8} "
-              f"{failed['holds-sampled'] + failed['unknown']:>7}")
+              f"{held['fails']:>17} {fails:>6} {refuted:>8} {misses:>7}")
+    disagreements = sum(disagree.values())
+    print(f"{disagreements} decisions disagree with the construction")
     print(f"{false} false refutations")
-    return 1 if false else 0
+    return 1 if false or disagreements else 0
 
 
 if __name__ == "__main__":

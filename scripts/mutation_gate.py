@@ -49,6 +49,7 @@ HURWITZ_MINORS = (
 SHAPED_MINORS = ("tests/test_numerics.py::TestBareissKernel::"
                  "test_hurwitz_shaped_minors_match_cofactor_oracle")
 RAY_WITNESSES = "tests/test_lorentzian_rays.py::TestWitnesses::"
+IMPLIED_CHECKS = "tests/test_lorentzian_rays.py::TestImpliedChecks::"
 
 MUTANTS = (
     Mutant("routh-divisor", "numerics.py",
@@ -180,6 +181,33 @@ MUTANTS = (
            "if k > 1:",
            "if k > 0:",
            (RAY_WITNESSES + "test_elementary_symmetric_forms_hold",)),
+    Mutant("implied-by-any-ray-verdict", "forms.py",
+           'if lorentzian.verdict.status != HOLDS or "rays" not in details:',
+           'if "rays" not in details:',
+           (IMPLIED_CHECKS + "test_a_ray_fails_implies_nothing",)),
+    Mutant("implied-hurwitz-without-strictness", "forms.py",
+           'if details["strict"] and f.d <= 4:',
+           "if f.d <= 4:",
+           (IMPLIED_CHECKS
+            + "test_e3_4_is_not_strict_so_hurwitz_is_sampled",)),
+    Mutant("implied-hurwitz-past-degree-4", "forms.py",
+           'if details["strict"] and f.d <= 4:',
+           'if details["strict"]:',
+           (IMPLIED_CHECKS + "test_strict_degree_5_samples_hurwitz",)),
+    Mutant("strict-without-full-support", "forms.py",
+           "strict = len(support) == math.comb(len(rays) + f.d - 1, f.d)",
+           "strict = True",
+           (IMPLIED_CHECKS
+            + "test_e3_4_is_not_strict_so_hurwitz_is_sampled",)),
+    Mutant("strict-admits-a-zero-eigenvalue", "forms.py",
+           "strict = strict and not zero",
+           "strict = strict",
+           (IMPLIED_CHECKS + "test_a_singular_alpha_hessian_is_not_strict",)),
+    Mutant("inertia-without-zero-count", "numerics.py",
+           "zero = len(chi) - 1 - max(k for k, c in enumerate(chi) if c != 0)",
+           "zero = 0",
+           ("tests/test_lorentzian_rays.py::TestProperties::"
+            "test_inertia_counts_zero_eigenvalues_as_zero",)),
     Mutant("margin-inverted", "verdict.py",
            "self._margin = Fraction(self._slack, self._scale)",
            "self._margin = Fraction(self._scale, self._slack)",

@@ -49,7 +49,11 @@ in the same order.  It covers every subcommand:
                    an orthant, and 1e120 I over a second-order cone;
 * ``form/overflow/`` 10^400 x1^2 + x1 x2 + x2^2, whose Hessian has no
                    float, over an orthant, a polyhedral and a
-                   second-order cone, in auto and exact mode.
+                   second-order cone, in auto and exact mode;
+* ``unipoly/overflow/`` 1 + 10^400 t + t^2 and 10^400 + 3t + 2t^2 + t^3,
+                   and ``restrict/overflow/`` the ``form/overflow/``
+                   form from (1, 2) along (10^400, 1), in auto, exact
+                   and float mode.
 
 Each digest covers the exit code, stdout and stderr of ``conestab.cli``
 run in this process.  Every report of a run that exits 0 must be standard
@@ -378,6 +382,15 @@ def corpus():
         for mode in ("auto", "exact"):
             yield (f"form/overflow/{name}/{mode}", "form", huge_form, cone,
                    ["--mode", mode, "--trials", "5"])
+    modes = ("auto", "exact", "float")
+    for i, coeffs in enumerate(([1, 10 ** 400, 1], [10 ** 400, 3, 2, 1])):
+        for mode in modes:
+            yield (f"unipoly/overflow/{i}/{mode}", "unipoly",
+                   {"coeffs": coeffs}, None, ["--mode", mode])
+    for mode in modes:
+        yield (f"restrict/overflow/{mode}", "restrict",
+               {"form": huge_form, "x": [1, 2], "v": [10 ** 400, 1]}, None,
+               ["--mode", mode])
 
 
 def run_report(workdir: Path, command, payload, cone, extra) -> tuple:

@@ -23,7 +23,7 @@ from .errors import (DimensionMismatch, Inapplicable, NonConvergence,
                      ParseError, WrongDegree, ZeroPolynomial)
 from .forms import (clc_necessary_check, form_from_json,
                     hessian_signature_check, hurwitz_over_cone_check,
-                    lorentzian_sample_check, restrict_line)
+                    implied_checks, lorentzian_sample_check, restrict_line)
 from .hurwitz import stability_report
 from .lti import lti_report
 # all_roots is unused here but stays bound: perfbench/tracing.py wraps it
@@ -32,7 +32,7 @@ from .numerics import (SquareMatrix, Tolerance, all_roots,  # noqa: F401
                        int_from_json, scalar_to_json, vector_from_json)
 from .sequences import is_univariate_clc, newton_chain_report
 from .unipoly import unipoly_from_json
-from .verdict import FAILS, Verdict
+from .verdict import FAILS, NOT_APPLICABLE, Verdict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _criterion_entries(report) -> dict:
     for key in ("clc_d_le_4", "quintic", "alpha_product", "alpha_square"):
         verdict = getattr(report, key)
         if verdict is None:
-            out[key] = {"status": "not-applicable"}
+            out[key] = {"status": NOT_APPLICABLE}
         else:
             out[key] = jsonable(verdict)
             if verdict.status == FAILS:
@@ -174,17 +174,25 @@ def cmd_form(payload, cone_payload, cfg: RunConfig) -> dict:
          else Cone.orthant(f.n))
     if K.n != f.n:
         raise ParseError(f"form in {f.n} variables but cone in R^{K.n}")
-    checks = {}
-    checks["lorentzian_sampled"] = lorentzian_sample_check(
+    lorentzian = lorentzian_sample_check(
         f, K, trials=cfg.trials, seed=[cfg.seed, 1], tol=cfg.tol)
-    checks["clc_necessary"] = clc_necessary_check(
-        f, K, trials=cfg.trials, seed=[cfg.seed, 2], tol=cfg.tol)
+    # an exact holds of the ray decision stands in for what it implies
+    implied = implied_checks(f, lorentzian)
+
+    def run(name, check, seed):
+        if name in implied:
+            return implied[name]
+        return check(f, K, trials=cfg.trials, seed=[cfg.seed, seed],
+                     tol=cfg.tol)
+
+    checks = {"lorentzian_sampled": lorentzian,
+              "clc_necessary": run("clc-necessary", clc_necessary_check, 2)}
     if f.d >= 2:
-        checks["hessian_signature"] = hessian_signature_check(
-            f, K, trials=cfg.trials, seed=[cfg.seed, 3], tol=cfg.tol)
+        checks["hessian_signature"] = run("hessian-signature",
+                                          hessian_signature_check, 3)
     if f.d >= 1:
-        checks["hurwitz_over_cone"] = hurwitz_over_cone_check(
-            f, K, trials=cfg.trials, seed=[cfg.seed, 4], tol=cfg.tol)
+        checks["hurwitz_over_cone"] = run("hurwitz-over-cone",
+                                          hurwitz_over_cone_check, 4)
     return {
         "input": jsonable(payload),
         "cone": {"type": K.kind, "n": K.n},

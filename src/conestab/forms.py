@@ -9,7 +9,9 @@ here implement the refutation side of the cone-positivity hierarchy:
 * the Lorentzian property of an exact form of higher degree over the
   orthant or a polyhedral cone is decided exactly, by Branden-Huh's
   finite test of the form composed with the extreme rays, while that
-  composition has at most ``EXACT_MONOMIALS_MAX`` possible monomials;
+  composition has at most ``EXACT_MONOMIALS_MAX`` possible monomials, and
+  a ``holds`` of that decision implies checks that are then not sampled
+  (``implied_checks``);
 * every other higher-degree check reduces through sampled interior
   directional derivatives or line restrictions, so its non-refuted
   verdicts are "holds-sampled" -- sampling can refute but never certify.
@@ -40,12 +42,12 @@ from .cones import (ORTHANT, SECOND_ORDER, Cone,  # noqa: F401
                     sample_interior)
 from .errors import DimensionMismatch, Inapplicable, ParseError
 from .numerics import (DEFAULT_TOL, SquareMatrix, Tolerance, _object_dot,
-                       all_exact, exact_div, int_from_json,
-                       positive_eigenvalue_count, scalar_from_json, sym_eigs)
+                       all_exact, exact_div, inertia, int_from_json,
+                       scalar_from_json, sym_eigs)
 from .sequences import _log_concave_by_sign, is_log_concave, is_univariate_clc
 from .unipoly import UniPoly
-from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, UNKNOWN, InequalityLedger,
-                      Verdict)
+from .verdict import (FAILS, HOLDS, HOLDS_SAMPLED, NOT_APPLICABLE, UNKNOWN,
+                      InequalityLedger, Verdict)
 
 
 @dataclass(frozen=True)
@@ -499,7 +501,10 @@ def _lorentzian_over_rays(f: MultiForm, K: Cone) -> FormReport:
        d^alpha g has at most one positive eigenvalue.
 
     The first failure is the witness, in the coordinates of g: y_j is the
-    weight of the j-th extreme ray."""
+    weight of the j-th extreme ray.  A ``holds`` also reports whether g is
+    strictly Lorentzian (``strict``): every one of its C(m + d - 1, d)
+    possible monomials has a positive coefficient, and no Hessian of test
+    3 has the eigenvalue 0."""
     rays = extreme_ray_reps(K)
     terms = f.terms if K.kind == ORTHANT else _composed_terms(f, rays)
     details = {"rays": len(rays), "quadratics": 0, "trials_run": 0}
@@ -517,14 +522,41 @@ def _lorentzian_over_rays(f: MultiForm, K: Cone) -> FormReport:
     if exchange is not None:
         return report(FAILS, "the support of f o G is not M-convex",
                       ("exchange", *exchange))
+    # a full support has no zero row in any Hessian of test 3
+    strict = len(support) == math.comb(len(rays) + f.d - 1, f.d)
     for alpha, H in sorted(_alpha_hessians(terms).items()):
         details["quadratics"] += 1
-        k = positive_eigenvalue_count(H) if len(H) > 1 else 0
+        # a 1 x 1 Hessian is a positive coefficient
+        k, zero = inertia(H) if len(H) > 1 else (1, 0)
         if k > 1:
             return report(FAILS, "a (d-2)-nd partial of f o G has more than "
                           "one positive eigenvalue",
                           ("alpha-positive-eigenvalues", alpha, k))
+        strict = strict and not zero
+    details["strict"] = strict
     return report(HOLDS, "f o G is Lorentzian (Branden-Huh, Thm 2.25)")
+
+
+def implied_checks(f: MultiForm, lorentzian: FormReport) -> dict:
+    """check name -> the ``holds`` that the report ``lorentzian`` of
+    ``lorentzian_sample_check`` on f implies without sampling (README,
+    "Checks implied by an exact holds").  Only an exact ``holds`` of the
+    decision over the extreme rays implies anything: K-Lorentzian f is
+    K-CLC, so the non-strict ``clc-necessary`` holds, and its Hessians at
+    interior points have one positive eigenvalue and the self-dual
+    dichotomy, so ``hessian-signature`` holds.  ``hurwitz-over-cone``
+    holds for a strictly Lorentzian f o G of degree d <= 4, which needs
+    the orthant or a simplicial cone: each Hessian of f o G is G^T H G,
+    singular when G has more columns (rays) than rows."""
+    details = lorentzian.details
+    if lorentzian.verdict.status != HOLDS or "rays" not in details:
+        return {}
+    names = ["clc-necessary", "hessian-signature"]
+    if details["strict"] and f.d <= 4:
+        names.append("hurwitz-over-cone")
+    implied = Verdict(HOLDS, note="implied by the exact Lorentzian decision")
+    return {name: FormReport(name, implied, {"trials_run": 0})
+            for name in names}
 
 
 def _composed_terms(f: MultiForm, rays) -> dict:
@@ -686,11 +718,17 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
     K-nonnegative, K-irreducible matrix has a simple positive spectral
     radius with an eigenvector in int K by the generalized
     Perron-Frobenius (Krein-Rutman) theorem (Vandergraft, SIAM J. Appl.
-    Math. 16, 1968)."""
+    Math. 16, 1968).  The zero form holds by convention, with nothing
+    sampled."""
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.d < 2:
         raise ValueError("Hessian check needs degree >= 2")
+    if f.is_zero:
+        # the Lorentzian class contains 0, as in clc_necessary_check
+        return FormReport("hessian-signature",
+                          Verdict(HOLDS, note="zero polynomial convention"),
+                          {"trials_run": 0})
     tallies = {"nonsingular_irreducible": 0, "singular_nonnegative": 0}
 
     def refuted(witness, note=None):
@@ -756,13 +794,20 @@ def hessian_signature_check(f: MultiForm, K: Cone, trials: int = 100, seed=0,
 def hurwitz_over_cone_check(f: MultiForm, K: Cone, trials: int = 200, seed=0,
                             tol: Tolerance = DEFAULT_TOL) -> FormReport:
     """Sampled refutation of Hurwitz stability over the cone: every sampled
-    interior line restriction must be Hurwitz-stable."""
+    interior line restriction must be Hurwitz-stable.  The zero form, whose
+    every restriction is 0, is ``not-applicable``."""
     from .hurwitz import _routh_by_sign, routh_hurwitz_stable
 
     if f.n != K.n:
         raise DimensionMismatch("form/cone dimension mismatch")
     if f.d < 1:
         raise ValueError("stability over the cone needs degree >= 1")
+    if f.is_zero:
+        return FormReport("hurwitz-over-cone",
+                          Verdict(NOT_APPLICABLE,
+                                  note="every restriction of the zero form "
+                                       "is 0"),
+                          {"trials_run": 0})
 
     rng = _rng(seed)
 

@@ -531,15 +531,19 @@ def _berkowitz(a) -> list:
     return p
 
 
-def positive_eigenvalue_count(rows) -> int:
-    """The number of positive eigenvalues, with multiplicity, of the exact
-    symmetric matrix ``rows``, counted exactly.  The characteristic
-    polynomial of a symmetric matrix has only real roots, so Descartes'
-    rule of signs is exact on it: its positive roots are the sign changes
-    of its coefficients, here those of the int matrix D rows
-    (:func:`_integer_rows`, D > 0) by :func:`_berkowitz`."""
-    signs = [c > 0 for c in _berkowitz(_integer_rows(rows)[0]) if c != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def inertia(rows) -> tuple:
+    """``(positive, zero)``: the numbers of positive and of zero
+    eigenvalues, with multiplicity, of the exact symmetric matrix ``rows``,
+    counted exactly.  The characteristic polynomial of a symmetric matrix
+    has only real roots, so Descartes' rule of signs is exact on it: its
+    positive roots are the sign changes of its coefficients, here those of
+    the int matrix D rows (:func:`_integer_rows`, D > 0) by
+    :func:`_berkowitz`, and the multiplicity of its root 0 is the number
+    of its trailing zero coefficients."""
+    chi = _berkowitz(_integer_rows(rows)[0])
+    signs = [c > 0 for c in chi if c != 0]
+    zero = len(chi) - 1 - max(k for k, c in enumerate(chi) if c != 0)
+    return sum(a != b for a, b in zip(signs, signs[1:])), zero
 
 
 def char_poly(A: SquareMatrix):

@@ -8,6 +8,8 @@ A verdict status is one of:
 * ``fails``          -- refuted, with a concrete witness
 * ``unknown``        -- a float comparison landed inside the tolerance band
   (exact arithmetic never produces this)
+* ``not-applicable`` -- the check does not apply to the input, such as
+  Hurwitz stability of the zero form
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ HOLDS = "holds"
 HOLDS_SAMPLED = "holds-sampled"
 FAILS = "fails"
 UNKNOWN = "unknown"
+NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)

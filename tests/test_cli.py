@@ -1,6 +1,8 @@
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from conestab.unipoly import unipoly_from_json
 from conestab.verdict import Verdict
 
 CLI = [sys.executable, "-m", "conestab.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 UNSTABLE_QUINTIC = {"coeffs": [5, 14, 12.5, 7.2, 3, 1]}
 STABLE_QUINTIC = {"coeffs": [5, 25, 50, 30, 10, 3]}
@@ -191,23 +194,25 @@ class TestFormCommand:
                                                     [-1, 0, 1], [0, -1, 1]]}],
         ids=["orthant", "pyramid"])
     def test_zero_form_holds_by_convention(self, tmp_path, cone):
-        # 0 is in the Lorentzian class: clc_necessary and
-        # lorentzian_sampled take the zero polynomial convention of
-        # is_univariate_clc and sample nothing; the other checks leave
-        # every degree-0 reduction undecided
+        # 0 is in the Lorentzian class: the three necessary checks take
+        # the zero polynomial convention of is_univariate_clc and sample
+        # nothing; Hurwitz stability does not apply to the zero form
         args = ["form", "--trials", "10"]
         if cone is not None:
             (tmp_path / "cone.json").write_text(json.dumps(cone))
             args += ["--cone", str(tmp_path / "cone.json")]
         checks = run_json(args, {"n": 3, "d": 4, "terms": []})["checks"]
         for name, check in (("clc_necessary", "clc-necessary"),
-                            ("lorentzian_sampled", "lorentzian-sampled")):
+                            ("lorentzian_sampled", "lorentzian-sampled"),
+                            ("hessian_signature", "hessian-signature")):
             assert checks[name] == {
                 "check": check, "details": {"trials_run": 0},
                 "verdict": {"note": "zero polynomial convention",
                             "status": "holds"}}
-        for name in ("hessian_signature", "hurwitz_over_cone"):
-            assert checks[name]["verdict"]["status"] == "unknown"
+        assert checks["hurwitz_over_cone"] == {
+            "check": "hurwitz-over-cone", "details": {"trials_run": 0},
+            "verdict": {"note": "every restriction of the zero form is 0",
+                        "status": "not-applicable"}}
 
     @pytest.mark.parametrize("cone", [
         {"type": "orthant", "n": 2},
@@ -493,6 +498,23 @@ def test_negative_form_degree_is_input_error(command, degree):
     assert proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert "degree" in error and str(degree) in error
+
+
+def test_overflow_inputs_never_exit_3(monkeypatch, tmp_path):
+    # every overflow/ group of the digest corpus: exact data past the float
+    # range is decided or reported, in exact and auto mode, never a
+    # numeric failure
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    digests = importlib.import_module("report_digests")
+    commands = set()
+    for name, command, payload, cone, extra in digests.corpus():
+        if "/overflow/" not in name or "float" in extra:
+            continue
+        commands.add(command)
+        code, _, err = digests.run_report(tmp_path, command, payload, cone,
+                                          extra)
+        assert code != 3, (name, err)
+    assert commands == {"unipoly", "form", "matrix", "restrict"}
 
 
 class TestDeterminismAndConfig:

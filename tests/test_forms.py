@@ -298,8 +298,10 @@ class TestLorentzianSampleCheck:
             rep = lorentzian_sample_check(power_of_sum(2, d), Cone.orthant(2),
                                           trials=15, seed=2)
             assert rep.verdict.status == "holds", d
+            # d^alpha of (x1 + x2)^d is a multiple of (x1 + x2)^2, whose
+            # Hessian is singular
             assert rep.details == {"rays": 2, "quadratics": d - 1,
-                                   "trials_run": 0}
+                                   "trials_run": 0, "strict": False}
 
     def test_linear_form_degenerate_case(self):
         f = MultiForm(2, 1, {(1, 0): 1, (0, 1): 2})
@@ -554,6 +556,7 @@ QUAD = ("dichotomy", "dichotomy_branch", "eigenvalues", "k_nonnegative",
 HIT = ("inner", "v", "x")
 TALLY = ("tallies", "trials_run")
 RAYS = ("quadratics", "rays", "trials_run")
+RAYS_HOLD = ("quadratics", "rays", "strict", "trials_run")
 ZERO_CONVENTION = ("holds", "zero polynomial convention", 0, None,
                    ("trials_run",), None)
 LINE = ("note", "trials_run")
@@ -618,8 +621,8 @@ BRANCHES = [
      ("fails", "a (d-2)-nd partial of f o G has more than one positive "
       "eigenvalue", 0, "alpha-positive-eigenvalues", RAYS, None)),
     ("lorentzian/cube2/orthant", (LOR, CUBE_2, O2, False),
-     ("holds", "f o G is Lorentzian (Branden-Huh, Thm 2.25)", 0, None, RAYS,
-      None)),
+     ("holds", "f o G is Lorentzian (Branden-Huh, Thm 2.25)", 0, None,
+      RAYS_HOLD, None)),
     # ... and any other form samples reductions
     ("lorentzian/cubic-float/orthant", (LOR, CUBIC_FLOAT, O2, False),
      ("fails", None, 1, ("directions", "inner"),
@@ -646,7 +649,8 @@ BRANCHES = [
      ("holds-sampled", NONE_FOUND, 8, None, BOUNDARY, None)),
     ("clc/cube2/orthant/strict", (CLC, CUBE_2, O2, True),
      ("holds-sampled", NONE_FOUND, 8, None, LINE, None)),
-    # hessian_signature_check
+    # hessian_signature_check: the zero form holds by convention
+    ("hessian/zero/orthant", (HES, ZERO, O2, False), ZERO_CONVENTION),
     ("hessian/diag-cubic/orthant", (HES, DIAG_CUBIC, O2, False),
      ("fails", None, 1, ("eigenvalues", "point", "positive_count"), TALLY,
       tallies(0, 0))),
@@ -684,7 +688,8 @@ BRANCHES = [
      ("unknown", "8/8 lines indeterminate", 8, None, ("trials_run",), None)),
     # every restriction of the zero form is zero
     ("hurwitz/zero/orthant", (HUR, ZERO, O2, False),
-     ("unknown", "8/8 lines indeterminate", 8, None, ("trials_run",), None)),
+     ("not-applicable", "every restriction of the zero form is 0", 0, None,
+      ("trials_run",), None)),
     ("hurwitz/cube2/orthant", (HUR, CUBE_2, O2, False),
      ("holds-sampled", NONE_FOUND, 8, None, ("trials_run",), None)),
 ]
@@ -693,7 +698,7 @@ BRANCHES = [
 # the self-dual Hessian rows that tally nonsingular, K-irreducible points
 IRREDUCIBLE_HESSIANS = [c for c in BRANCHES
                         if c[1][0] == HES and c[1][2].is_self_dual
-                        and c[2][5]["nonsingular_irreducible"]]
+                        and (c[2][5] or {}).get("nonsingular_irreducible")]
 
 
 class TestFormCheckBranches:
